@@ -14,7 +14,14 @@ numbers come out order one.
 import numpy as np
 
 from lps import KernelKind, ZetaGrid, bnorm, kernel_entry
-from lps.czcheck import counterexample_profile, lemma_suite, scan_growth, scan_smoothness
+from lps.czcheck import (
+    ball_measures,
+    counterexample_profile,
+    lemma_suite,
+    sample_pairs,
+    sample_perturbed,
+    scan,
+)
 
 grid = ZetaGrid(order=8, levels_zero=30, levels_one=30)
 
@@ -22,15 +29,17 @@ grid = ZetaGrid(order=8, levels_zero=30, levels_one=30)
 profile = kernel_entry(0.0, KernelKind("dT"), [1.0], [1.5], grid)
 print(f"dT entry at (1.0, 1.5): L^2(t dt) norm = {bnorm(profile):.6f}")
 
+# one pair sample, its perturbations and its ball measures serve every scan
+x, y = sample_pairs(1, 150, 7)
+xp = sample_perturbed(x, y, 8)
+balls = ball_measures(0.0, x, y)
 for kind in (KernelKind("dT"), KernelKind("hT", i=1), KernelKind("dP")):
-    reports = scan_growth(0.0, kind, count=150, seed=7, grid=grid)
-    ratios = [r.ratio for r in reports]
+    ratios = scan(0.0, kind, x, y, None, None, balls, grid, ("growth",))["growth"].ratio
     print(f"{kind.tag:4s} growth ratios over 150 pairs: "
-          f"max {max(ratios):.3f}  median {np.median(ratios):.3f}")
+          f"max {ratios.max():.3f}  median {np.median(ratios):.3f}")
 
-reports = scan_smoothness(0.0, KernelKind("dT"), "x", count=150, seed=7, grid=grid)
-ratios = [r.ratio for r in reports]
-print(f"dT   smoothness (x-argument):      max {max(ratios):.3f}  "
+ratios = scan(0.0, KernelKind("dT"), x, y, xp, None, balls, grid, ("smooth_x",))["smooth_x"].ratio
+print(f"dT   smoothness (x-argument):      max {ratios.max():.3f}  "
       f"median {np.median(ratios):.3f}")
 
 # the supporting inequalities behind the estimates, sampled and fitted

@@ -25,13 +25,12 @@ from .basis import (
     synthesize,
 )
 from .czcheck import (
-    EstimateReport,
+    ball_measures,
     counterexample_profile,
     lemma_suite,
     random_expansion,
     riesz_identity_check,
-    scan_growth,
-    scan_smoothness,
+    scan,
 )
 from .gfunctions import GFunctionKind, gfun_exact, gfun_l2_exact, gfun_l2_norm, gfun_quadrature
 from .kernels import (

@@ -30,9 +30,10 @@ from .basis import PLAIN, basis_eval, differentiated
 from .czcheck import lemma_suite, random_expansion, riesz_identity_check
 from .gfunctions import GFunctionKind, gfun_l2_exact, gfun_l2_norm
 from .kernels import (
-    KERNEL_TAGS,
+    KIND_TABLE,
     KernelKind,
     ZetaGrid,
+    default_kinds,
     heat_kernel_closed,
     heat_kernel_schlafli,
     heat_kernel_spectral,
@@ -92,16 +93,25 @@ class RunConfig:
             raise ConfigError(f"seed: task {self.task!r} samples randomly and needs a seed")
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"format: expected csv or jsonl, got {self.format!r}")
-        if self.kind != "all" and self.kind not in KERNEL_TAGS:
-            raise ConfigError(f"kind: unknown kernel kind {self.kind!r}")
-        if self.estimate not in ("all", "growth", "smooth_x", "smooth_y"):
+        if self.kind != "all":
+            if self.kind not in KIND_TABLE:
+                raise ConfigError(f"kind: unknown kernel kind {self.kind!r}")
+            min_d = KIND_TABLE[self.kind].min_d
+            if a.d < min_d:
+                raise ConfigError(f"kind: {self.kind} needs dimension >= {min_d}, got {a.d}")
+        if self.estimate != "all" and self.estimate not in czcheck.ESTIMATES:
             raise ConfigError(
                 f"estimate: expected all, growth, smooth_x or smooth_y, got {self.estimate!r}"
             )
-        if self.count < 1:
-            raise ConfigError("count: must be >= 1")
-        if not 0 < self.box_lo < self.box_hi:
-            raise ConfigError("box_lo/box_hi: need 0 < box_lo < box_hi")
+        for name, low in (("count", 1), ("quad_order", 1), ("cutoff", 0),
+                          ("zeta_order", 2), ("zeta_levels", 2)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name}: must be >= {low}")
+        if self.cutoff < 1 and self.task in ("gfun", "verify"):
+            # the modified expansions need a mode above the ground level
+            raise ConfigError(f"cutoff: task {self.task!r} needs cutoff >= 1")
+        if not (math.isfinite(self.box_hi) and 0 < self.box_lo < self.box_hi):
+            raise ConfigError("box_lo/box_hi: need finite 0 < box_lo < box_hi")
         return a
 
     def thread_count(self) -> int:
@@ -245,25 +255,23 @@ def _task_kernel(cfg: RunConfig, alpha, report: Report):
     return worst, worst_row, worst <= 1e-7
 
 
-_VERTICAL = ("gVT", "gVP", "gVTmod", "gVPmod")
-
-
 def _gfun_rows(cfg: RunConfig, alpha, report: Report):
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     worst_row = None
     for n in range(cfg.count):
         seed = int(rng.integers(0, 2**31))
-        for tag in _VERTICAL:
-            mod = tag.endswith("mod")
-            fam = differentiated(1) if mod else PLAIN
-            e = random_expansion(alpha, fam, nmodes=8, max_level=cfg.cutoff, seed=seed)
-            kind = GFunctionKind(tag, j=1) if mod else GFunctionKind(tag)
+        for spec in KIND_TABLE.values():
+            if spec.deriv != "d":
+                continue  # the vertical square functions are the isometries
+            kind = GFunctionKind(spec.gtag, *spec.default_coords)
+            e = random_expansion(alpha, kind.input_family(), nmodes=8, max_level=cfg.cutoff,
+                                 seed=seed)
             norm = gfun_l2_norm(kind, e, order=cfg.quad_order)
             dev = abs(norm - 0.5 * e.l2_norm()) / (0.5 * e.l2_norm())
-            report.add(check=f"isometry_{tag}", sample=n, deviation=float(dev))
+            report.add(check=f"isometry_{kind.tag}", sample=n, deviation=float(dev))
             if dev > worst:
-                worst, worst_row = float(dev), (f"isometry_{tag}", n)
+                worst, worst_row = float(dev), (f"isometry_{kind.tag}", n)
         # horizontal: combined square sum against the spectral closed form
         e = random_expansion(alpha, PLAIN, nmodes=8, max_level=cfg.cutoff, seed=seed + 1)
         quad = sum(gfun_l2_norm(GFunctionKind("gHT", i=i), e, order=cfg.quad_order) ** 2
@@ -315,74 +323,69 @@ def _task_verify(cfg: RunConfig, alpha, report: Report):
     return worst, wrow, not bad
 
 
-def _scan_kinds(alpha, kind_name: str):
-    d = alpha.d
-    out = []
-    for tag in KERNEL_TAGS if kind_name == "all" else (kind_name,):
-        if tag in ("hT", "hP"):
-            out.append(KernelKind(tag, i=1))
-        elif tag in ("hTmod", "hPmod"):
-            if d < 2:
-                continue  # the mixed-derivative kinds need a second coordinate
-            out.append(KernelKind(tag, i=2, j=1))
-        elif tag in ("dTmod", "dPmod", "hTmodStar", "hPmodStar"):
-            out.append(KernelKind(tag, j=1))
-        else:
-            out.append(KernelKind(tag))
-    return out
+def _kind_label(kind: KernelKind) -> str:
+    parts = [f"j={kind.j}"] if kind.j else []
+    if kind.i:
+        parts.append(f"i={kind.i}")
+    return kind.tag + (f"({','.join(parts)})" if parts else "")
 
 
 def _task_czscan(cfg: RunConfig, alpha, report: Report):
     grid = ZetaGrid(order=cfg.zeta_order, levels_zero=cfg.zeta_levels,
                     levels_one=cfg.zeta_levels)
+    grids = (grid, grid.refined()) if cfg.refine else (grid,)
+    kinds = [k for k in default_kinds(alpha.d) if cfg.kind in ("all", k.tag)]
+    estimates = czcheck.ESTIMATES if cfg.estimate == "all" else (cfg.estimate,)
     nthreads = cfg.thread_count()
     x, y = czcheck.sample_pairs(alpha.d, cfg.count, cfg.seed, cfg.box_lo, cfg.box_hi)
     xp = czcheck.sample_perturbed(x, y, cfg.seed + 1)
     yp = czcheck.sample_perturbed(y, x, cfg.seed + 2)
     spans = _chunks(cfg.count, nthreads)
 
-    def scan(kind, which, g):
-        # work split by sample index; merge preserves sample order
-        def one(span):
-            a, b = span
-            if which == "growth":
-                return czcheck.scan_growth(alpha, kind, grid=g, pairs=(x[a:b], y[a:b]))
-            if which == "smooth_x":
-                return czcheck.scan_smoothness(alpha, kind, "x", grid=g,
-                                               pairs=(x[a:b], y[a:b]), pert=xp[a:b])
-            return czcheck.scan_smoothness(alpha, kind, "y", grid=g,
-                                           pairs=(x[a:b], y[a:b]), pert=yp[a:b])
+    def work(span):
+        # one span of sample indices: its ball measures, then every kind at
+        # every grid; merging the spans in order preserves sample order
+        s = slice(*span)
+        balls = czcheck.ball_measures(alpha, x[s], y[s])
+        return balls, [[czcheck.scan(alpha, kind, x[s], y[s], xp[s], yp[s], balls, g, estimates)
+                        for g in grids] for kind in kinds]
 
-        if nthreads == 1 or len(spans) == 1:
-            parts = [one(s) for s in spans]
-        else:
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                parts = list(pool.map(one, spans))
-        return [r for part in parts for r in part]
+    if nthreads == 1 or len(spans) == 1:
+        parts = [work(s) for s in spans]
+    else:
+        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+            parts = list(pool.map(work, spans))
+    balls = np.concatenate([b for b, _ in parts])
+
+    def merged(k, g, est):
+        # the spans' columns joined in span order, which is sample order
+        cols = [scans[k][g][est] for _, scans in parts]
+        return czcheck.EstimateColumns(*map(np.concatenate, zip(*cols)))
 
     worst_ratio = 0.0
     worst_row = None
     all_finite = True
     stable = True
-    which_list = ("growth", "smooth_x", "smooth_y") if cfg.estimate == "all" else (cfg.estimate,)
-    for kind in _scan_kinds(alpha, cfg.kind):
-        for which in which_list:
-            reports = scan(kind, which, grid)
-            kmax = max(r.ratio for r in reports)
+    pert = {"growth": None, "smooth_x": xp, "smooth_y": yp}
+    for k, kind in enumerate(kinds):
+        label = _kind_label(kind)
+        for est in estimates:
+            cols = merged(k, 0, est)
             if cfg.refine:
-                refined = scan(kind, which, grid.refined())
-                rmax = max(r.ratio for r in refined)
+                kmax, rmax = cols.ratio.max(), merged(k, 1, est).ratio.max()
                 drift = abs(rmax - kmax) / max(rmax, 1e-300)
                 stable = stable and drift < 0.05
-            for r in reports:
-                all_finite = all_finite and math.isfinite(r.ratio)
-                report.add(kind=r.kind, estimate=which, x=r.x, y=r.y,
-                           perturbed=r.perturbed, kernel_norm=r.kernel_norm,
-                           ball_measure=r.ball_measure, ratio=r.ratio,
-                           constraint_ok=r.constraint_ok)
-                if r.ratio > worst_ratio:
-                    worst_ratio = r.ratio
-                    worst_row = (r.kind, which, r.x, r.y, r.ratio)
+            for p in range(cfg.count):
+                ratio = float(cols.ratio[p])
+                all_finite = all_finite and math.isfinite(ratio)
+                report.add(kind=label, estimate=est, x=tuple(x[p]), y=tuple(y[p]),
+                           perturbed=() if pert[est] is None else tuple(pert[est][p]),
+                           kernel_norm=float(cols.kernel_norm[p]),
+                           ball_measure=float(balls[p]), ratio=ratio,
+                           constraint_ok=bool(cols.constraint_ok[p]))
+                if ratio > worst_ratio:
+                    worst_ratio = ratio
+                    worst_row = (label, est, tuple(x[p]), tuple(y[p]), ratio)
     return worst_ratio, worst_row, all_finite and stable
 
 

@@ -16,6 +16,7 @@ verified directly.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,13 +26,13 @@ from .kernels import KernelKind, ZetaGrid, kernel_values
 from .measure import as_alpha, mu_ball, pi_alpha_integrate
 
 __all__ = [
-    "EstimateReport",
+    "ESTIMATES",
+    "EstimateColumns",
     "LemmaResult",
-    "summarize_ratios",
     "sample_pairs",
     "sample_perturbed",
-    "scan_growth",
-    "scan_smoothness",
+    "ball_measures",
+    "scan",
     "lemma_suite",
     "riesz_identity_check",
     "counterexample_profile",
@@ -39,18 +40,15 @@ __all__ = [
 ]
 
 
-@dataclass
-class EstimateReport:
-    """One scanned pair: kernel norm, ball measure, and the dimensionless ratio."""
+ESTIMATES = ("growth", "smooth_x", "smooth_y")
 
-    kind: str
-    x: tuple
-    y: tuple
-    kernel_norm: float
-    ball_measure: float
-    ratio: float
-    perturbed: tuple = ()
-    constraint_ok: bool = True
+
+class EstimateColumns(NamedTuple):
+    """One scanned estimate, one entry per pair."""
+
+    kernel_norm: np.ndarray
+    ratio: np.ndarray
+    constraint_ok: np.ndarray
 
 
 @dataclass
@@ -99,101 +97,50 @@ def _row_norms(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.sqrt(np.array([np.dot(row, weights) for row in sq]))
 
 
-def summarize_ratios(reports: list) -> tuple:
-    """(max, median) of the estimate ratios in a scan result."""
-    ratios = np.array([r.ratio for r in reports])
-    return float(ratios.max()), float(np.median(ratios))
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # one norm (a BLAS dot) per pair: a batched norm over axis 1 rounds
+    # differently in the last bit, which would move the report bytes
+    return np.array([np.linalg.norm(u - v) for u, v in zip(a, b)])
 
 
-def _kind_label(kind: KernelKind) -> str:
-    parts = [f"j={kind.j}"] if kind.j else []
-    if kind.i:
-        parts.append(f"i={kind.i}")
-    return kind.tag + (f"({','.join(parts)})" if parts else "")
+def ball_measures(alpha, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """mu_alpha(B(x, |x-y|)) for each pair, the normalizer of every estimate."""
+    return np.array([mu_ball(alpha, c, float(r)) for c, r in zip(x, _distances(x, y))])
 
 
-def _cached_ball(alpha, center, r: float, cache: dict | None) -> float:
-    if cache is None:
-        return mu_ball(alpha, center, r)
-    key = (tuple(center), r)
-    if key not in cache:
-        cache[key] = mu_ball(alpha, center, r)
-    return cache[key]
+def scan(alpha, kind: KernelKind, x, y, xp, yp, balls, grid: ZetaGrid,
+         estimates=ESTIMATES) -> dict:
+    """Columns of the requested estimates over the pairs (x[p], y[p]).
 
-
-def scan_growth(alpha, kind: KernelKind, count: int = 200, seed: int = 1234,
-                lo: float = 0.05, hi: float = 10.0, grid: ZetaGrid | None = None,
-                inner: ZetaGrid | None = None, pairs=None, ball_cache: dict | None = None) -> list:
-    """Growth-estimate ratios bnorm(K(x,y)) * mu_alpha(B(x, |x-y|)) over a sample."""
-    alpha = as_alpha(alpha)
-    grid = grid or ZetaGrid()
-    x, y = pairs if pairs is not None else sample_pairs(alpha.d, count, seed, lo, hi)
-    count = x.shape[0]
-    vals = kernel_values(alpha, kind, x, y, grid, inner)
-    norms = _row_norms(vals, grid.time_weights(kind.measure_kind))
-    reports = []
-    for p in range(count):
-        r = float(np.linalg.norm(x[p] - y[p]))
-        ball = _cached_ball(alpha, x[p], r, ball_cache)
-        reports.append(
-            EstimateReport(
-                kind=_kind_label(kind),
-                x=tuple(x[p]),
-                y=tuple(y[p]),
-                kernel_norm=float(norms[p]),
-                ball_measure=ball,
-                ratio=float(norms[p]) * ball,
-            )
-        )
-    return reports
-
-
-def scan_smoothness(alpha, kind: KernelKind, which: str = "x", count: int = 200,
-                    seed: int = 1234, lo: float = 0.05, hi: float = 10.0,
-                    grid: ZetaGrid | None = None, inner: ZetaGrid | None = None,
-                    pairs=None, pert=None, ball_cache: dict | None = None) -> list:
-    """Smoothness-estimate ratios with the factor |x-y|/|x-x'| inverted.
-
-    which = "x" perturbs the first argument, which = "y" the second; profiles
-    are subtracted nodewise on the shared zeta grid before norming.
+    growth is bnorm(K(x,y)) * mu_alpha(B(x, |x-y|)); smooth_x (smooth_y)
+    norms K(x,y) - K(x',y) (K(x,y) - K(x,y')), with the profiles subtracted
+    nodewise on the shared zeta grid, and multiplies in the inverted factor
+    |x-y|/|x-x'|, flagging the half-distance constraint |x-y| > 2|x-x'|.
+    xp and yp are the perturbed points (None when their estimate is not
+    requested) and balls the output of ball_measures on the same pairs.
+    K(x, y) is evaluated once and shared by all estimates.
     """
-    if which not in ("x", "y"):
-        raise ValueError("which must be 'x' or 'y'")
-    alpha = as_alpha(alpha)
-    grid = grid or ZetaGrid()
-    x, y = pairs if pairs is not None else sample_pairs(alpha.d, count, seed, lo, hi)
-    count = x.shape[0]
-    base = x if which == "x" else y
-    if pert is None:
-        pert = sample_perturbed(base, y if which == "x" else x, seed + 1)
+    vals = kernel_values(alpha, kind, x, y, grid)
     w = grid.time_weights(kind.measure_kind)
-    if which == "x":
-        diff = kernel_values(alpha, kind, x, y, grid, inner) - kernel_values(
-            alpha, kind, pert, y, grid, inner
-        )
-    else:
-        diff = kernel_values(alpha, kind, x, y, grid, inner) - kernel_values(
-            alpha, kind, x, pert, grid, inner
-        )
-    norms = _row_norms(diff, w)
-    reports = []
-    for p in range(count):
-        r = float(np.linalg.norm(x[p] - y[p]))
-        dp = float(np.linalg.norm(base[p] - pert[p]))
-        ball = _cached_ball(alpha, x[p], r, ball_cache)
-        reports.append(
-            EstimateReport(
-                kind=_kind_label(kind),
-                x=tuple(x[p]),
-                y=tuple(y[p]),
-                kernel_norm=float(norms[p]),
-                ball_measure=ball,
-                ratio=float(norms[p]) * ball * r / dp,
-                perturbed=tuple(pert[p]),
-                constraint_ok=bool(r > 2.0 * dp),
-            )
-        )
-    return reports
+    sep = _distances(x, y)
+    out = {}
+    for est in estimates:
+        if est == "growth":
+            norms = _row_norms(vals, w)
+            out[est] = EstimateColumns(norms, norms * balls, np.ones(norms.shape, dtype=bool))
+            continue
+        if est == "smooth_x":
+            base, pert, moved = x, xp, (xp, y)
+        elif est == "smooth_y":
+            base, pert, moved = y, yp, (x, yp)
+        else:
+            raise ValueError(f"unknown estimate {est!r}, expected one of {ESTIMATES}")
+        if pert is None:
+            raise ValueError(f"{est} needs its perturbed points")
+        norms = _row_norms(vals - kernel_values(alpha, kind, *moved, grid), w)
+        dp = _distances(base, pert)
+        out[est] = EstimateColumns(norms, norms * balls * sep / dp, sep > 2.0 * dp)
+    return out
 
 
 def _q_forms(x, y, s):
@@ -221,7 +168,9 @@ def _lemma_oq(rng, n):
     big_a = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
     q = rng.uniform(0.0, 60.0, n)
     lhs = q**b * np.exp(-c * big_a * q)
-    const = np.where(b > 0, (2.0 * b / (c * math.e)) ** b, 1.0)
+    base = 2.0 * b / (c * math.e)
+    # base**b -> 1 as b -> 0; for subnormal b the base underflows to 0 first
+    const = np.where(base > 0, base**b, 1.0)
     rhs = const * big_a ** (-b) * np.exp(-0.5 * c * big_a * q)
     return np.max(lhs - rhs * (1.0 + 1e-12))
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Expansion, PLAIN, differentiated, eigenvalue, ell
-from .kernels import TimeProfile, ZetaGrid, bnorm
-from .measure import as_alpha
+from .kernels import KIND_TABLE, KindSpec, TimeProfile, ZetaGrid
 
 __all__ = [
     "GFunctionKind",
@@ -32,23 +31,10 @@ __all__ = [
     "gfun_l2_exact",
 ]
 
-GFUNCTION_TAGS = (
-    "gVT",
-    "gHT",
-    "gVTmod",
-    "gHTmod",
-    "gHTmodStar",
-    "gVP",
-    "gHP",
-    "gVPmod",
-    "gHPmod",
-    "gHPmodStar",
-)
-
-_NEEDS_I = {"gHT", "gHP", "gHTmod", "gHPmod"}
-_NEEDS_J = {"gVTmod", "gHTmod", "gHTmodStar", "gVPmod", "gHPmod", "gHPmodStar"}
-_DT_MEASURE = {"gHT", "gHTmod", "gHTmodStar"}
-_POISSON = {"gVP", "gHP", "gVPmod", "gHPmod", "gHPmodStar"}
+# each square function is the g-function of one kernel kind of the table
+_SPEC_OF = {spec.gtag: spec for sg in ("T", "P") for spec in KIND_TABLE.values()
+            if spec.semigroup == sg}
+GFUNCTION_TAGS = tuple(_SPEC_OF)
 
 
 @dataclass(frozen=True)
@@ -60,25 +46,24 @@ class GFunctionKind:
     j: int = 0
 
     def __post_init__(self):
-        if self.tag not in GFUNCTION_TAGS:
+        if self.tag not in _SPEC_OF:
             raise ValueError(f"unknown g-function tag {self.tag!r}")
-        if self.tag in _NEEDS_I and self.i < 1:
-            raise ValueError(f"{self.tag} needs a derivative coordinate i")
-        if self.tag in _NEEDS_J and self.j < 1:
-            raise ValueError(f"{self.tag} needs a semigroup coordinate j")
-        if self.tag in ("gHTmod", "gHPmod") and self.i == self.j:
-            raise ValueError(f"{self.tag} requires i != j (i = j is the Star kind)")
+        self.spec.check_coords(self.tag, self.i, self.j)
+
+    @property
+    def spec(self) -> KindSpec:
+        return _SPEC_OF[self.tag]
 
     @property
     def measure_kind(self) -> str:
-        return "dt" if self.tag in _DT_MEASURE else "t_dt"
+        return self.spec.measure_kind
 
     @property
     def is_poisson(self) -> bool:
-        return self.tag in _POISSON
+        return self.spec.semigroup == "P"
 
     def input_family(self):
-        return PLAIN if self.tag in ("gVT", "gHT", "gVP", "gHP") else differentiated(self.j)
+        return differentiated(self.j) if self.spec.modified else PLAIN
 
 
 def _check_input(kind: GFunctionKind, e: Expansion):
@@ -100,24 +85,20 @@ def _shift_down(k: tuple, coords) -> tuple:
 def _modes(kind: GFunctionKind, e: Expansion):
     """Per-mode decay rates, multipliers and output-basis specs for the kind."""
     alpha = e.alpha
+    spec = kind.spec
     nus, mults, outs = [], [], []
     for k, c in e.coeffs.items():
         lam = eigenvalue(alpha, sum(k))
         nu = np.sqrt(lam) if kind.is_poisson else lam
-        if kind.tag in ("gVT", "gVP", "gVTmod", "gVPmod"):
+        if spec.deriv == "d":
             mult = -nu
             out = ("same", k)
-        elif kind.tag in ("gHT", "gHP"):
+        elif spec.deriv == "h":
             if k[kind.i - 1] == 0:
                 continue
             mult = -2.0 * np.sqrt(k[kind.i - 1])
-            out = ("diff", (kind.i,), k)
-        elif kind.tag in ("gHTmod", "gHPmod"):
-            if k[kind.i - 1] == 0:
-                continue
-            mult = -2.0 * np.sqrt(k[kind.i - 1])
-            out = ("diff", (kind.i, kind.j), k)
-        else:  # gHTmodStar / gHPmodStar
+            out = ("diff", (kind.i, kind.j) if spec.modified else (kind.i,), k)
+        else:  # hStar
             mult = -2.0 * np.sqrt(k[kind.j - 1])
             out = ("plain", k)
         nus.append(nu)

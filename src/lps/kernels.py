@@ -30,7 +30,7 @@ matching heat entry sampled on an inner tau grid.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -45,8 +45,11 @@ __all__ = [
     "t_of_zeta",
     "ZetaGrid",
     "TimeProfile",
+    "KindSpec",
+    "KIND_TABLE",
     "KernelKind",
     "KERNEL_TAGS",
+    "default_kinds",
     "bnorm",
     "heat_kernel_closed",
     "heat_kernel_spectral",
@@ -136,13 +139,6 @@ class ZetaGrid:
             return self.wz * self.t * self.jacobian
         raise ValueError(f"unknown measure kind {measure_kind!r}")
 
-    def as_rule(self, measure_kind: str = "dt"):
-        """The grid as a QuadratureRule on (0, 1) with the time weights baked in."""
-        from .specfun import QuadratureRule
-
-        return QuadratureRule(self.zeta, self.time_weights(measure_kind),
-                              "zeta_time_grid", (self.order, measure_kind))
-
     def refined(self, factor: int = 2) -> "ZetaGrid":
         return ZetaGrid(self.order * factor, self.levels_zero, self.levels_one)
 
@@ -165,25 +161,75 @@ def bnorm(profile: TimeProfile) -> float:
     return math.sqrt(profile.squared_norm())
 
 
-# the ten vector-valued kernels: d* = time derivative, h* = space derivative,
-# *mod = modified semigroup, Star = adjoint derivative on its own coordinate
-KERNEL_TAGS = (
-    "dT",
-    "dP",
-    "hT",
-    "hP",
-    "dTmod",
-    "dPmod",
-    "hTmod",
-    "hPmod",
-    "hTmodStar",
-    "hPmodStar",
+# Every kernel kind is a product of three choices: the derivative ("d" = d/dt,
+# "h" = delta_i, "hStar" = delta_j^*, which only the modified kinds carry), the
+# semigroup ("T" = heat, "P" = Poisson) and whether the semigroup is the
+# modified one of coordinate j.  Every fact about a kind is derived from its
+# choices in KindSpec, once.
+_KIND_CHOICES = (
+    ("d", "T", False), ("d", "P", False),
+    ("h", "T", False), ("h", "P", False),
+    ("d", "T", True), ("d", "P", True),
+    ("h", "T", True), ("h", "P", True),
+    ("hStar", "T", True), ("hStar", "P", True),
 )
 
-_NEEDS_I = {"hT", "hP", "hTmod", "hPmod"}
-_NEEDS_J = {"dTmod", "dPmod", "hTmod", "hPmod", "hTmodStar", "hPmodStar"}
-_DT_MEASURE = {"hT", "hTmod", "hTmodStar"}
-_POISSON_OF = {"dP": "dT", "hP": "hT", "dPmod": "dTmod", "hPmod": "hTmod", "hPmodStar": "hTmodStar"}
+
+@dataclass(frozen=True)
+class KindSpec:
+    """The three choices of a kind and everything that follows from them."""
+
+    deriv: str
+    semigroup: str
+    modified: bool
+
+    def _name(self, prefix: str) -> str:
+        # "hStar" puts its "Star" after the semigroup and the "mod" suffix
+        return prefix + self.semigroup + ("mod" if self.modified else "") + self.deriv[1:]
+
+    @property
+    def tag(self) -> str:
+        """Kernel tag: dT, hPmod, hTmodStar, ..."""
+        return self._name(self.deriv[0])
+
+    @property
+    def gtag(self) -> str:
+        """Tag of the matching square function: gVT, gHPmod, gHTmodStar, ..."""
+        return self._name("gV" if self.deriv == "d" else "gH")
+
+    @property
+    def needs_i(self) -> bool:
+        # a kind needs a coordinate j exactly when its semigroup is modified
+        return self.deriv == "h"
+
+    @property
+    def measure_kind(self) -> str:
+        # space-derivative heat kinds live in L^2(dt), every other kind in L^2(t dt)
+        return "dt" if self.semigroup == "T" and self.deriv != "d" else "t_dt"
+
+    @property
+    def min_d(self) -> int:
+        # delta_i on the modified semigroup of a different coordinate j
+        return 2 if self.needs_i and self.modified else 1
+
+    @property
+    def default_coords(self) -> tuple:
+        """(i, j) used where no coordinates are given: czscan and the gfun rows."""
+        i = (2 if self.modified else 1) if self.needs_i else 0
+        return i, (1 if self.modified else 0)
+
+    def check_coords(self, tag: str, i: int, j: int):
+        """Raise ValueError unless (i, j) are valid coordinates for the kind."""
+        if self.needs_i and i < 1:
+            raise ValueError(f"{tag} needs a derivative coordinate i")
+        if self.modified and j < 1:
+            raise ValueError(f"{tag} needs a semigroup coordinate j")
+        if self.needs_i and self.modified and i == j:
+            raise ValueError(f"{tag} requires i != j (i = j is the Star kind)")
+
+
+KIND_TABLE = {spec.tag: spec for spec in (KindSpec(*c) for c in _KIND_CHOICES)}
+KERNEL_TAGS = tuple(KIND_TABLE)
 
 
 @dataclass(frozen=True)
@@ -195,25 +241,31 @@ class KernelKind:
     j: int = 0
 
     def __post_init__(self):
-        if self.tag not in KERNEL_TAGS:
+        if self.tag not in KIND_TABLE:
             raise ValueError(f"unknown kernel tag {self.tag!r}")
-        if self.tag in _NEEDS_I and self.i < 1:
-            raise ValueError(f"{self.tag} needs a derivative coordinate i")
-        if self.tag in _NEEDS_J and self.j < 1:
-            raise ValueError(f"{self.tag} needs a semigroup coordinate j")
-        if self.tag in ("hTmod", "hPmod") and self.i == self.j:
-            raise ValueError(f"{self.tag} requires i != j (i = j is the Star kind)")
+        self.spec.check_coords(self.tag, self.i, self.j)
+
+    @property
+    def spec(self) -> KindSpec:
+        return KIND_TABLE[self.tag]
 
     @property
     def measure_kind(self) -> str:
-        return "dt" if self.tag in _DT_MEASURE else "t_dt"
+        return self.spec.measure_kind
 
     @property
     def is_poisson(self) -> bool:
-        return self.tag in _POISSON_OF
+        return self.spec.semigroup == "P"
 
     def heat_counterpart(self) -> "KernelKind":
-        return KernelKind(_POISSON_OF[self.tag], self.i, self.j)
+        """The heat kind this Poisson kind is subordinated from."""
+        return KernelKind(replace(self.spec, semigroup="T").tag, self.i, self.j)
+
+
+def default_kinds(d: int) -> list:
+    """Every kind that exists in dimension d, at its default coordinates."""
+    return [KernelKind(tag, *spec.default_coords)
+            for tag, spec in KIND_TABLE.items() if spec.min_d <= d]
 
 
 def _pair_array(p, d: int) -> np.ndarray:
@@ -225,8 +277,8 @@ def _pair_array(p, d: int) -> np.ndarray:
             p = p[None, :]
     if p.ndim != 2 or p.shape[1] != d:
         raise ValueError(f"points must have {d} coordinates")
-    if np.any(p <= 0):
-        raise ValueError("points must lie in the open positive orthant")
+    if not np.all(np.isfinite(p) & (p > 0)):
+        raise ValueError("points must be finite and lie in the open positive orthant")
     return p
 
 
@@ -260,12 +312,12 @@ def _heat_kind_values(alpha: AlphaParam, kind: KernelKind, x, y, zeta, eta):
     """Values (P, T) of a heat-family kernel kind at time nodes (zeta, eta)."""
     inv_s = 0.5 * (1.0 + zeta) * eta / zeta
     coth2t = 0.5 * (1.0 + zeta * zeta) / zeta
-    tag = kind.tag
-    base = alpha if tag in ("dT", "hT") else alpha.shifted(kind.j)
+    spec = kind.spec
+    base = alpha.shifted(kind.j) if spec.modified else alpha
     acomp = base.array()
     logg, z = _log_heat(acomp, x, y, zeta, eta)
 
-    if tag in ("dT", "dTmod"):
+    if spec.deriv == "d":
         sx = np.sum(x * x, axis=1)[:, None]
         sy = np.sum(y * y, axis=1)[:, None]
         zr = np.zeros_like(logg)
@@ -277,15 +329,15 @@ def _heat_kind_values(alpha: AlphaParam, kind: KernelKind, x, y, zeta, eta):
             + (sx + sy) * inv_s**2
             - 2.0 * coth2t * zr
         )
-        if tag == "dTmod":
+        if spec.modified:
             factor = factor - 2.0
-    elif tag in ("hT", "hTmod"):
+    elif spec.deriv == "h":
         i = kind.i
         zi = z[:, i - 1, :]
         xi = x[:, i - 1][:, None]
         yi = y[:, i - 1][:, None]
         factor = xi * (1.0 - coth2t) + xi * yi * yi * bessel_ratio(acomp[i - 1], zi) * inv_s**2
-    elif tag == "hTmodStar":
+    else:  # hStar
         j = kind.j
         zj = z[:, j - 1, :]
         xj = x[:, j - 1][:, None]
@@ -296,15 +348,13 @@ def _heat_kind_values(alpha: AlphaParam, kind: KernelKind, x, y, zeta, eta):
             - (2.0 * aj + 2.0)
             - xj * xj * yj * yj * bessel_ratio(acomp[j - 1], zj) * inv_s**2
         )
-    else:
-        raise ValueError(f"{tag} is not a heat-family kind")
 
     vals = _exp_floor(logg, factor)
     e2t = eta / (1.0 + zeta)
-    if tag in ("dTmod", "hTmod"):
-        vals = vals * e2t * (x[:, kind.j - 1] * y[:, kind.j - 1])[:, None]
-    elif tag == "hTmodStar":
+    if spec.deriv == "hStar":
         vals = vals * e2t * y[:, kind.j - 1][:, None]
+    elif spec.modified:
+        vals = vals * e2t * (x[:, kind.j - 1] * y[:, kind.j - 1])[:, None]
     return vals
 
 
@@ -315,18 +365,16 @@ def _default_inner_grid(order: int = 12) -> ZetaGrid:
 
 
 @lru_cache(maxsize=64)
-def _subordination_matrix(outer: ZetaGrid, inner: ZetaGrid, cls: str) -> np.ndarray:
+def _subordination_matrix(outer: ZetaGrid, inner: ZetaGrid, time_derivative: bool) -> np.ndarray:
     """Matrix taking heat values on the inner tau grid to Poisson values."""
     t = outer.t[:, None]
     tau = inner.t[None, :]
     w = (inner.wz * inner.jacobian)[None, :]
     with np.errstate(under="ignore"):
         damp = np.exp(-(t * t) / (4.0 * tau))
-    if cls == "dt_kind":
+    if time_derivative:
         return w * damp / (math.sqrt(math.pi) * np.sqrt(tau))
-    if cls == "space_kind":
-        return w * damp * t / (2.0 * math.sqrt(math.pi) * tau**1.5)
-    raise ValueError(f"unknown subordination class {cls!r}")
+    return w * damp * t / (2.0 * math.sqrt(math.pi) * tau**1.5)
 
 
 def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid,
@@ -348,8 +396,7 @@ def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid,
         return _heat_kind_values(alpha, kind, x, y, grid.zeta, grid.eta)
     inner = inner or _default_inner_grid()
     heat = _heat_kind_values(alpha, kind.heat_counterpart(), x, y, inner.zeta, inner.eta)
-    cls = "dt_kind" if kind.tag in ("dP", "dPmod") else "space_kind"
-    mat = _subordination_matrix(grid, inner, cls).T
+    mat = _subordination_matrix(grid, inner, kind.spec.deriv == "d").T
     # fixed-shape blocks (zero-padded) keep the BLAS summation order, and
     # hence the report bytes, independent of how callers batch the pairs
     n = heat.shape[0]
@@ -513,32 +560,30 @@ def kernel_entry_fd(alpha, kind: KernelKind, x, y, grid: ZetaGrid | None = None,
     y = np.asarray(y, dtype=float).reshape(alpha.d)
     if np.all(x == y):
         raise SingularPairError("kernel entries are undefined on the diagonal x = y")
-    tag = kind.tag
-    j = kind.j if kind.j else None
+    spec = kind.spec
+    j = kind.j if spec.modified else None
 
     def base(t, xx):
-        if tag in ("dT", "hT"):
-            return heat_kernel_closed(alpha, t, xx, y)
-        if tag in ("dTmod", "hTmod", "hTmodStar"):
+        if spec.semigroup == "P":
+            return poisson_kernel(alpha, t, xx, y, j=j, u_order=u_order)
+        if spec.modified:
             return modified_heat_kernel(alpha, j, t, xx, y)
-        if tag in ("dP", "hP"):
-            return poisson_kernel(alpha, t, xx, y, u_order=u_order)
-        return poisson_kernel(alpha, t, xx, y, j=j, u_order=u_order)
+        return heat_kernel_closed(alpha, t, xx, y)
 
     vals = np.empty(grid.n)
     for q, t in enumerate(grid.t):
-        if tag in ("dT", "dP", "dTmod", "dPmod"):
+        if spec.deriv == "d":
             h = min(_fd_step(t), 0.5 * t)
             vals[q] = (base(t + h, x) - base(t - h, x)) / (2.0 * h)
         else:
-            c = kind.i if tag in ("hT", "hP", "hTmod", "hPmod") else kind.j
+            c = kind.i if spec.deriv == "h" else kind.j
             h = min(_fd_step(x[c - 1]), 0.5 * x[c - 1])
             xp = x.copy()
             xm = x.copy()
             xp[c - 1] += h
             xm[c - 1] -= h
             diff = (base(t, xp) - base(t, xm)) / (2.0 * h)
-            if tag in ("hT", "hP", "hTmod", "hPmod"):
+            if spec.deriv == "h":
                 vals[q] = diff + x[c - 1] * base(t, x)
             else:
                 aj = alpha.components[c - 1]

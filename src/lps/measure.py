@@ -35,8 +35,8 @@ class AlphaParam:
         comps = tuple(float(a) for a in self.components)
         if len(comps) < 1:
             raise ValueError("alpha needs at least one component")
-        if any(a <= -1.0 for a in comps):
-            raise ValueError(f"every component must exceed -1, got {comps}")
+        if not all(math.isfinite(a) and a > -1.0 for a in comps):
+            raise ValueError(f"every component must be finite and exceed -1, got {comps}")
         object.__setattr__(self, "components", comps)
 
     @property

@@ -13,19 +13,20 @@ import pytest
 
 from lps.basis import Expansion, PLAIN, differentiated, eigenvalue, ell
 from lps.czcheck import (
+    ESTIMATES,
+    ball_measures,
     counterexample_profile,
     lemma_suite,
     random_expansion,
     riesz_identity_check,
     sample_pairs,
     sample_perturbed,
-    scan_growth,
-    scan_smoothness,
+    scan,
 )
 from lps.gfunctions import GFunctionKind, gfun_l2_norm
 from lps.kernels import (
-    KernelKind,
     ZetaGrid,
+    default_kinds,
     heat_kernel_closed,
     heat_kernel_schlafli,
     heat_kernel_spectral,
@@ -167,21 +168,15 @@ def test_06_lemma_suite():
     assert report(6, "inequality lemma suite", ok, detail)
 
 
-def _scan_kind_set():
-    d1 = [KernelKind("dT"), KernelKind("dP"), KernelKind("hT", i=1), KernelKind("hP", i=1),
-          KernelKind("dTmod", j=1), KernelKind("dPmod", j=1),
-          KernelKind("hTmodStar", j=1), KernelKind("hPmodStar", j=1)]
-    d2 = [KernelKind("hTmod", i=2, j=1), KernelKind("hPmod", i=2, j=1)]
-    return d1, d2
-
-
 @pytest.mark.slow
 def test_07_cz_scans_all_ten_kinds():
     t0 = time.perf_counter()
     count = 1000
     grid = ZetaGrid(order=8, levels_zero=30, levels_one=30)
     fine = grid.refined()
-    d1_kinds, d2_kinds = _scan_kind_set()
+    # the eight kinds of d = 1, then the two that need a second coordinate
+    d1_kinds = default_kinds(1)
+    d2_kinds = [k for k in default_kinds(2) if k not in d1_kinds]
     all_ok = True
     details = []
     for alpha, kinds in (((-0.5,), d1_kinds), ((0.0, -0.5), d2_kinds)):
@@ -189,21 +184,13 @@ def test_07_cz_scans_all_ten_kinds():
         x, y = sample_pairs(d, count, 707)
         xp = sample_perturbed(x, y, 708)
         yp = sample_perturbed(y, x, 709)
-        cache = {}
+        balls = ball_measures(alpha, x, y)
         for kind in kinds:
-            for which in ("growth", "smooth_x", "smooth_y"):
+            scans = [scan(alpha, kind, x, y, xp, yp, balls, g) for g in (grid, fine)]
+            for which in ESTIMATES:
                 maxes = []
-                for g in (grid, fine):
-                    if which == "growth":
-                        reps = scan_growth(alpha, kind, grid=g, pairs=(x, y),
-                                           ball_cache=cache)
-                    elif which == "smooth_x":
-                        reps = scan_smoothness(alpha, kind, "x", grid=g,
-                                               pairs=(x, y), pert=xp, ball_cache=cache)
-                    else:
-                        reps = scan_smoothness(alpha, kind, "y", grid=g,
-                                               pairs=(x, y), pert=yp, ball_cache=cache)
-                    ratios = np.array([r.ratio for r in reps])
+                for cols in scans:
+                    ratios = cols[which].ratio
                     if not np.all(np.isfinite(ratios)):
                         all_ok = False
                     maxes.append(float(ratios.max()))

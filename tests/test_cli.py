@@ -87,11 +87,27 @@ class TestValidation:
 
 
 class TestExitCodes:
-    def test_invalid_config_exits_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, "alpha = -0.9\nseed = 1\ncount = 3\n")
-        code = main(["czscan", "--config", path, "--out", str(tmp_path / "r.csv")])
+    @pytest.mark.parametrize("task,text,field", [
+        ("czscan", "alpha = -0.9\n", "-1/2"),
+        ("basis", "alpha = nan\n", "alpha"),
+        ("basis", "alpha = 0.0\nquad_order = 0\n", "quad_order"),
+        ("basis", "alpha = 0.0\ncutoff = -1\n", "cutoff"),
+        ("gfun", "alpha = 0.0\ncutoff = 0\n", "cutoff"),
+        ("verify", "alpha = 0.0\ncutoff = 0\n", "cutoff"),
+        ("czscan", "alpha = 0.0\nzeta_order = 1\n", "zeta_order"),
+        ("czscan", "alpha = 0.0\nzeta_levels = 1\n", "zeta_levels"),
+        ("czscan", "alpha = 0.0\nbox_hi = inf\n", "box_hi"),
+        # the mixed-derivative kinds need a second coordinate
+        ("czscan", "alpha = 0.0\nkind = hTmod\n", "kind"),
+        ("czscan", "alpha = 0.0\nkind = hPmod\n", "kind"),
+    ], ids=["alpha_below_range", "alpha_nan", "quad_order_0", "cutoff_negative",
+            "gfun_cutoff_0", "verify_cutoff_0", "zeta_order_1", "zeta_levels_1",
+            "box_hi_inf", "hTmod_d1", "hPmod_d1"])
+    def test_invalid_config_exits_2(self, tmp_path, capsys, task, text, field):
+        path = write_config(tmp_path, text + "seed = 1\ncount = 3\n")
+        code = main([task, "--config", path, "--out", str(tmp_path / "r.csv")])
         assert code == 2
-        assert "-1/2" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
     def test_verify_below_range_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "alpha = -0.9\nseed = 1\ncount = 3\n")

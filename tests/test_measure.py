@@ -32,6 +32,8 @@ class TestAlphaParam:
             AlphaParam((-1.0,))
         with pytest.raises(ValueError):
             AlphaParam(())
+        with pytest.raises(ValueError):
+            AlphaParam((math.nan,))
 
     def test_shift(self):
         assert as_alpha((0.0, 1.0)).shifted(1).components == (1.0, 1.0)

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lps.specfun import (
     QuadratureRule,
@@ -23,6 +23,7 @@ def laguerre_series(k, a, x):
     """Independent oracle: L_k^a(x) = sum_i binom(k+a, k-i) (-x)^i / i!."""
     total = mpmath.mpf(0)
     with mpmath.workdps(50):
+        a = mpmath.mpf(a)  # the gamma arguments must not round in doubles
         for i in range(k + 1):
             binom = mpmath.gamma(k + a + 1) / (
                 mpmath.gamma(a + i + 1) * mpmath.factorial(k - i)
@@ -226,6 +227,7 @@ class TestQuadrature:
     a=st.sampled_from([-0.5, 0.0, 0.7, 3.0]),
     x=st.floats(0.0, 20.0, allow_nan=False),
 )
+@example(k=12, a=0.7, x=18.0)
 def test_laguerre_recurrence_property(k, a, x):
     got = laguerre_poly(k, a, x)
     want = laguerre_series(k, a, x)
