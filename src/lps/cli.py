@@ -125,7 +125,8 @@ class RunConfig:
             raise ConfigError(f"threads: expected an integer or 'auto', got {raw!r}") from exc
         if n < 1:
             raise ConfigError("threads: must be >= 1")
-        return n
+        # more workers than cores only adds contention
+        return min(n, os.cpu_count() or 1)
 
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}

@@ -34,10 +34,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln
 
 from .basis import ell_table
 from .measure import AlphaParam, as_alpha, pi_alpha_integrate
-from .specfun import _log_bessel_mantissa_any, bessel_ratio
+from .specfun import log_bessel_mantissa_ratio
 
 __all__ = [
     "SingularPairError",
@@ -126,6 +127,18 @@ class ZetaGrid:
         self.wz = np.concatenate(wz)
         self.t = 0.5 * (np.log1p(self.zeta) - np.log(self.eta))
         self.jacobian = 1.0 / ((1.0 + self.zeta) * self.eta)
+        for arr in (self.zeta, self.eta, self.wz, self.t, self.jacobian):
+            arr.flags.writeable = False
+
+    def _key(self) -> tuple:
+        return (self.order, self.levels_zero, self.levels_one)
+
+    # a grid is fixed by its parameters, so equal grids share cached matrices
+    def __eq__(self, other):
+        return isinstance(other, ZetaGrid) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -282,8 +295,27 @@ def _pair_array(p, d: int) -> np.ndarray:
     return p
 
 
+def _live_entries(acomp: np.ndarray, logg: np.ndarray):
+    """Mask of the entries whose Bessel factors can matter (Ellipsis: all).
+
+    For a >= -1/2, e^-z i_a(z) decreases from i_a(0) = 1/(2^a Gamma(a+1)),
+    so where the Gaussian part logg plus those logs lies below
+    LOG_FLOOR - 1 the entry underflows whatever the Bessel factors are.
+    Below -1/2 there is no such bound.
+    """
+    if acomp.min() < -0.5:
+        return Ellipsis
+    top = sum(-a * math.log(2.0) - gammaln(a + 1.0) for a in acomp)
+    return logg + top > LOG_FLOOR - 1.0
+
+
 def _log_heat(acomp: np.ndarray, x: np.ndarray, y: np.ndarray, zeta, eta):
-    """log G_t for pairs (P, d) at time nodes (T,); returns ((P,T), z=(P,d,T))."""
+    """log G_t for pairs (P, d) at time nodes (T,).
+
+    Returns logg (P, T), z = (P, d, T) and the Bessel ratios
+    i_(a_i+1)(z_i) / i_(a_i)(z_i) as (d, P, T).  Entries that underflow
+    anyway skip the Bessel factors: there logg is -inf and the ratios are 0.
+    """
     inv_s = 0.5 * (1.0 + zeta) * eta / zeta  # 1 / sinh 2t
     sx = np.sum(x * x, axis=1)[:, None]
     sy = np.sum(y * y, axis=1)[:, None]
@@ -293,9 +325,15 @@ def _log_heat(acomp: np.ndarray, x: np.ndarray, y: np.ndarray, zeta, eta):
         log_s = np.log(2.0 * zeta) - np.log1p(zeta) - np.log(eta)
     logg = core - (len(acomp) + acomp.sum()) * log_s
     z = x[:, :, None] * y[:, :, None] * inv_s
+    live = _live_entries(acomp, logg)
+    ratio = np.zeros((len(acomp),) + logg.shape)
+    part = logg[live]
     for i, a in enumerate(acomp):
-        logg = logg + _log_bessel_mantissa_any(a, z[:, i, :]).reshape(z[:, i, :].shape)
-    return logg, z
+        logm, ratio[i][live] = log_bessel_mantissa_ratio(a, z[:, i, :][live])
+        part = part + logm
+    logg = np.full_like(logg, -np.inf)
+    logg[live] = part
+    return logg, z, ratio
 
 
 def _exp_floor(logg: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -315,15 +353,15 @@ def _heat_kind_values(alpha: AlphaParam, kind: KernelKind, x, y, zeta, eta):
     spec = kind.spec
     base = alpha.shifted(kind.j) if spec.modified else alpha
     acomp = base.array()
-    logg, z = _log_heat(acomp, x, y, zeta, eta)
+    logg, z, ratio = _log_heat(acomp, x, y, zeta, eta)
 
     if spec.deriv == "d":
         sx = np.sum(x * x, axis=1)[:, None]
         sy = np.sum(y * y, axis=1)[:, None]
         zr = np.zeros_like(logg)
-        for i, a in enumerate(acomp):
+        for i in range(len(acomp)):
             zi = z[:, i, :]
-            zr += zi * zi * bessel_ratio(a, zi)
+            zr += zi * zi * ratio[i]
         factor = (
             -2.0 * coth2t * (len(acomp) + acomp.sum())
             + (sx + sy) * inv_s**2
@@ -333,20 +371,18 @@ def _heat_kind_values(alpha: AlphaParam, kind: KernelKind, x, y, zeta, eta):
             factor = factor - 2.0
     elif spec.deriv == "h":
         i = kind.i
-        zi = z[:, i - 1, :]
         xi = x[:, i - 1][:, None]
         yi = y[:, i - 1][:, None]
-        factor = xi * (1.0 - coth2t) + xi * yi * yi * bessel_ratio(acomp[i - 1], zi) * inv_s**2
+        factor = xi * (1.0 - coth2t) + xi * yi * yi * ratio[i - 1] * inv_s**2
     else:  # hStar
         j = kind.j
-        zj = z[:, j - 1, :]
         xj = x[:, j - 1][:, None]
         yj = y[:, j - 1][:, None]
         aj = alpha.components[j - 1]
         factor = (
             xj * xj * (1.0 + coth2t)
             - (2.0 * aj + 2.0)
-            - xj * xj * yj * yj * bessel_ratio(acomp[j - 1], zj) * inv_s**2
+            - xj * xj * yj * yj * ratio[j - 1] * inv_s**2
         )
 
     vals = _exp_floor(logg, factor)
@@ -373,8 +409,11 @@ def _subordination_matrix(outer: ZetaGrid, inner: ZetaGrid, time_derivative: boo
     with np.errstate(under="ignore"):
         damp = np.exp(-(t * t) / (4.0 * tau))
     if time_derivative:
-        return w * damp / (math.sqrt(math.pi) * np.sqrt(tau))
-    return w * damp * t / (2.0 * math.sqrt(math.pi) * tau**1.5)
+        mat = w * damp / (math.sqrt(math.pi) * np.sqrt(tau))
+    else:
+        mat = w * damp * t / (2.0 * math.sqrt(math.pi) * tau**1.5)
+    mat.flags.writeable = False  # shared by every caller with equal grids
+    return mat
 
 
 def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid,
@@ -428,7 +467,7 @@ def _heat_values_at_times(alpha: AlphaParam, t, x, y) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     zeta = np.tanh(t)
     eta = _eta_of_t(t)
-    logg, _ = _log_heat(alpha.array(), x, y, zeta, eta)
+    logg, _, _ = _log_heat(alpha.array(), x, y, zeta, eta)
     with np.errstate(under="ignore"):
         return np.where(logg[0] > LOG_FLOOR, np.exp(np.maximum(logg[0], LOG_FLOOR)), 0.0)
 

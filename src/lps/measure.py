@@ -138,10 +138,10 @@ def mu_ball(alpha, center, r: float, order: int = 96) -> float:
     center = np.asarray(center, dtype=float)
     if center.shape != (alpha.d,):
         raise ValueError(f"center must have {alpha.d} coordinates")
-    if np.any(center <= 0):
-        raise ValueError("center must lie in the open positive orthant")
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    if not np.all(np.isfinite(center) & (center > 0)):
+        raise ValueError("center must be finite and lie in the open positive orthant")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"radius must be finite and positive, got {r}")
     if alpha.d == 1:
         return float(_mu_interval(alpha.components[0], center[0] - r, center[0] + r))
     if alpha.d == 2:

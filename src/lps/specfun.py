@@ -12,6 +12,7 @@ the raw I_nu would introduce a spurious 0 * inf ambiguity at the origin.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, ive, roots_genlaguerre, roots_jacobi
@@ -21,10 +22,7 @@ __all__ = [
     "gamma_fn",
     "laguerre_poly",
     "scaled_bessel_i",
-    "scaled_bessel_i_exp",
-    "log_scaled_bessel_i",
-    "log_bessel_mantissa",
-    "bessel_ratio",
+    "log_bessel_mantissa_ratio",
     "gauss_laguerre_rule",
     "gauss_jacobi_rule",
     "gauss_legendre_rule",
@@ -36,6 +34,8 @@ __all__ = [
 # on their own side of the switch.
 BESSEL_SERIES_CUTOFF = 20.0
 _SERIES_TERMS = 80
+# the series regime is summed per band; each band stops on its own terms
+_SERIES_BANDS = (1.0, 4.0, 10.0, BESSEL_SERIES_CUTOFF)
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,11 @@ class QuadratureRule:
     params: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        # read-only copies: cached rules are shared by every caller
+        for name in ("nodes", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if np.any(np.diff(self.nodes) <= 0):
@@ -87,114 +90,81 @@ def laguerre_poly(k: int, a: float, x):
     return p if p.ndim else float(p)
 
 
-def _bessel_series(nu: float, z: np.ndarray) -> np.ndarray:
-    """Ascending series of i_nu(z) = 2^-nu sum_m (z^2/4)^m / (m! Gamma(m+nu+1))."""
+def _series_start(nu: float) -> float:
+    """First term i_nu(0) = 1 / (2^nu Gamma(nu+1)) of the ascending series."""
+    return math.exp(-nu * math.log(2.0) - gammaln(nu + 1.0))
+
+
+def _bessel_series_pair(nu: float, z: np.ndarray) -> np.ndarray:
+    """Ascending series of i_nu and i_(nu+1) at 1-d z, summed side by side.
+
+    i_nu(z) = 2^-nu sum_m (z^2/4)^m / (m! Gamma(m+nu+1)); row 0 of the
+    result is i_nu, row 1 is i_(nu+1).  The sums stop once every term falls
+    below 1e-18 of its sum, far below half an ulp: past that point further
+    terms no longer change a sum, so the result does not depend on which
+    other arguments share the call.
+    """
+    orders = np.array([[nu], [nu + 1.0]])
     w = z * z / 4.0
-    term = np.full_like(w, math.exp(-nu * math.log(2.0) - gammaln(nu + 1.0)))
+    term = np.repeat([[_series_start(nu)], [_series_start(nu + 1.0)]], w.size, axis=1)
     acc = term.copy()
     for m in range(_SERIES_TERMS):
-        term = term * w / ((m + 1.0) * (m + nu + 1.0))
+        term = term * w / ((m + 1.0) * (m + orders + 1.0))
         acc += term
         if np.all(term <= 1e-18 * acc):
             break
     return acc
 
 
-def _check_bessel_args(nu: float, z) -> np.ndarray:
-    if nu < -0.5:
-        raise ValueError(f"order must be >= -1/2, got {nu}")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("argument must be >= 0")
-    return z
+def log_bessel_mantissa_ratio(nu: float, z):
+    """log(e^-z i_nu(z)) and i_(nu+1)(z) / i_nu(z) in one pass, for nu > -1.
 
-
-def scaled_bessel_i_exp(nu: float, z):
-    """i_nu(z) as a pair (mantissa, exponent) with value = mantissa * e^exponent.
-
-    The exponent is 0 in the series regime and z in the scaled regime, so the
-    mantissa never overflows; consumers combine the exponent with Gaussian
-    log-factors before exponentiating.
-    """
-    z = _check_bessel_args(nu, z)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    mant = np.empty_like(z)
-    expo = np.zeros_like(z)
-    small = z < BESSEL_SERIES_CUTOFF
-    if np.any(small):
-        mant[small] = _bessel_series(nu, z[small])
-    if np.any(~small):
-        zl = z[~small]
-        mant[~small] = ive(nu, zl) * zl ** (-nu)
-        expo[~small] = zl
-    if scalar:
-        return float(mant[0]), float(expo[0])
-    return mant, expo
-
-
-def scaled_bessel_i(nu: float, z):
-    """i_nu(z) = z^(-nu) I_nu(z); overflows for z beyond ~700 (use the exp pair)."""
-    mant, expo = scaled_bessel_i_exp(nu, z)
-    return mant * np.exp(expo)
-
-
-def log_scaled_bessel_i(nu: float, z):
-    """log i_nu(z), safe for the whole double range of z."""
-    mant, expo = scaled_bessel_i_exp(nu, z)
-    return np.log(mant) + expo
-
-
-def log_bessel_mantissa(nu: float, z):
-    """log(e^-z i_nu(z)), the exponentially damped part of the Bessel factor.
-
-    Consumers that absorb the e^z growth into a Gaussian exponent add this
-    instead of log i_nu.
-    """
-    mant, expo = scaled_bessel_i_exp(nu, z)
-    return np.log(mant) + (expo - np.asarray(z, dtype=float))
-
-
-def _log_bessel_mantissa_any(nu: float, z):
-    """log_bessel_mantissa without the nu >= -1/2 gate; valid for nu > -1.
-
-    The public Bessel API enforces the order range the kernel estimates need,
-    but the closed heat kernel itself exists on all of (-1, inf)^d.
+    The log-mantissa is the exponentially damped part of the Bessel factor,
+    for consumers that absorb the e^z growth into a Gaussian exponent.  The
+    ratio is the log-derivative of i_nu over z: positive, smooth,
+    1/(2 nu + 2) at z = 0 and ~ 1/z at infinity.  Below the cutoff both come
+    from the power series, summed per band of z so that small arguments do
+    not wait for the slowest terms; above it from the exponentially scaled
+    ive.
+    Arrays of any shape are accepted; a scalar z gives two floats.
     """
     if nu <= -1:
         raise ValueError(f"order must exceed -1, got {nu}")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    mant = np.empty_like(z)
-    expo = np.zeros_like(z)
-    small = z < BESSEL_SERIES_CUTOFF
-    if np.any(small):
-        mant[small] = _bessel_series(nu, z[small])
-    if np.any(~small):
-        zl = z[~small]
-        mant[~small] = ive(nu, zl) * zl ** (-nu)
-        expo[~small] = zl
-    return np.log(mant) + (expo - z)
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
+        raise ValueError("argument must be >= 0")
+    logm = np.empty(z.shape)
+    ratio = np.empty(z.shape)
+    lo = 0.0
+    for hi in _SERIES_BANDS:
+        band = (z >= lo) & (z < hi)
+        lo = hi
+        if np.any(band):
+            zb = z[band]
+            mant, mant1 = _bessel_series_pair(nu, zb)
+            logm[band] = np.log(mant) - zb
+            ratio[band] = mant1 / mant
+    large = ~(z < BESSEL_SERIES_CUTOFF)  # NaN lands here too: every entry is written
+    if np.any(large):
+        zl = z[large]
+        scaled = ive(nu, zl)
+        logm[large] = np.log(scaled * zl ** (-nu))
+        ratio[large] = ive(nu + 1.0, zl) / (zl * scaled)
+    if z.ndim == 0:
+        return float(logm), float(ratio)
+    return logm, ratio
 
 
-def bessel_ratio(nu: float, z):
-    """Ratio i_(nu+1)(z) / i_nu(z); equals the log-derivative of i_nu over z.
-
-    Positive, smooth, ~ 1/(2 nu + 2) at z = 0 and ~ 1/z at infinity.
-    """
-    z = _check_bessel_args(nu, z)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    small = z < BESSEL_SERIES_CUTOFF
-    if np.any(small):
-        zs = z[small]
-        out[small] = _bessel_series(nu + 1.0, zs) / _bessel_series(nu, zs)
-    if np.any(~small):
-        zl = z[~small]
-        out[~small] = ive(nu + 1.0, zl) / (zl * ive(nu, zl))
-    return float(out[0]) if scalar else out
+def scaled_bessel_i(nu: float, z):
+    """i_nu(z) = z^(-nu) I_nu(z) for nu >= -1/2; overflows for z beyond ~700."""
+    if nu < -0.5:
+        raise ValueError(f"order must be >= -1/2, got {nu}")
+    z = np.asarray(z, dtype=float)
+    logm, _ = log_bessel_mantissa_ratio(nu, z)
+    return np.exp(logm + z)
 
 
+@lru_cache(maxsize=64)
 def gauss_laguerre_rule(n: int, a: float = 0.0) -> QuadratureRule:
     """Gauss rule for the weight u^a e^(-u) on (0, inf), exact to degree 2n-1."""
     if n < 1:
@@ -205,6 +175,7 @@ def gauss_laguerre_rule(n: int, a: float = 0.0) -> QuadratureRule:
     return QuadratureRule(nodes, weights, "gauss_laguerre", (n, a))
 
 
+@lru_cache(maxsize=64)
 def gauss_jacobi_rule(n: int, a: float) -> QuadratureRule:
     """Gauss rule for the weight (1-s^2)^(a-1/2) on (-1, 1), exact to degree 2n-1.
 
@@ -219,6 +190,7 @@ def gauss_jacobi_rule(n: int, a: float) -> QuadratureRule:
     return QuadratureRule(nodes, weights, "gauss_jacobi", (n, a))
 
 
+@lru_cache(maxsize=64)
 def gauss_legendre_rule(n: int) -> QuadratureRule:
     """Gauss-Legendre rule on (-1, 1)."""
     if n < 1:

@@ -75,10 +75,22 @@ class TestValidation:
             cfg.validate()
 
     def test_thread_env_override(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         cfg = RunConfig(alpha=(0.0,), task="basis", threads="2")
         assert cfg.thread_count() == 2
         monkeypatch.setenv("LPS_THREADS", "5")
         assert cfg.thread_count() == 5
+
+    def test_threads_clamped_to_cores(self, monkeypatch):
+        # thread_count only computes the number; no thread is started here
+        monkeypatch.delenv("LPS_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert RunConfig(alpha=(0.0,), task="basis", threads="64").thread_count() == 4
+        assert RunConfig(alpha=(0.0,), task="basis", threads="3").thread_count() == 3
+        monkeypatch.setenv("LPS_THREADS", "100000")
+        assert RunConfig(alpha=(0.0,), task="basis").thread_count() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert RunConfig(alpha=(0.0,), task="basis").thread_count() == 1
 
     def test_bad_threads(self):
         cfg = RunConfig(alpha=(0.0,), task="basis", threads="zero")

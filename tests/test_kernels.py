@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lps import kernels as kernels_mod
 from lps.basis import ell_table
 from lps.kernels import (
     KERNEL_TAGS,
@@ -301,6 +302,32 @@ class TestKernelEntry:
         nodes = rng.choice(SMALL_GRID.n, size=20, replace=False)
         assert np.max(np.abs(an.values[nodes] - fd.values[nodes])) <= 1e-6
 
+    @pytest.mark.parametrize("kind", [k for k in all_ten_kinds() if not k.is_poisson],
+                             ids=lambda k: k.tag)
+    def test_far_pair_mostly_underflowing_vs_finite_difference(self, kind):
+        # the Bessel factors are skipped where the entry underflows anyway;
+        # the surviving entries still match the oracle
+        alpha = (0.7, -0.5)
+        x = [0.3, 0.2]
+        y = [24.0, 26.0]
+        an = kernel_entry(alpha, kind, x, y, SMALL_GRID)
+        fd = kernel_entry_fd(alpha, kind, x, y, SMALL_GRID)
+        assert np.mean(an.values == 0.0) > 0.5
+        scale = np.max(np.abs(fd.values))
+        assert scale > 0
+        assert np.max(np.abs(an.values - fd.values)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("kind", all_ten_kinds(), ids=lambda k: k.tag)
+    def test_skipping_underflow_changes_no_bit(self, kind, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = rng.uniform(0.05, 12.0, (40, 2))
+        y = rng.uniform(0.05, 12.0, (40, 2))
+        alpha = (0.0, -0.5)
+        skipped = kernel_values(alpha, kind, x, y, SMALL_GRID)
+        assert kind.is_poisson or np.any(skipped == 0.0)
+        monkeypatch.setattr(kernels_mod, "_live_entries", lambda acomp, logg: Ellipsis)
+        assert np.array_equal(skipped, kernel_values(alpha, kind, x, y, SMALL_GRID))
+
     def test_batch_matches_single(self):
         alpha = (0.0, -0.5)
         x = np.array([[1.0, 2.0], [0.4, 0.9]])
@@ -316,6 +343,20 @@ class TestKernelEntry:
         assert p.measure_kind == "dt"
         p = kernel_entry(0.0, KernelKind("dP"), [1.0], [2.0], SMALL_GRID)
         assert p.measure_kind == "t_dt"
+
+    def test_equal_grids_share_subordination_matrix(self):
+        kernels_mod._subordination_matrix.cache_clear()
+        g1 = ZetaGrid(order=5, levels_zero=6, levels_one=6)
+        g2 = ZetaGrid(order=5, levels_zero=6, levels_one=6)
+        assert g1 == g2 and hash(g1) == hash(g2) and g1 != g1.refined()
+        kind = KernelKind("dP")
+        v1 = kernel_values(0.0, kind, [[1.0]], [[2.0]], g1)
+        v2 = kernel_values(0.0, kind, [[1.0]], [[2.0]], g2)
+        assert np.array_equal(v1, v2)
+        info = kernels_mod._subordination_matrix.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        with pytest.raises(ValueError):
+            g1.t[0] = 1.0
 
     def test_grid_nodes_increasing_and_rule_export(self):
         g = ZetaGrid(order=5, levels_zero=6, levels_one=6)

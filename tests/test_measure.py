@@ -125,6 +125,15 @@ class TestMuBall:
         with pytest.raises(ValueError):
             mu_ball(0.0, [-1.0], 1.0)
 
+    @pytest.mark.parametrize("center,r", [([math.nan], 1.0), ([1.0], math.nan),
+                                          ([math.inf], 1.0), ([1.0, math.nan], 0.5),
+                                          ([1.0, 2.0], math.inf)])
+    def test_rejects_non_finite(self, center, r):
+        # NaN fails every comparison, so it must be rejected explicitly
+        alpha = (0.0,) * len(center)
+        with pytest.raises(ValueError, match="finite"):
+            mu_ball(alpha, center, r)
+
 
 class TestDoubling:
     def test_translation_invariant_far_from_origin(self):

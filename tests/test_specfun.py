@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scipy.special import gammaln
+
 from lps.specfun import (
     QuadratureRule,
-    bessel_ratio,
     gamma_fn,
     gauss_jacobi_rule,
     gauss_laguerre_rule,
     gauss_legendre_rule,
     laguerre_poly,
-    log_bessel_mantissa,
+    log_bessel_mantissa_ratio,
     scaled_bessel_i,
-    scaled_bessel_i_exp,
 )
 
 
@@ -114,15 +114,15 @@ class TestScaledBessel:
                 want = float(mpmath.besseli(nu, z) / mpmath.mpf(z) ** nu)
             assert scaled_bessel_i(nu, z) == pytest.approx(want, rel=1e-10)
 
-    def test_exp_pair_large_argument(self):
-        mant, expo = scaled_bessel_i_exp(0.7, 5000.0)
+    def test_log_mantissa_large_argument(self):
+        logm, _ = log_bessel_mantissa_ratio(0.7, 5000.0)
         with mpmath.workdps(60):
             want = float(mpmath.log(mpmath.besseli(0.7, 5000)) - 0.7 * mpmath.log(5000))
-        assert math.log(mant) + expo == pytest.approx(want, rel=1e-12)
+        assert logm + 5000.0 == pytest.approx(want, rel=1e-12)
 
     def test_log_mantissa_matches(self):
         for z in (0.1, 3.0, 19.0, 25.0, 1e4):
-            lm = float(log_bessel_mantissa(1.2, z))
+            lm, _ = log_bessel_mantissa_ratio(1.2, z)
             with mpmath.workdps(60):
                 want = float(
                     mpmath.log(mpmath.besseli(1.2, z)) - 1.2 * mpmath.log(z) - z
@@ -140,7 +140,7 @@ class TestScaledBessel:
         for nu, z in [(0.0, 0.5), (1.3, 8.0), (-0.5, 30.0), (2.0, 100.0)]:
             want = bessel_series_oracle(nu + 1, z, 200) / bessel_series_oracle(nu, z, 200) \
                 if z < 25 else None
-            got = bessel_ratio(nu, z)
+            _, got = log_bessel_mantissa_ratio(nu, z)
             if want is not None:
                 assert got == pytest.approx(want, rel=1e-10)
             with mpmath.workdps(50):
@@ -152,6 +152,47 @@ class TestScaledBessel:
             scaled_bessel_i(-0.6, 1.0)
         with pytest.raises(ValueError):
             scaled_bessel_i(0.0, -1.0)
+
+
+class TestBesselMantissaRatio:
+    """log(e^-z i_nu(z)) and i_(nu+1)/i_nu from the one-pass primitive."""
+
+    @pytest.mark.parametrize("nu", [-0.75, -0.5, 0.0, 0.3, 1.0, 3.5])
+    def test_against_mpmath_both_regimes(self, nu):
+        zs = np.array([0.01, 0.5, 5.0, 19.9, 20.1, 50.0, 300.0, 1e4])
+        logm, ratio = log_bessel_mantissa_ratio(nu, zs)
+        for z, lm, r in zip(zs, logm, ratio):
+            with mpmath.workdps(60):
+                z = mpmath.mpf(float(z))
+                i_nu = mpmath.besseli(nu, z)
+                want_lm = float(mpmath.log(i_nu) - nu * mpmath.log(z) - z)
+                want_r = float(mpmath.besseli(nu + 1, z) / (z * i_nu))
+            assert lm == pytest.approx(want_lm, rel=1e-9, abs=1e-12)
+            assert r == pytest.approx(want_r, rel=1e-10)
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.3, 1.0, 3.5])
+    def test_log_mantissa_below_value_at_zero(self, nu):
+        # e^-z i_nu(z) decreases from i_nu(0) for nu >= -1/2: the bound the
+        # kernels use to skip entries that underflow anyway
+        zs = np.concatenate([np.linspace(0.0, 60.0, 24001), np.geomspace(60.0, 1e5, 2000)])
+        logm, _ = log_bessel_mantissa_ratio(nu, zs)
+        top = -nu * math.log(2.0) - gammaln(nu + 1.0)
+        assert np.all(logm <= top + 1e-12)
+
+    def test_shapes(self):
+        lm, r = log_bessel_mantissa_ratio(0.5, 3.0)
+        assert isinstance(lm, float) and isinstance(r, float)
+        zs = np.linspace(0.0, 40.0, 12).reshape(3, 4)
+        lm, r = log_bessel_mantissa_ratio(0.5, zs[:, ::2])
+        assert lm.shape == r.shape == (3, 2)
+        flat_lm, flat_r = log_bessel_mantissa_ratio(0.5, zs[:, ::2].ravel())
+        assert np.array_equal(lm.ravel(), flat_lm) and np.array_equal(r.ravel(), flat_r)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            log_bessel_mantissa_ratio(-1.0, 1.0)
+        with pytest.raises(ValueError):
+            log_bessel_mantissa_ratio(0.0, [1.0, -1.0])
 
 
 class TestQuadrature:
@@ -207,6 +248,16 @@ class TestQuadrature:
         ):
             assert np.all(np.diff(rule.nodes) > 0)
             assert np.all(rule.weights > 0)
+
+    def test_rules_cached_and_read_only(self):
+        rule = gauss_legendre_rule(12)
+        assert gauss_legendre_rule(12) is rule
+        assert gauss_jacobi_rule(8, 0.7) is gauss_jacobi_rule(8, 0.7)
+        assert gauss_laguerre_rule(8, 0.3) is gauss_laguerre_rule(8, 0.3)
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            gauss_laguerre_rule(8, 0.3).weights[:] = 1.0
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
