@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -45,6 +46,10 @@ __all__ = ["RunConfig", "run", "main"]
 
 TASKS = ("basis", "kernel", "gfun", "verify", "czscan", "lemmas")
 THREAD_ENV = "LPS_THREADS"
+# fewest sample pairs worth a worker of their own in czscan: one Poisson
+# matmul block; smaller spans pad that matmul with zero rows, and two
+# workers on short spans lose more to the GIL than they gain
+SPAN_PAIRS = 32
 
 
 class ConfigError(Exception):
@@ -194,7 +199,11 @@ class Report:
         self.rows.append([kw.get(c, "") for c in self.columns])
 
     def write(self, path: str, fmt: str, header_lines):
-        with open(path, "w", encoding="utf-8") as fh:
+        # overwritten in place, then cut to length: opening with O_TRUNC
+        # empties an existing file, and ext4 then flushes it on close, which
+        # cost about 1 ms per short report with stalls of up to 10 ms
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             if fmt == "csv":
                 for line in header_lines:
                     fh.write(f"# {line}\n")
@@ -208,6 +217,8 @@ class Report:
                     rec = {c: (_fmt(v) if isinstance(v, (float, tuple, list, np.ndarray)) else v)
                            for c, v in zip(self.columns, row)}
                     fh.write(json.dumps(rec) + "\n")
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
 
 
 def _chunks(n: int, parts: int):
@@ -341,7 +352,7 @@ def _task_czscan(cfg: RunConfig, alpha, report: Report):
     x, y = czcheck.sample_pairs(alpha.d, cfg.count, cfg.seed, cfg.box_lo, cfg.box_hi)
     xp = czcheck.sample_perturbed(x, y, cfg.seed + 1)
     yp = czcheck.sample_perturbed(y, x, cfg.seed + 2)
-    spans = _chunks(cfg.count, nthreads)
+    spans = _chunks(cfg.count, max(1, min(nthreads, cfg.count // SPAN_PAIRS)))
 
     def work(span):
         # one span of sample indices: its ball measures, then every kind at

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from lps import cli
 from lps.cli import ConfigError, RunConfig, build_config, main, parse_config
 
 
@@ -181,6 +182,28 @@ class TestReproducibility:
         assert main(["czscan", "--config", path, "--out", out2, "--no-timestamp"]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    def test_rewrite_leaves_no_stale_tail(self, tmp_path):
+        # a report is overwritten in place: a shorter one must not keep the
+        # end of the longer one it replaces
+        base = "alpha = 0.0\nseed = 9\nkind = dT\nzeta_order = 6\nzeta_levels = 12\n"
+        for fmt in ("csv", "jsonl"):
+            long_cfg = write_config(tmp_path, base + f"count = 6\nformat = {fmt}\n", "long.cfg")
+            short_cfg = write_config(tmp_path, base + f"count = 2\nformat = {fmt}\n", "short.cfg")
+            fresh = str(tmp_path / f"fresh.{fmt}")
+            reused = str(tmp_path / f"reused.{fmt}")
+            assert main(["czscan", "--config", short_cfg, "--out", fresh, "--no-timestamp"]) == 0
+            assert main(["czscan", "--config", long_cfg, "--out", reused, "--no-timestamp"]) == 0
+            long_size = os.path.getsize(reused)
+            assert main(["czscan", "--config", short_cfg, "--out", reused, "--no-timestamp"]) == 0
+            assert os.path.getsize(reused) < long_size
+            assert open(reused, "rb").read() == open(fresh, "rb").read()
+
+    def test_report_to_device(self, tmp_path):
+        # a device cannot be cut to length; writing to it must still work
+        path = write_config(tmp_path, "alpha = 0.0\nseed = 9\ncount = 2\nkind = dT\n"
+                            "zeta_order = 6\nzeta_levels = 12\n")
+        assert main(["czscan", "--config", path, "--out", os.devnull, "--no-timestamp"]) == 0
+
     def test_jsonl_format(self, tmp_path):
         import json
 
@@ -193,7 +216,9 @@ class TestReproducibility:
         rec = json.loads(lines[1])
         assert rec["kind"] == "dT"
 
-    def test_threads_give_same_rows(self, tmp_path):
+    def test_threads_give_same_rows(self, tmp_path, monkeypatch):
+        # one pair per span, so the six pairs are split over the workers
+        monkeypatch.setattr(cli, "SPAN_PAIRS", 1)
         base = "alpha = 0.0\nseed = 9\ncount = 6\nkind = dP\nzeta_order = 6\nzeta_levels = 12\n"
         p1 = write_config(tmp_path, base + "threads = 1\n", "one.cfg")
         p2 = write_config(tmp_path, base + "threads = 3\n", "three.cfg")
@@ -202,3 +227,15 @@ class TestReproducibility:
         assert main(["czscan", "--config", p1, "--out", o1, "--no-timestamp"]) == 0
         assert main(["czscan", "--config", p2, "--out", o2, "--no-timestamp"]) == 0
         assert open(o1).read() == open(o2).read()
+
+    def test_short_scan_starts_no_pool(self, tmp_path, monkeypatch):
+        # fewer pairs than SPAN_PAIRS per worker: one span, run in the caller
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        count = 2 * cli.SPAN_PAIRS - 1
+        p = write_config(tmp_path, f"alpha = 0.0\nseed = 9\ncount = {count}\nkind = dT\n"
+                         "estimate = growth\nzeta_order = 4\nzeta_levels = 6\nthreads = 8\n")
+        assert main(["czscan", "--config", p, "--out", str(tmp_path / "r.csv")]) == 0
