@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .measure import AlphaParam, as_alpha
-from .specfun import gauss_laguerre_rule
+from .specfun import gauss_laguerre_rule, tensor_rule
 
 __all__ = [
     "BasisFamily",
@@ -191,13 +191,7 @@ def _quad_grid(alpha: AlphaParam, order: int):
         with np.errstate(divide="ignore"):
             logw = np.where(rule.weights > 0, np.log(rule.weights), -np.inf)
         ws.append(0.5 * np.exp(logw + rule.nodes))
-    grids = np.meshgrid(*xs, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*ws, indexing="ij")
-    w = np.ones_like(wgrids[0])
-    for wg in wgrids:
-        w = w * wg
-    return pts, w.ravel()
+    return tensor_rule(xs, ws)
 
 
 def _family_indices(family: BasisFamily, d: int, cutoff: int):

@@ -467,7 +467,8 @@ def run(cfg: RunConfig) -> int:
 
 def build_config(args) -> RunConfig:
     values = parse_config(args.config) if args.config else {}
-    values["task"] = args.task or values.get("task", "")
+    if values.setdefault("task", args.task) != args.task:
+        raise ConfigError(f"task: {values['task']!r} in the config, {args.task!r} given")
     if args.seed is not None:
         values["seed"] = args.seed
     if args.out:

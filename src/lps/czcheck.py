@@ -197,25 +197,24 @@ def _lemma_lemat(rng, n, d):
     return worst
 
 
-def _zeta_integral(f, order: int) -> float:
+def _zeta_integral(f, grid: ZetaGrid) -> float:
     """Integral over (0,1) on the graded grid; f sees (zeta, eta, t)."""
-    g = ZetaGrid(order=order, levels_zero=50, levels_one=40)
-    return float(np.sum(g.wz * f(g.zeta, g.eta, g.t)))
+    return float(np.sum(grid.wz * f(grid.zeta, grid.eta, grid.t)))
 
 
-def _fit_5_4(a: float, order: int) -> float:
+def _fit_5_4(a: float, grid: ZetaGrid) -> float:
     ts = np.exp(np.linspace(math.log(1e-3), math.log(30.0), 40))
     best = 0.0
     for bigt in ts:
         with np.errstate(under="ignore"):
             val = _zeta_integral(
-                lambda z, e, t: z ** (-a) * np.exp(-np.minimum(bigt / z, 745.0)), order
+                lambda z, e, t: z ** (-a) * np.exp(-np.minimum(bigt / z, 745.0)), grid
             )
         best = max(best, val * bigt ** (a - 1.0))
     return best
 
 
-def _fit_uw(cconst: float, order: int) -> float:
+def _fit_uw(cconst: float, grid: ZetaGrid) -> float:
     qs = np.exp(np.linspace(math.log(1e-3), math.log(100.0), 40))
     best = 0.0
     for q in qs:
@@ -225,7 +224,7 @@ def _fit_uw(cconst: float, order: int) -> float:
                 * 2.0
                 * t
                 * np.exp(-np.minimum(cconst * q / z, 745.0)),
-                order,
+                grid,
             )
         best = max(best, val * q)
     return best
@@ -273,11 +272,12 @@ def lemma_suite(alpha, samples: int = 100000, seed: int = 99, order: int = 24) -
     m = _lemma_lemat(rng, samples, d)
     out.append(LemmaResult("q_stable_under_halfway_shift", m <= 1e-10, float(m), samples))
 
+    grids = [ZetaGrid(order=o, levels_zero=50, levels_one=40) for o in (order, 2 * order)]
     for name, fit in (
-        ("time_singularity_integral", lambda o: max(_fit_5_4(a, o) for a in (1.5, 2.0, 3.0))),
-        ("log_weight_integral", lambda o: max(_fit_uw(c, o) for c in (0.125, 1.0 / 64.0))),
+        ("time_singularity_integral", lambda g: max(_fit_5_4(a, g) for a in (1.5, 2.0, 3.0))),
+        ("log_weight_integral", lambda g: max(_fit_uw(c, g) for c in (0.125, 1.0 / 64.0))),
     ):
-        c1, c2 = fit(order), fit(2 * order)
+        c1, c2 = (fit(g) for g in grids)
         drift = abs(c2 - c1) / c2
         out.append(
             LemmaResult(name, drift < 0.05, drift, 2, detail=f"constant={c2:.6g}")

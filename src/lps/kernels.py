@@ -38,7 +38,7 @@ from scipy.special import gammaln
 
 from .basis import ell_table
 from .measure import AlphaParam, as_alpha, pi_alpha_integrate
-from .specfun import log_bessel_mantissa_ratio
+from .specfun import composite_legendre_rule, log_bessel_mantissa_ratio
 
 __all__ = [
     "SingularPairError",
@@ -91,10 +91,16 @@ def _eta_of_t(t) -> np.ndarray:
     return 2.0 * e2 / (1.0 + e2)
 
 
+def _graded_rule(levels: int, order: int):
+    """Flat composite Gauss rule on (0, 1/2), panels dyadically graded toward 0."""
+    nodes, weights = composite_legendre_rule(np.r_[0.0, 0.5 ** np.arange(levels, 0, -1)], order)
+    return nodes.ravel(), weights.ravel()
+
+
 class ZetaGrid:
     """Gauss-Legendre panels on zeta in (0, 1), graded dyadically at both ends.
 
-    eta = 1 - zeta is built directly panel-by-panel: near zeta = 1 the
+    Near zeta = 1 the nodes come from a rule on eta = 1 - zeta: the
     subtraction would cost 12 of its 52 bits, polluting t, the Jacobian
     1/(1 - zeta^2) and e^(-2t).
     """
@@ -105,26 +111,12 @@ class ZetaGrid:
         self.order = order
         self.levels_zero = levels_zero
         self.levels_one = levels_one
-        xg, wg = np.polynomial.legendre.leggauss(order)
-        zeta, eta, wz = [], [], []
-        # panels [2^-m-1, 2^-m] climbing toward 1/2; the deepest one closes at 0
-        for m in range(levels_zero, 0, -1):
-            a, b = (0.0 if m == levels_zero else 0.5 ** (m + 1)), 0.5**m
-            z = 0.5 * (b - a) * xg + 0.5 * (a + b)
-            zeta.append(z)
-            eta.append(1.0 - z)
-            wz.append(0.5 * (b - a) * wg)
-        # panels in eta descending from 1/2; the deepest one closes at eta = 0
-        for m in range(1, levels_one + 1):
-            a, b = (0.0 if m == levels_one else 0.5 ** (m + 1)), 0.5**m
-            e = 0.5 * (b - a) * xg + 0.5 * (a + b)
-            idx = np.argsort(-e)
-            eta.append(e[idx])
-            zeta.append(1.0 - e[idx])
-            wz.append((0.5 * (b - a) * wg)[idx])
-        self.zeta = np.concatenate(zeta)
-        self.eta = np.concatenate(eta)
-        self.wz = np.concatenate(wz)
+        # a rule in zeta at the zeta end, one in eta (reversed) at the other
+        z, wz = _graded_rule(levels_zero, order)
+        e, we = (x[::-1] for x in _graded_rule(levels_one, order))
+        self.zeta = np.concatenate([z, 1.0 - e])
+        self.eta = np.concatenate([1.0 - z, e])
+        self.wz = np.concatenate([wz, we])
         self.t = 0.5 * (np.log1p(self.zeta) - np.log(self.eta))
         self.jacobian = 1.0 / ((1.0 + self.zeta) * self.eta)
         for arr in (self.zeta, self.eta, self.wz, self.t, self.jacobian):
@@ -550,18 +542,12 @@ def subordination_u_rule(order: int = 20, levels: int = 24, vmax: float = 14.0):
     Gauss-Laguerre rule in u stalls near 1e-2 relative error on exactly the
     slowly-decaying modes the identity tests exercise.
     """
-    xg, wg = np.polynomial.legendre.leggauss(order)
     edges = [0.5**m for m in range(levels, -1, -1)]
     hi = 1.0
     while hi < vmax:
         edges.append(min(2.0 * hi, vmax))
         hi *= 2.0
-    vs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        vs.append(0.5 * (b - a) * xg + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * wg)
-    v = np.concatenate(vs)
-    w = np.concatenate(ws)
+    v, w = (a.ravel() for a in composite_legendre_rule(edges, order))
     return v * v, 2.0 * np.exp(-v * v) * w / math.sqrt(math.pi)
 
 

@@ -7,12 +7,13 @@ density (1-s^2)^(a-1/2) / (sqrt(pi) 2^a Gamma(a+1/2)) for a > -1/2 and the
 two-point mass (delta_-1 + delta_1)/sqrt(2 pi) in the limiting case a = -1/2.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import gauss_jacobi_rule, gauss_legendre_rule
+from .specfun import composite_legendre_rule, gauss_jacobi_rule, tensor_rule
 
 __all__ = [
     "AlphaParam",
@@ -21,8 +22,10 @@ __all__ = [
     "mu_ball",
     "doubling_ratio",
     "pi_alpha_integrate",
-    "pi_alpha_nodes",
 ]
+
+# radii per call of the ball slicing, which bounds its memory at any dimension
+_SLICE_BATCH = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -94,45 +97,64 @@ def _mu_interval(a: float, lo, hi):
     return (np.maximum(hi, 0.0) ** p - lo**p) / p
 
 
-def _mu_disk_2d(alpha: AlphaParam, center: np.ndarray, r: float, order: int) -> float:
-    """mu_alpha of a disk intersected with the quadrant, by slicing.
+def _sliced_measure(a: tuple, center: np.ndarray, radii: np.ndarray, order: int) -> np.ndarray:
+    """mu_a(B(center, r) intersected with R_+^d) for every r in the 1-d radii.
 
-    Outer integral over x_1 = c_1 + r sin(theta) (the substitution removes the
-    square-root behaviour of the chord length at the rim); the inner
-    x_2-interval measure is exact.  The theta-domain is split at the points
-    where either clipping at a coordinate axis switches on, so every panel is
-    smooth.
+    The last coordinate's interval measure is exact.  Above it the ball is
+    sliced over the first coordinate x_1 = c_1 + r sin(theta) (the
+    substitution removes the square-root behaviour of the chord at the rim),
+    and each slice is a ball of radius r cos(theta) in the other coordinates.
+    The slice measure has a kink wherever that radius crosses the distance to
+    a face of the orthant, so theta is split there and where x_1 = 0 clips
+    the ball; every panel is then smooth.
     """
-    a1, a2 = alpha.components
-    c1, c2 = center
-    lo_t = -0.5 * math.pi if r <= c1 else math.asin(-c1 / r)
-    breaks = {lo_t, 0.5 * math.pi}
-    if c2 < r:
-        # chord r*cos(theta) crosses x_2 = c_2: kink in the clipped measure
-        tb = math.acos(c2 / r)
-        if lo_t < tb:
-            breaks.add(tb)
-        if lo_t < -tb:
-            breaks.add(-tb)
-    edges = sorted(breaks)
-    rule = gauss_legendre_rule(order)
-    total = 0.0
-    for ta, tb in zip(edges[:-1], edges[1:]):
-        theta = 0.5 * (tb - ta) * rule.nodes + 0.5 * (ta + tb)
-        w = 0.5 * (tb - ta) * rule.weights
+    if len(a) == 1:
+        return _mu_interval(a[0], center[0] - radii, center[0] + radii)
+    if radii.size > _SLICE_BATCH:
+        return np.concatenate([_sliced_measure(a, center, radii[i:i + _SLICE_BATCH], order)
+                               for i in range(0, radii.size, _SLICE_BATCH)])
+    c1 = center[0]
+    # distances from the slice centre to the faces {x_j = 0 for j in S} of the orthant
+    rest = center[1:].tolist()
+    faces = {math.hypot(*s) for k in range(1, len(a)) for s in itertools.combinations(rest, k)}
+    ratio = np.array(sorted(faces)) / radii[:, None]
+    # math's asin and acos: numpy's SIMD ones differ in the last bit, and reports are byte-exact
+    lo = np.fromiter(map(math.asin, (-np.minimum(c1 / radii, 1.0)).tolist()), float)[:, None]
+    kinks = np.fromiter(map(math.acos, np.minimum(ratio, 1.0).ravel().tolist()), float)
+    kinks = kinks.reshape(ratio.shape)
+    # a kink at +-acos(ratio) for each face the ball reaches; faces whose
+    # angles coincide in floating point (or with pi/2) give one kink
+    inside = (ratio < 1.0) & (kinks < 0.5 * math.pi)
+    inside[:, 1:] &= kinks[:, 1:] < kinks[:, :-1]
+    # per row: lo, the kinks above lo (the others moved onto lo) and pi/2
+    edges = np.concatenate([lo, np.where(inside & (-kinks > lo), -kinks, lo),
+                            np.where(inside, kinks, lo), np.full_like(lo, 0.5 * math.pi)], axis=1)
+    edges.sort(axis=1)
+    n_edges = 1 + (edges > lo).sum(axis=1)
+    out = np.empty(radii.shape)
+    # radii with as many edges share one panel layout and one rule call; a
+    # slice of three or more dimensions meets the faces with milder kinks,
+    # and its faces multiply the panels, so such a level shares its order
+    for n in set(n_edges.tolist()):
+        sel = n_edges == n
+        per_panel = order if len(a) < 4 else max(order // (n - 1), 8)
+        theta, w = composite_legendre_rule(edges[sel, -n:], per_panel)
+        r = radii[sel, None, None]
+        cos = np.cos(theta)
         x1 = c1 + r * np.sin(theta)
-        half = r * np.cos(theta)
-        inner = _mu_interval(a2, c2 - half, c2 + half)
-        dens = x1 ** (2.0 * a1 + 1.0) * r * np.cos(theta)
-        total += float(np.sum(w * dens * inner))
-    return total
+        rho = r * cos
+        inner = _sliced_measure(a[1:], center[1:], rho.ravel(), max(order // 2, 24))
+        dens = x1 ** (2.0 * a[0] + 1.0) * r * cos
+        panels = (w * dens * inner.reshape(rho.shape)).sum(axis=-1)
+        out[sel] = panels.cumsum(axis=-1)[:, -1]  # the panel sums added in order
+    return out
 
 
 def mu_ball(alpha, center, r: float, order: int = 96) -> float:
     """mu_alpha(B(center, r) intersected with R_+^d).
 
-    d = 1 uses the exact interval formula; d = 2 slices the disk; higher
-    dimensions recurse over the last coordinate.
+    d = 1 uses the exact interval formula, higher d _sliced_measure with the
+    given order at the outermost slicing and max(order // 2, 24) below it.
     """
     alpha = as_alpha(alpha)
     center = np.asarray(center, dtype=float)
@@ -144,25 +166,7 @@ def mu_ball(alpha, center, r: float, order: int = 96) -> float:
         raise ValueError(f"radius must be finite and positive, got {r}")
     if alpha.d == 1:
         return float(_mu_interval(alpha.components[0], center[0] - r, center[0] + r))
-    if alpha.d == 2:
-        return _mu_disk_2d(alpha, center, r, order)
-    # slice over the last coordinate; each slice is a (d-1)-ball
-    a_last = alpha.components[-1]
-    sub = AlphaParam(alpha.components[:-1])
-    c_last = center[-1]
-    lo_t = -0.5 * math.pi if r <= c_last else math.asin(-c_last / r)
-    rule = gauss_legendre_rule(order)
-    theta = 0.5 * (0.5 * math.pi - lo_t) * rule.nodes + 0.5 * (0.5 * math.pi + lo_t)
-    w = 0.5 * (0.5 * math.pi - lo_t) * rule.weights
-    total = 0.0
-    for th, wq in zip(theta, w):
-        xl = c_last + r * math.sin(th)
-        rho = r * math.cos(th)
-        if rho <= 0 or xl <= 0:
-            continue
-        slice_mu = mu_ball(sub, center[:-1], rho, order=max(order // 2, 24))
-        total += wq * xl ** (2.0 * a_last + 1.0) * r * math.cos(th) * slice_mu
-    return float(total)
+    return float(_sliced_measure(alpha.components, center, np.array([float(r)]), order)[0])
 
 
 def doubling_ratio(alpha, center, r: float) -> float:
@@ -170,9 +174,10 @@ def doubling_ratio(alpha, center, r: float) -> float:
     return mu_ball(alpha, center, 2.0 * r) / mu_ball(alpha, center, r)
 
 
-def pi_alpha_nodes(alpha, order: int):
-    """Per-coordinate nodes and weights realizing Pi_alpha as a finite sum.
+def pi_alpha_integrate(alpha, f, order: int = 48) -> float:
+    """Integral of f over [-1,1]^d against Pi_alpha.
 
+    f is called with an (npoints, d) array and must return npoints values.
     Coordinates with a_i > -1/2 carry a normalized Gauss-Jacobi rule;
     coordinates with a_i = -1/2 carry the two point masses at +-1.  Detection
     of the boundary case is by exact comparison: the measure changes type
@@ -191,23 +196,8 @@ def pi_alpha_nodes(alpha, order: int):
             norm = 1.0 / (math.sqrt(math.pi) * 2.0**a * math.gamma(a + 0.5))
             nodes.append(rule.nodes)
             weights.append(rule.weights * norm)
-    return nodes, weights
-
-
-def pi_alpha_integrate(alpha, f, order: int = 48) -> float:
-    """Integral of f over [-1,1]^d against Pi_alpha.
-
-    f is called with an (npoints, d) array and must return npoints values.
-    """
-    alpha = as_alpha(alpha)
-    nodes, weights = pi_alpha_nodes(alpha, order)
-    grids = np.meshgrid(*nodes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*weights, indexing="ij")
-    w = np.ones_like(wgrids[0])
-    for wg in wgrids:
-        w = w * wg
+    pts, w = tensor_rule(nodes, weights)
     vals = np.asarray(f(pts), dtype=float).ravel()
     if vals.shape != (pts.shape[0],):
         raise ValueError("integrand must return one value per point")
-    return float(np.sum(w.ravel() * vals))
+    return float(np.sum(w * vals))

@@ -3,7 +3,8 @@
 Everything else in the package reduces to a handful of scalar primitives:
 the gamma function, generalized Laguerre polynomials, the scaled modified
 Bessel function i_nu(z) = z^(-nu) I_nu(z), and Gauss rules for the weights
-u^a e^(-u) on (0, inf) and (1-s^2)^(a-1/2) on (-1, 1).
+u^a e^(-u) on (0, inf) and (1-s^2)^(a-1/2) on (-1, 1).  Every composite
+(panelled) and tensor-product rule of the package is built here too.
 
 The scaled Bessel form is used because the heat kernel only ever needs the
 combination (x y)^(-nu) I_nu(x y / sinh 2t), which is entire in the argument;
@@ -12,7 +13,7 @@ the raw I_nu would introduce a spurious 0 * inf ambiguity at the origin.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.special import gammaln, ive, roots_genlaguerre, roots_jacobi
@@ -26,6 +27,8 @@ __all__ = [
     "gauss_laguerre_rule",
     "gauss_jacobi_rule",
     "gauss_legendre_rule",
+    "composite_legendre_rule",
+    "tensor_rule",
 ]
 
 # Power series below this argument, exponentially scaled regime above.
@@ -197,3 +200,24 @@ def gauss_legendre_rule(n: int) -> QuadratureRule:
         raise ValueError(f"order must be >= 1, got {n}")
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return QuadratureRule(nodes, weights, "gauss_legendre", (n,))
+
+
+def composite_legendre_rule(edges, n: int):
+    """Gauss-Legendre rule of order n, exact to degree 2n-1, on each panel
+    edges[..., k]..edges[..., k+1]: nodes and weights of shape
+    edges.shape[:-1] + (panels, n), one partition per row of edges."""
+    edges = np.atleast_1d(np.asarray(edges, dtype=float))
+    width = edges[..., 1:] - edges[..., :-1]
+    if edges.shape[-1] < 2 or not (np.isfinite(edges).all() and (width > 0).all()):
+        raise ValueError("edges must be finite and strictly increasing, two or more per partition")
+    rule = gauss_legendre_rule(n)
+    half = 0.5 * width[..., None]
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
+    return half * rule.nodes + mid, half * rule.weights
+
+
+def tensor_rule(nodes, weights):
+    """Tensor product of per-coordinate rules: (N, d) points and N weights,
+    the last coordinate varying fastest, weights multiplied in coordinate order."""
+    pts = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=-1)
+    return pts, np.ravel(reduce(np.multiply.outer, weights))

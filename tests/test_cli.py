@@ -113,9 +113,11 @@ class TestExitCodes:
         # the mixed-derivative kinds need a second coordinate
         ("czscan", "alpha = 0.0\nkind = hTmod\n", "kind"),
         ("czscan", "alpha = 0.0\nkind = hPmod\n", "kind"),
+        # the positional task must not silently override a different config task
+        ("czscan", "alpha = 0.0\ntask = lemmas\n", "task"),
     ], ids=["alpha_below_range", "alpha_nan", "quad_order_0", "cutoff_negative",
             "gfun_cutoff_0", "verify_cutoff_0", "zeta_order_1", "zeta_levels_1",
-            "box_hi_inf", "hTmod_d1", "hPmod_d1"])
+            "box_hi_inf", "hTmod_d1", "hPmod_d1", "task_contradicts_command"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, task, text, field):
         path = write_config(tmp_path, text + "seed = 1\ncount = 3\n")
         code = main([task, "--config", path, "--out", str(tmp_path / "r.csv")])

@@ -358,10 +358,34 @@ class TestKernelEntry:
         with pytest.raises(ValueError):
             g1.t[0] = 1.0
 
+    @staticmethod
+    def _per_panel_grid(order, levels_zero, levels_one):
+        """The grid built panel by panel with its own Legendre rule: the reference."""
+        xg, wg = np.polynomial.legendre.leggauss(order)
+        zeta, eta, wz = [], [], []
+        for m in range(levels_zero, 0, -1):
+            a, b = (0.0 if m == levels_zero else 0.5 ** (m + 1)), 0.5**m
+            z = 0.5 * (b - a) * xg + 0.5 * (a + b)
+            zeta.append(z)
+            eta.append(1.0 - z)
+            wz.append(0.5 * (b - a) * wg)
+        for m in range(1, levels_one + 1):
+            a, b = (0.0 if m == levels_one else 0.5 ** (m + 1)), 0.5**m
+            e = 0.5 * (b - a) * xg + 0.5 * (a + b)
+            idx = np.argsort(-e)
+            eta.append(e[idx])
+            zeta.append(1.0 - e[idx])
+            wz.append((0.5 * (b - a) * wg)[idx])
+        return np.concatenate(zeta), np.concatenate(eta), np.concatenate(wz)
+
     def test_grid_nodes_increasing_and_rule_export(self):
-        g = ZetaGrid(order=5, levels_zero=6, levels_one=6)
-        assert np.all(np.diff(g.zeta) > 0)
-        assert np.all((g.zeta > 0) & (g.zeta < 1))
+        for params in [(5, 6, 6), (2, 2, 2), (8, 30, 30), (24, 50, 40)]:
+            g = ZetaGrid(*params)
+            assert np.all(np.diff(g.zeta) > 0)
+            assert np.all((g.zeta > 0) & (g.zeta < 1))
+            # bit for bit the per-panel construction, so reports keep their bytes
+            for got, want in zip((g.zeta, g.eta, g.wz), self._per_panel_grid(*params)):
+                np.testing.assert_array_equal(got, want)
 
     def test_undifferentiated_kernels_positive(self):
         rng = np.random.default_rng(91)

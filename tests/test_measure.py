@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -118,6 +119,71 @@ class TestMuBall:
             for lo, hi in zip(edges[:-1], edges[1:])
         )
         assert mu_ball(alpha, np.array(c), r) == pytest.approx(ref, rel=1e-10)
+
+    def test_unclipped_ball_d3(self):
+        # density x1 x2 x3 is linear in each coordinate: the mean over the ball is c1 c2 c3
+        c = np.array([3.0, 2.5, 4.0])
+        for r in (0.5, 2.0, 2.4):
+            want = float(np.prod(c)) * 4.0 / 3.0 * math.pi * r**3
+            assert mu_ball((0.0, 0.0, 0.0), c, r) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "alpha,c,r",
+        [
+            ((0.0, 0.0, 0.0), (0.4, 0.7, 0.5), 1.1),
+            ((0.0, -0.5, 0.5), (1.0, 0.3, 0.6), 1.5),
+            ((0.5, 0.0, 1.0), (0.3, 2.0, 1.0), 4.0),
+            ((0.2, 0.7, 0.0), (1.0, 1.0, 1.0), 1.5),
+            ((0.0, 0.0, 0.0, 0.0), (0.4, 0.7, 0.5, 0.3), 1.1),
+            ((0.0, -0.5, 0.5, 0.0), (4.0, 2.0, 5.0, 3.0), 6.0),
+        ],
+    )
+    def test_clipped_ball_vs_slice_oracle(self, alpha, c, r):
+        # adaptive quad over x1 of the measure of each chord ball, cut where
+        # the chord radius crosses the distance to a face of the orthant
+        from scipy.integrate import quad
+
+        c1 = c[0]
+
+        def outer(x1):
+            h2 = r * r - (x1 - c1) ** 2
+            if h2 <= 0.0:
+                return 0.0
+            return x1 ** (2 * alpha[0] + 1) * mu_ball(alpha[1:], c[1:], math.sqrt(h2))
+
+        lo, hi = max(c1 - r, 0.0), c1 + r
+        cuts = {lo, hi}
+        for k in range(1, len(c)):
+            for face in itertools.combinations(c[1:], k):
+                dist = math.hypot(*face)
+                if dist < r:
+                    half = math.sqrt(r * r - dist * dist)
+                    cuts |= {x for x in (c1 - half, c1 + half) if lo < x < hi}
+        edges = sorted(cuts)
+        ref = sum(
+            quad(outer, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+        )
+        assert mu_ball(alpha, np.array(c), r) == pytest.approx(ref, rel=1e-11)
+
+    def test_coinciding_kinks_d3(self):
+        # face distances one ulp apart, or so small against r that their
+        # kink angles round to pi/2, must not leave a panel of zero width
+        c = np.array([1.0, 1.0, 1.0 + 2.0**-52])
+        for r in (1.5, 3.0, 9.5):
+            assert mu_ball((0.0, 0.0, 0.0), c, r) == pytest.approx(
+                mu_ball((0.0, 0.0, 0.0), np.ones(3), r), rel=1e-13)
+        # an octant of the ball about the origin carries r^6 / 48
+        got = mu_ball((0.0, 0.0, 0.0), np.full(3, 1e-8), 1e9)
+        assert got == pytest.approx(1e54 / 48, rel=1e-12)
+
+    def test_batched_slices_change_no_bit(self, monkeypatch):
+        from lps import measure
+
+        args = ((0.0, -0.5, 0.5), np.array([1.0, 0.3, 0.6]), 1.5)
+        want = mu_ball(*args)
+        monkeypatch.setattr(measure, "_SLICE_BATCH", 7)
+        assert mu_ball(*args) == want
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from scipy.special import gammaln
 
 from lps.specfun import (
     QuadratureRule,
+    composite_legendre_rule,
     gamma_fn,
     gauss_jacobi_rule,
     gauss_laguerre_rule,
@@ -16,6 +17,7 @@ from lps.specfun import (
     laguerre_poly,
     log_bessel_mantissa_ratio,
     scaled_bessel_i,
+    tensor_rule,
 )
 
 
@@ -248,6 +250,37 @@ class TestQuadrature:
         ):
             assert np.all(np.diff(rule.nodes) > 0)
             assert np.all(rule.weights > 0)
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_composite_exact_on_every_panel(self, n):
+        # one 1-d partition and a batch of two, panels of very unequal width
+        edges = np.array([[0.0, 0.3, 1.0, 2.5], [-4.0, -3.9, 0.5, 7.0]])
+        for e in (edges[0], edges):
+            nodes, weights = composite_legendre_rule(e, n)
+            assert nodes.shape == weights.shape == e.shape[:-1] + (3, n)
+            a, b = e[..., :-1], e[..., 1:]
+            for m in range(2 * n):
+                got = np.sum(weights * nodes**m, axis=-1)
+                want = (b ** (m + 1) - a ** (m + 1)) / (m + 1)
+                scale = (b - a) * np.maximum(np.abs(a), np.abs(b)) ** m
+                assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("edges", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0], [1.0], [],
+                                       [0.0, math.nan], [0.0, math.inf],
+                                       [[0.0, 1.0], [1.0, 0.5]]])
+    def test_composite_rejects_bad_edges(self, edges):
+        with pytest.raises(ValueError, match="edges"):
+            composite_legendre_rule(edges, 4)
+
+    def test_tensor_rule_order_and_exactness(self):
+        x, w = gauss_legendre_rule(3), gauss_legendre_rule(4)
+        pts, wt = tensor_rule([x.nodes, w.nodes], [x.weights, w.weights])
+        assert pts.shape == (12, 2) and wt.shape == (12,)
+        # the last coordinate varies fastest
+        np.testing.assert_array_equal(pts[:4, 0], np.full(4, x.nodes[0]))
+        np.testing.assert_array_equal(pts[:4, 1], w.nodes)
+        # int_{[-1,1]^2} s^4 u^6 = (2/5) (2/7)
+        assert np.sum(wt * pts[:, 0] ** 4 * pts[:, 1] ** 6) == pytest.approx(4.0 / 35.0, rel=1e-13)
 
     def test_rules_cached_and_read_only(self):
         rule = gauss_legendre_rule(12)
