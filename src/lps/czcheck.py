@@ -197,37 +197,25 @@ def _lemma_lemat(rng, n, d):
     return worst
 
 
-def _zeta_integral(f, grid: ZetaGrid) -> float:
-    """Integral over (0,1) on the graded grid; f sees (zeta, eta, t)."""
-    return float(np.sum(grid.wz * f(grid.zeta, grid.eta, grid.t)))
+def _fitted_constant(f, scale, hi: float, grid: ZetaGrid) -> float:
+    """Largest scale(p) * int_0^1 f(p, zeta, t) dzeta over 40 log-spaced p in [1e-3, hi]."""
+    best = 0.0
+    for p in np.exp(np.linspace(math.log(1e-3), math.log(hi), 40)):
+        with np.errstate(under="ignore"):
+            val = float(np.sum(grid.wz * f(p, grid.zeta, grid.t)))
+        best = max(best, val * scale(p))
+    return best
 
 
 def _fit_5_4(a: float, grid: ZetaGrid) -> float:
-    ts = np.exp(np.linspace(math.log(1e-3), math.log(30.0), 40))
-    best = 0.0
-    for bigt in ts:
-        with np.errstate(under="ignore"):
-            val = _zeta_integral(
-                lambda z, e, t: z ** (-a) * np.exp(-np.minimum(bigt / z, 745.0)), grid
-            )
-        best = max(best, val * bigt ** (a - 1.0))
-    return best
+    return _fitted_constant(lambda bigt, z, t: z ** (-a) * np.exp(-np.minimum(bigt / z, 745.0)),
+                            lambda bigt: bigt ** (a - 1.0), 30.0, grid)
 
 
 def _fit_uw(cconst: float, grid: ZetaGrid) -> float:
-    qs = np.exp(np.linspace(math.log(1e-3), math.log(100.0), 40))
-    best = 0.0
-    for q in qs:
-        with np.errstate(under="ignore"):
-            val = _zeta_integral(
-                lambda z, e, t: z ** (-3.0)
-                * 2.0
-                * t
-                * np.exp(-np.minimum(cconst * q / z, 745.0)),
-                grid,
-            )
-        best = max(best, val * q)
-    return best
+    return _fitted_constant(
+        lambda q, z, t: z ** (-3.0) * 2.0 * t * np.exp(-np.minimum(cconst * q / z, 745.0)),
+        lambda q: q, 100.0, grid)
 
 
 def _fit_lem4(alpha, delta, kappa, order: int, seed: int) -> float:

@@ -97,7 +97,7 @@ def _mu_interval(a: float, lo, hi):
     return (np.maximum(hi, 0.0) ** p - lo**p) / p
 
 
-def _sliced_measure(a: tuple, center: np.ndarray, radii: np.ndarray, order: int) -> np.ndarray:
+def _sliced_measure(a: tuple, center, radii: np.ndarray, order: int, plain=False) -> np.ndarray:
     """mu_a(B(center, r) intersected with R_+^d) for every r in the 1-d radii.
 
     The last coordinate's interval measure is exact.  Above it the ball is
@@ -106,12 +106,17 @@ def _sliced_measure(a: tuple, center: np.ndarray, radii: np.ndarray, order: int)
     and each slice is a ball of radius r cos(theta) in the other coordinates.
     The slice measure has a kink wherever that radius crosses the distance to
     a face of the orthant, so theta is split there and where x_1 = 0 clips
-    the ball; every panel is then smooth.
+    the ball.  A panel end may still carry a power singularity, x_1^(2a_1+1)
+    at the clip or (rho - D)^(2a_j + 5/2) where a disk slice reaches a face at
+    distance D, so levels whose slices have one or two dimensions use
+    smooth_ends panels of at least 32 nodes and higher levels plain panels
+    of at least 16, sharing order.  plain=True gives each panel order plain
+    nodes, which keeps d = 2 balls as they were computed before.
     """
     if len(a) == 1:
         return _mu_interval(a[0], center[0] - radii, center[0] + radii)
     if radii.size > _SLICE_BATCH:
-        return np.concatenate([_sliced_measure(a, center, radii[i:i + _SLICE_BATCH], order)
+        return np.concatenate([_sliced_measure(a, center, radii[i:i + _SLICE_BATCH], order, plain)
                                for i in range(0, radii.size, _SLICE_BATCH)])
     c1 = center[0]
     # distances from the slice centre to the faces {x_j = 0 for j in S} of the orthant
@@ -132,13 +137,12 @@ def _sliced_measure(a: tuple, center: np.ndarray, radii: np.ndarray, order: int)
     edges.sort(axis=1)
     n_edges = 1 + (edges > lo).sum(axis=1)
     out = np.empty(radii.shape)
-    # radii with as many edges share one panel layout and one rule call; a
-    # slice of three or more dimensions meets the faces with milder kinks,
-    # and its faces multiply the panels, so such a level shares its order
+    # radii with as many edges share one panel layout and one rule call
+    smooth = len(a) <= 3 and not plain
     for n in set(n_edges.tolist()):
         sel = n_edges == n
-        per_panel = order if len(a) < 4 else max(order // (n - 1), 8)
-        theta, w = composite_legendre_rule(edges[sel, -n:], per_panel)
+        per_panel = order if plain else max(order // (n - 1), 32 if smooth else 16)
+        theta, w = composite_legendre_rule(edges[sel, -n:], per_panel, smooth_ends=smooth)
         r = radii[sel, None, None]
         cos = np.cos(theta)
         x1 = c1 + r * np.sin(theta)
@@ -153,8 +157,11 @@ def _sliced_measure(a: tuple, center: np.ndarray, radii: np.ndarray, order: int)
 def mu_ball(alpha, center, r: float, order: int = 96) -> float:
     """mu_alpha(B(center, r) intersected with R_+^d).
 
-    d = 1 uses the exact interval formula, higher d _sliced_measure with the
-    given order at the outermost slicing and max(order // 2, 24) below it.
+    d = 1 uses the exact interval formula, higher d _sliced_measure: order
+    nodes per panel at d = 2.  At d >= 3 each level shares its order among its
+    panels, with at least 32 nodes per panel where its slices have one or two
+    dimensions and 16 where they have more; the outermost level's order is
+    order, and a level of order o passes max(o // 2, 24) to the one below.
     """
     alpha = as_alpha(alpha)
     center = np.asarray(center, dtype=float)
@@ -166,7 +173,8 @@ def mu_ball(alpha, center, r: float, order: int = 96) -> float:
         raise ValueError(f"radius must be finite and positive, got {r}")
     if alpha.d == 1:
         return float(_mu_interval(alpha.components[0], center[0] - r, center[0] + r))
-    return float(_sliced_measure(alpha.components, center, np.array([float(r)]), order)[0])
+    radii = np.array([float(r)])
+    return float(_sliced_measure(alpha.components, center, radii, order, plain=alpha.d == 2)[0])
 
 
 def doubling_ratio(alpha, center, r: float) -> float:

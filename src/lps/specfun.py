@@ -202,18 +202,26 @@ def gauss_legendre_rule(n: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, "gauss_legendre", (n,))
 
 
-def composite_legendre_rule(edges, n: int):
+def composite_legendre_rule(edges, n: int, smooth_ends: bool = False):
     """Gauss-Legendre rule of order n, exact to degree 2n-1, on each panel
     edges[..., k]..edges[..., k+1]: nodes and weights of shape
-    edges.shape[:-1] + (panels, n), one partition per row of edges."""
+    edges.shape[:-1] + (panels, n), one partition per row of edges.
+
+    smooth_ends first maps u -> (15u - 10u^3 + 3u^5)/8, turning a factor
+    (x - edge)^b at a panel end into (1 -+ u)^(3b+2) times a smooth function;
+    degree k then stays exact while 5k + 4 <= 2n - 1.
+    """
     edges = np.atleast_1d(np.asarray(edges, dtype=float))
     width = edges[..., 1:] - edges[..., :-1]
     if edges.shape[-1] < 2 or not (np.isfinite(edges).all() and (width > 0).all()):
         raise ValueError("edges must be finite and strictly increasing, two or more per partition")
     rule = gauss_legendre_rule(n)
+    u, wu = rule.nodes, rule.weights
+    if smooth_ends:
+        u, wu = u * (1.875 - u * u * (1.25 - 0.375 * u * u)), 1.875 * wu * (1.0 - u * u) ** 2
     half = 0.5 * width[..., None]
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
-    return half * rule.nodes + mid, half * rule.weights
+    return half * u + mid, half * wu
 
 
 def tensor_rule(nodes, weights):

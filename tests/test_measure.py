@@ -17,6 +17,43 @@ from lps.measure import (
 from lps.specfun import gamma_fn
 
 
+def _slice_oracle(alpha, c, r, inner=mu_ball):
+    """Adaptive quad over x1 of inner(alpha[1:], c[1:], rho) for the chord
+    radius rho, cut where rho crosses the distance to a face of the orthant."""
+    from scipy.integrate import quad
+
+    c1 = c[0]
+
+    def outer(x1):
+        h2 = r * r - (x1 - c1) ** 2
+        if h2 <= 0.0:
+            return 0.0
+        return x1 ** (2 * alpha[0] + 1) * inner(alpha[1:], c[1:], math.sqrt(h2))
+
+    lo, hi = max(c1 - r, 0.0), c1 + r
+    cuts = {lo, hi}
+    for k in range(1, len(c)):
+        for face in itertools.combinations(c[1:], k):
+            dist = math.hypot(*face)
+            if dist < r:
+                half = math.sqrt(r * r - dist * dist)
+                cuts |= {x for x in (c1 - half, c1 + half) if lo < x < hi}
+    edges = sorted(cuts)
+    return sum(
+        quad(outer, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+def _quad_ball(alpha, c, r):
+    """mu_alpha of the clipped ball by nested adaptive quad, exact in the last coordinate."""
+    from lps.measure import _mu_interval
+
+    if len(c) == 1:
+        return float(_mu_interval(alpha[0], c[0] - r, c[0] + r))
+    return _slice_oracle(alpha, c, r, _quad_ball)
+
+
 class TestAlphaParam:
     def test_construction(self):
         a = as_alpha((0.3, -0.5))
@@ -136,35 +173,29 @@ class TestMuBall:
             ((0.2, 0.7, 0.0), (1.0, 1.0, 1.0), 1.5),
             ((0.0, 0.0, 0.0, 0.0), (0.4, 0.7, 0.5, 0.3), 1.1),
             ((0.0, -0.5, 0.5, 0.0), (4.0, 2.0, 5.0, 3.0), 6.0),
+            # balls drawn like czscan's, where plain panels of 96 and of 8
+            # nodes were off by 1.9e-11 and 3.2e-5
+            ((0.0, -0.5, 0.5), (1.0841, 0.4794, 5.2445), 0.9821),
+            ((0.0, -0.5, 0.5, 0.0), (8.4328, 0.1562, 1.7568, 0.2456), 8.4347),
         ],
     )
     def test_clipped_ball_vs_slice_oracle(self, alpha, c, r):
-        # adaptive quad over x1 of the measure of each chord ball, cut where
-        # the chord radius crosses the distance to a face of the orthant
-        from scipy.integrate import quad
+        want = _slice_oracle(alpha, c, r)
+        assert mu_ball(alpha, np.array(c), r) == pytest.approx(want, rel=1e-11)
 
-        c1 = c[0]
-
-        def outer(x1):
-            h2 = r * r - (x1 - c1) ** 2
-            if h2 <= 0.0:
-                return 0.0
-            return x1 ** (2 * alpha[0] + 1) * mu_ball(alpha[1:], c[1:], math.sqrt(h2))
-
-        lo, hi = max(c1 - r, 0.0), c1 + r
-        cuts = {lo, hi}
-        for k in range(1, len(c)):
-            for face in itertools.combinations(c[1:], k):
-                dist = math.hypot(*face)
-                if dist < r:
-                    half = math.sqrt(r * r - dist * dist)
-                    cuts |= {x for x in (c1 - half, c1 + half) if lo < x < hi}
-        edges = sorted(cuts)
-        ref = sum(
-            quad(outer, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-            for a, b in zip(edges[:-1], edges[1:])
-        )
-        assert mu_ball(alpha, np.array(c), r) == pytest.approx(ref, rel=1e-11)
+    @pytest.mark.parametrize(
+        "alpha,c,r",
+        [
+            # components off the half-integers put factors like x^1.4 and
+            # x^0.4 at the clipped ends, which plain panels resolved to 4e-9
+            # and 4e-7
+            ((0.2, 0.3, 0.7), (1.0231, 0.1081, 0.1386), 7.1742),
+            ((-0.3, 0.0, 0.4), (0.6, 0.2, 1.5), 2.0),
+        ],
+    )
+    def test_clipped_ball_vs_nested_quad(self, alpha, c, r):
+        want = _quad_ball(alpha, c, r)
+        assert mu_ball(alpha, np.array(c), r) == pytest.approx(want, rel=1e-11)
 
     def test_coinciding_kinks_d3(self):
         # face distances one ulp apart, or so small against r that their

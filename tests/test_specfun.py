@@ -265,6 +265,28 @@ class TestQuadrature:
                 scale = (b - a) * np.maximum(np.abs(a), np.abs(b)) ** m
                 assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_composite_smooth_ends_exact_on_every_panel(self, n):
+        edges = np.array([-4.0, -3.9, 0.5, 7.0])
+        nodes, weights = composite_legendre_rule(edges, n, smooth_ends=True)
+        a, b = edges[:-1], edges[1:]
+        for m in range((2 * n - 5) // 5 + 1):
+            got = np.sum(weights * nodes**m, axis=-1)
+            want = (b ** (m + 1) - a ** (m + 1)) / (m + 1)
+            scale = (b - a) * np.maximum(np.abs(a), np.abs(b)) ** m
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_composite_smooth_ends_absorb_end_singularity(self):
+        # (x - 1)^(3/2) on (1, 3) reaches the Gauss rule as (1 + u)^(13/2)
+        want = 2.0**2.5 / 2.5
+        for smooth, tol in ((True, 1e-14), (False, None)):
+            nodes, weights = composite_legendre_rule([1.0, 3.0], 24, smooth_ends=smooth)
+            err = abs(np.sum(weights * (nodes - 1.0) ** 1.5) / want - 1.0)
+            if smooth:
+                assert err < tol
+            else:
+                assert err > 1e-9
+
     @pytest.mark.parametrize("edges", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0], [1.0], [],
                                        [0.0, math.nan], [0.0, math.inf],
                                        [[0.0, 1.0], [1.0, 0.5]]])
