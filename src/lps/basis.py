@@ -14,6 +14,7 @@ expansions give bit-meaningful identities.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -29,6 +30,7 @@ __all__ = [
     "eigenvalue",
     "ell",
     "ell_table",
+    "ell_batch",
     "basis_eval",
     "analyze",
     "synthesize",
@@ -55,6 +57,11 @@ class BasisFamily:
     @property
     def is_plain(self) -> bool:
         return self.kind == "plain"
+
+    @property
+    def shifts(self) -> tuple:
+        """The shift coordinates of the family for ell_batch."""
+        return () if self.is_plain else (self.j,)
 
 
 PLAIN = BasisFamily("plain")
@@ -85,6 +92,8 @@ class Expansion:
 
     def __post_init__(self):
         self.alpha = as_alpha(self.alpha)
+        if not self.family.is_plain and self.family.j > self.alpha.d:
+            raise ValueError("family coordinate exceeds the dimension")
         clean = {}
         for k, c in self.coeffs.items():
             k = _as_multi_index(k, self.alpha.d)
@@ -94,8 +103,6 @@ class Expansion:
                     raise ValueError(f"index {k} is null in the differentiated family")
                 continue
             clean[k] = float(c)
-        if not self.family.is_plain and self.family.j > self.alpha.d:
-            raise ValueError("family coordinate exceeds the dimension")
         self.coeffs = clean
 
     @property
@@ -134,15 +141,64 @@ def _ell_table_1d(a: float, kmax: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _as_points(alpha: AlphaParam, x):
+    """x as an (n, d) array of points, and whether it was a single point.
+
+    A single point has d coordinates; in d = 1 a 1-d array (or a scalar)
+    lists points.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    single = x.shape == (alpha.d,)
+    if x.ndim == 1 and alpha.d == 1:
+        x = x[:, None]
+    elif single:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != alpha.d:
+        raise ValueError(f"points must form an (n, {alpha.d}) array")
+    return x, single
+
+
 def ell_table(alpha, kmax: int, x) -> list:
     """Per-coordinate tables [d arrays of shape (kmax+1, npoints)] at points x."""
     alpha = as_alpha(alpha)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and alpha.d == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[1] != alpha.d:
-        raise ValueError(f"points must form an (n, {alpha.d}) array")
+    x, _ = _as_points(alpha, x)
     return [_ell_table_1d(a, kmax, x[:, i]) for i, a in enumerate(alpha.components)]
+
+
+def ell_batch(alpha, shifts: tuple, indices, x) -> np.ndarray:
+    """Matrix (len(indices), npoints) of prod_c x_c l_(k - sum_c e_c)^(alpha + sum_c e_c)(x).
+
+    shifts lists 1-based coordinates c: () gives the plain system, (j,) the
+    j-differentiated one and (i, j) the output of the modified horizontal
+    kinds.  A row whose shifted index has a negative entry is zero.  Each
+    coordinate gets one table, as deep as its deepest shifted index, shared
+    by all rows; a row is the product of its table rows in coordinate order,
+    times the prefactor prod_c x_c.
+    """
+    alpha = as_alpha(alpha)
+    pts, _ = _as_points(alpha, x)
+    shifted = alpha
+    for c in shifts:
+        shifted = shifted.shifted(c)
+    down = np.array([_as_multi_index(k, alpha.d) for k in indices], dtype=np.intp)
+    down = down.reshape(-1, alpha.d)
+    for c in shifts:
+        down[:, c - 1] -= 1
+    live = np.all(down >= 0, axis=1)
+    out = np.zeros((len(down), pts.shape[0]))
+    rows = down[live]
+    if len(rows) == 0:
+        return out
+    val = np.ones((len(rows), pts.shape[0]))
+    for c, a in enumerate(shifted.components):
+        val *= _ell_table_1d(a, int(rows[:, c].max()), pts[:, c])[rows[:, c]]
+    if shifts:
+        prefactor = pts[:, shifts[0] - 1]
+        for c in shifts[1:]:
+            prefactor = prefactor * pts[:, c - 1]
+        val *= prefactor
+    out[live] = val
+    return out
 
 
 def ell(alpha, k, x):
@@ -150,39 +206,24 @@ def ell(alpha, k, x):
 
     x may be a single point (d coordinates) or an (n, d) array of points.
     """
-    alpha = as_alpha(alpha)
-    k = _as_multi_index(k, alpha.d)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1 and x.shape == (alpha.d,)
-    pts = x[None, :] if single else x
-    tables = ell_table(alpha, max(k), pts)
-    val = np.ones(pts.shape[0])
-    for i, ki in enumerate(k):
-        val = val * tables[i][ki]
-    return float(val[0]) if single else val
+    return basis_eval(alpha, PLAIN, k, x)
 
 
 def basis_eval(alpha, family: BasisFamily, k, x):
     """Value of the family member indexed by k at x (0 when the index is null)."""
     alpha = as_alpha(alpha)
-    k = _as_multi_index(k, alpha.d)
-    if family.is_plain:
-        return ell(alpha, k, x)
-    j = family.j
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1 and x.shape == (alpha.d,)
-    if k[j - 1] == 0:
-        return 0.0 if single else np.zeros(x.shape[0])
-    km = tuple(v - (1 if i == j - 1 else 0) for i, v in enumerate(k))
-    xj = x[j - 1] if single else x[:, j - 1]
-    return xj * ell(alpha.shifted(j), km, x)
+    pts, single = _as_points(alpha, x)
+    val = ell_batch(alpha, family.shifts, [k], pts)[0]
+    return float(val[0]) if single else val
 
 
+@lru_cache(maxsize=4)
 def _quad_grid(alpha: AlphaParam, order: int):
     """Tensor quadrature for d mu_alpha built from u = x^2 Gauss-Laguerre rules.
 
     Returns points (n^d, d) and weights absorbing the e^u correction, so that
     integral f d mu_alpha ~= sum w * f(points) for f with Gaussian decay.
+    Both arrays are read-only: every caller with equal arguments shares them.
     """
     xs, ws = [], []
     for a in alpha.components:
@@ -191,7 +232,10 @@ def _quad_grid(alpha: AlphaParam, order: int):
         with np.errstate(divide="ignore"):
             logw = np.where(rule.weights > 0, np.log(rule.weights), -np.inf)
         ws.append(0.5 * np.exp(logw + rule.nodes))
-    return tensor_rule(xs, ws)
+    pts, w = tensor_rule(xs, ws)
+    pts.flags.writeable = False
+    w.flags.writeable = False
+    return pts, w
 
 
 def _family_indices(family: BasisFamily, d: int, cutoff: int):
@@ -211,22 +255,18 @@ def analyze(alpha, family: BasisFamily, f, cutoff: int, order: int = 64) -> Expa
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     pts, w = _quad_grid(alpha, order)
-    fv = np.asarray(f(pts), dtype=float).ravel()
-    coeffs = {}
-    for k in _family_indices(family, alpha.d, cutoff):
-        bv = basis_eval(alpha, family, k, pts)
-        coeffs[k] = float(np.sum(w * fv * bv))
-    return Expansion(alpha, family, coeffs)
+    wf = w * np.asarray(f(pts), dtype=float).ravel()
+    idx = _family_indices(family, alpha.d, cutoff)
+    vals = ell_batch(alpha, family.shifts, idx, pts)
+    return Expansion(alpha, family, {k: float(np.sum(wf * v)) for k, v in zip(idx, vals)})
 
 
 def synthesize(e: Expansion, x):
     """Pointwise value sum_k c_k b_k(x); x is one point or an (n, d) array."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1 and x.shape == (e.d,)
-    pts = x[None, :] if single else x
+    pts, single = _as_points(e.alpha, x)
     out = np.zeros(pts.shape[0])
-    for k, c in e.coeffs.items():
-        out += c * basis_eval(e.alpha, e.family, k, pts)
+    for c, v in zip(e.coeffs.values(), ell_batch(e.alpha, e.family.shifts, list(e.coeffs), pts)):
+        out += c * v
     return float(out[0]) if single else out
 
 

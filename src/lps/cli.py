@@ -27,7 +27,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from . import czcheck
-from .basis import PLAIN, basis_eval, differentiated
+from .basis import PLAIN, differentiated, ell_batch
 from .czcheck import lemma_suite, random_expansion, riesz_identity_check
 from .gfunctions import GFunctionKind, gfun_l2_exact, gfun_l2_norm
 from .kernels import (
@@ -233,7 +233,7 @@ def _task_basis(cfg: RunConfig, alpha, report: Report):
     pts, w = basis_mod._quad_grid(alpha, cfg.quad_order)
     for fam in families:
         idx = basis_mod._family_indices(fam, alpha.d, cfg.cutoff)
-        vals = np.stack([basis_eval(alpha, fam, k, pts) for k in idx])
+        vals = ell_batch(alpha, fam.shifts, idx, pts)
         gram = (vals * w) @ vals.T
         dev = np.abs(gram - np.eye(len(idx)))
         fam_name = "plain" if fam.is_plain else f"diff{fam.j}"

@@ -71,22 +71,40 @@ def sample_pairs(d: int, count: int, seed: int, lo: float = 0.05, hi: float = 10
     return x, y
 
 
+# draws of one perturbed point before giving up; a point of the open orthant
+# accepts a draw with probability of about 2^-d or more
+_MAX_DRAWS = 10_000
+
+
 def sample_perturbed(x: np.ndarray, y: np.ndarray, seed: int):
-    """Points x' with 0 < |x - x'| < |x - y|/2 and positive coordinates."""
+    """Points x' with 0 < |x - x'| < |x - y|/2 and positive coordinates.
+
+    A pair that is coincident or not finite has no such x' and is rejected
+    with ValueError before any draw, as is a row whose _MAX_DRAWS draws all
+    leave the open orthant.
+    """
     rng = np.random.default_rng(seed)
     count, d = x.shape
     sep = np.linalg.norm(x - y, axis=1)
     frac = rng.uniform(0.05, 0.95, count)
+    radius = 0.5 * sep * frac
+    bad = np.flatnonzero(~(np.isfinite(radius) & (radius > 0)))
+    if bad.size:
+        p = bad[0]
+        raise ValueError(f"pair {p} (x = {x[p]}, y = {y[p]}) is coincident or not finite: "
+                         "it has no perturbed point")
     xp = np.empty_like(x)
     for p in range(count):
-        radius = 0.5 * sep[p] * frac[p]
-        while True:
+        for _ in range(_MAX_DRAWS):
             direction = rng.normal(size=d)
             direction /= np.linalg.norm(direction)
-            cand = x[p] + radius * direction
+            cand = x[p] + radius[p] * direction
             if np.all(cand > 0) and not np.all(cand == y[p]):
                 xp[p] = cand
                 break
+        else:
+            raise ValueError(f"pair {p} (x = {x[p]}): {_MAX_DRAWS} draws of a perturbed point "
+                             "all left the open orthant")
     return xp
 
 
@@ -294,8 +312,6 @@ def random_expansion(alpha, family=PLAIN, nmodes: int = 10, max_level: int = 8,
     alpha = as_alpha(alpha)
     rng = np.random.default_rng(seed)
     idx = basis._family_indices(family, alpha.d, max_level)
-    if not family.is_plain:
-        idx = [k for k in idx if k[family.j - 1] >= 1]
     take = min(nmodes, len(idx))
     chosen = rng.choice(len(idx), size=take, replace=False)
     coeffs = {idx[c]: float(rng.normal()) for c in chosen}

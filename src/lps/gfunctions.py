@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Expansion, PLAIN, differentiated, eigenvalue, ell
+from .basis import Expansion, PLAIN, _as_points, _quad_grid, differentiated, eigenvalue, ell_batch
 from .kernels import KIND_TABLE, KindSpec, TimeProfile, ZetaGrid
 
 __all__ = [
@@ -75,80 +75,48 @@ def _check_input(kind: GFunctionKind, e: Expansion):
         )
 
 
-def _shift_down(k: tuple, coords) -> tuple:
-    out = list(k)
-    for c in coords:
-        out[c - 1] -= 1
-    return tuple(out)
-
-
 def _modes(kind: GFunctionKind, e: Expansion):
-    """Per-mode decay rates, multipliers and output-basis specs for the kind."""
+    """Per-mode decay rates, multipliers and indices, and the output shifts.
+
+    The output of mode k is the member k of the system ell_batch evaluates
+    with the returned shift coordinates.
+    """
     alpha = e.alpha
     spec = kind.spec
-    nus, mults, outs = [], [], []
+    if spec.deriv == "d":
+        shifts = e.family.shifts
+    elif spec.deriv == "h":
+        shifts = (kind.i, kind.j) if spec.modified else (kind.i,)
+    else:  # hStar
+        shifts = ()
+    nus, mults, indices = [], [], []
     for k, c in e.coeffs.items():
         lam = eigenvalue(alpha, sum(k))
         nu = np.sqrt(lam) if kind.is_poisson else lam
         if spec.deriv == "d":
             mult = -nu
-            out = ("same", k)
         elif spec.deriv == "h":
             if k[kind.i - 1] == 0:
                 continue
             mult = -2.0 * np.sqrt(k[kind.i - 1])
-            out = ("diff", (kind.i, kind.j) if spec.modified else (kind.i,), k)
         else:  # hStar
             mult = -2.0 * np.sqrt(k[kind.j - 1])
-            out = ("plain", k)
         nus.append(nu)
         mults.append(mult * c)
-        outs.append(out)
-    return np.asarray(nus), np.asarray(mults), outs
-
-
-def _out_value(alpha, family_in, out, pts: np.ndarray) -> np.ndarray:
-    """Value of the output basis member described by an out spec, at pts (n, d)."""
-    tag = out[0]
-    if tag == "plain":
-        return ell(alpha, out[1], pts)
-    if tag == "same":
-        k = out[1]
-        if family_in.is_plain:
-            return ell(alpha, k, pts)
-        j = family_in.j
-        return pts[:, j - 1] * ell(alpha.shifted(j), _shift_down(k, (j,)), pts)
-    # differentiated in the given coordinates (on top of the input family shift)
-    coords, k = out[1], out[2]
-    shifted = alpha
-    prefactor = np.ones(pts.shape[0])
-    for c in coords:
-        shifted = shifted.shifted(c)
-        prefactor = prefactor * pts[:, c - 1]
-    return prefactor * ell(shifted, _shift_down(k, coords), pts)
+        indices.append(k)
+    return np.asarray(nus), np.asarray(mults), indices, shifts
 
 
 def _amplitudes(kind: GFunctionKind, e: Expansion, pts: np.ndarray):
     """Amplitude matrix (nmodes, npts) and decay rates (nmodes,)."""
-    nus, mults, outs = _modes(kind, e)
-    amp = np.empty((len(nus), pts.shape[0]))
-    for m, out in enumerate(outs):
-        amp[m] = mults[m] * _out_value(e.alpha, e.family, out, pts)
-    return nus, amp
-
-
-def _as_points(e: Expansion, x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    single = x.ndim == 1 and x.shape == (e.d,)
-    if x.ndim == 1 and e.d == 1 and x.shape != (1,):
-        return x[:, None], False
-    return (x[None, :] if single else x), single
+    nus, mults, indices, shifts = _modes(kind, e)
+    return nus, mults[:, None] * ell_batch(e.alpha, shifts, indices, pts)
 
 
 def gfun_exact(kind: GFunctionKind, e: Expansion, x):
     """Pointwise value of the square function, by the closed double sum."""
     _check_input(kind, e)
-    pts, single = _as_points(e, x)
+    pts, single = _as_points(e.alpha, x)
     if not e.coeffs:
         return 0.0 if single else np.zeros(pts.shape[0])
     nus, amp = _amplitudes(kind, e, pts)
@@ -163,7 +131,7 @@ def gfun_quadrature(kind: GFunctionKind, e: Expansion, x, grid: ZetaGrid | None 
     """Same value through the ζ-grid time quadrature; cross-check route."""
     _check_input(kind, e)
     grid = grid or ZetaGrid()
-    pts, single = _as_points(e, x)
+    pts, single = _as_points(e.alpha, x)
     w = grid.time_weights(kind.measure_kind)
     if not e.coeffs:
         return 0.0 if single else np.zeros(pts.shape[0])
@@ -178,7 +146,7 @@ def gfun_profile(kind: GFunctionKind, e: Expansion, x, grid: ZetaGrid | None = N
     """The time integrand at one point x, as a TimeProfile."""
     _check_input(kind, e)
     grid = grid or ZetaGrid()
-    pts, _ = _as_points(e, x)
+    pts, _ = _as_points(e.alpha, x)
     nus, amp = _amplitudes(kind, e, pts[:1])
     decay = np.exp(-np.outer(nus, grid.t))
     vals = (amp.T @ decay)[0]
@@ -187,8 +155,6 @@ def gfun_profile(kind: GFunctionKind, e: Expansion, x, grid: ZetaGrid | None = N
 
 def gfun_l2_norm(kind: GFunctionKind, e: Expansion, order: int = 64) -> float:
     """||g(f)||_{L^2(d mu_alpha)} by Gauss-Laguerre quadrature of gfun_exact^2."""
-    from .basis import _quad_grid
-
     _check_input(kind, e)
     pts, w = _quad_grid(e.alpha, order)
     vals = gfun_exact(kind, e, pts)
@@ -200,7 +166,7 @@ def gfun_l2_exact(kind: GFunctionKind, e: Expansion) -> float:
     _check_input(kind, e)
     if not e.coeffs:
         return 0.0
-    nus, mults, _ = _modes(kind, e)
+    nus, mults, _, _ = _modes(kind, e)
     if kind.measure_kind == "dt":
         weights = 1.0 / (2.0 * nus)
     else:

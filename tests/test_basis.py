@@ -14,6 +14,8 @@ from lps.basis import (
     differentiated,
     eigenvalue,
     ell,
+    ell_batch,
+    ell_table,
     laguerre_operator_apply,
     riesz_transform,
     synthesize,
@@ -83,6 +85,73 @@ class TestEll:
         assert np.max(np.abs(gram - np.eye(len(idx)))) < 1e-9
 
 
+def per_index(alpha, shifts, k, pts):
+    """prod_c x_c l_(k - sum e_c)^(alpha + sum e_c) at pts from full-depth tables,
+    one index at a time: the rows multiplied in coordinate order, prefactor last."""
+    shifted, km, pre = as_alpha(alpha), list(k), np.ones(pts.shape[0])
+    for c in shifts:
+        shifted = shifted.shifted(c)
+        km[c - 1] -= 1
+        pre = pre * pts[:, c - 1]
+    if min(km) < 0:
+        return np.zeros(pts.shape[0])
+    val = np.ones(pts.shape[0])
+    for table, m in zip(ell_table(shifted, max(km), pts), km):
+        val = val * table[m]
+    return pre * val if shifts else val
+
+
+class TestEllBatch:
+    @pytest.mark.parametrize("alpha, shifts", [
+        ((0.7,), ()), ((0.7,), (1,)), ((-0.5,), (1, 1)),
+        ((0.3, -0.5), ()), ((0.3, -0.5), (1,)), ((0.3, -0.5), (2,)),
+        ((0.3, -0.5), (1, 2)), ((0.3, -0.5), (2, 1)),
+        ((0.3, -0.5, 1.2), ()), ((0.3, -0.5, 1.2), (3,)), ((0.3, -0.5, 1.2), (1, 3)),
+        ((0.3, -0.5, 1.2), (3, 2)),
+    ])
+    def test_matches_per_index_bit_for_bit(self, alpha, shifts):
+        a = as_alpha(alpha)
+        rng = np.random.default_rng(len(shifts) + a.d)
+        pts = np.vstack([basis._quad_grid(a, 5)[0], rng.uniform(0.0, 6.0, (40, a.d))])
+        idx = basis._family_indices(PLAIN, a.d, 7 - a.d)
+        got = ell_batch(a, shifts, idx, pts)
+        assert got.shape == (len(idx), pts.shape[0])
+        for k, row in zip(idx, got):
+            assert np.array_equal(row, per_index(a, shifts, k, pts))
+            if len(shifts) < 2:
+                fam = differentiated(shifts[0]) if shifts else PLAIN
+                assert np.array_equal(row, basis_eval(a, fam, k, pts))
+        # the rows of a null index are exact zeros
+        null = [any(k[c - 1] < shifts.count(c) for c in shifts) for k in idx]
+        assert np.all(got[np.array(null, dtype=bool)] == 0.0)
+
+    def test_single_point_and_empty(self):
+        a = as_alpha((0.3, -0.5))
+        assert ell_batch(a, (1,), [], np.ones((3, 2))).shape == (0, 3)
+        assert ell_batch(a, (), [(1, 2)], [0.4, 1.1]).shape == (1, 1)
+        assert ell(a, (1, 2), [0.4, 1.1]) == ell_batch(a, (), [(1, 2)], [0.4, 1.1])[0, 0]
+
+    def test_rejects_bad_points_and_shifts(self):
+        a = as_alpha((0.3, -0.5))
+        with pytest.raises(ValueError, match="points"):
+            ell_batch(a, (), [(0, 0)], np.ones((3, 3)))
+        with pytest.raises(ValueError, match="coordinate"):
+            ell_batch(a, (3,), [(0, 0)], np.ones((3, 2)))
+
+
+class TestQuadGrid:
+    def test_cached_and_read_only(self):
+        a = as_alpha((0.3, -0.5))
+        basis._quad_grid.cache_clear()
+        pts, w = basis._quad_grid(a, 7)
+        again = basis._quad_grid(a, 7)
+        assert again[0] is pts and again[1] is w
+        assert basis._quad_grid.cache_info().hits == 1
+        assert not pts.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+
 class TestBasisEval:
     def test_null_index_is_zero(self):
         fam = differentiated(1)
@@ -93,6 +162,12 @@ class TestBasisEval:
         # x * l_0^(a+1)(x) at a = 0, x = 1: sqrt(2/Gamma(2)) e^(-1/2)
         got = basis_eval(0.0, differentiated(1), 1, [1.0])
         assert got == pytest.approx(math.sqrt(2.0) * math.exp(-0.5), rel=1e-13)
+
+
+class TestExpansion:
+    def test_family_coordinate_beyond_dimension(self):
+        with pytest.raises(ValueError, match="exceeds the dimension"):
+            Expansion((0.0,), differentiated(2), {(1,): 1.0})
 
 
 class TestAnalyzeSynthesize:

@@ -47,6 +47,44 @@ class TestSamplers:
         assert np.all(sep > 2.0 * dp)
         assert np.all(xp > 0)
 
+    def test_perturbation_draws_unchanged(self):
+        # the bounded draws consume the rng stream of the unbounded loop
+        def unbounded(x, y, seed):
+            rng = np.random.default_rng(seed)
+            count, d = x.shape
+            sep = np.linalg.norm(x - y, axis=1)
+            frac = rng.uniform(0.05, 0.95, count)
+            xp = np.empty_like(x)
+            for p in range(count):
+                radius = 0.5 * sep[p] * frac[p]
+                while True:
+                    direction = rng.normal(size=d)
+                    direction /= np.linalg.norm(direction)
+                    cand = x[p] + radius * direction
+                    if np.all(cand > 0) and not np.all(cand == y[p]):
+                        xp[p] = cand
+                        break
+            return xp
+
+        for d in (1, 2, 3):
+            x, y = sample_pairs(d, 50, 20 + d)
+            assert np.array_equal(sample_perturbed(x, y, 9), unbounded(x, y, 9))
+
+    @pytest.mark.parametrize("bad", [
+        lambda x: x.copy(),
+        lambda x: np.where(np.arange(x.size).reshape(x.shape) == 3, np.nan, x),
+        lambda x: np.where(np.arange(x.size).reshape(x.shape) == 3, np.inf, x),
+    ], ids=["coincident", "nan", "inf"])
+    def test_perturbation_rejects_degenerate_pair(self, bad):
+        x, _ = sample_pairs(2, 4, 1)
+        with pytest.raises(ValueError, match="pair [01] .* coincident or not finite"):
+            sample_perturbed(x, bad(x), 1)
+
+    def test_perturbation_draws_are_bounded(self):
+        # no point within the radius of x = -1 has a positive coordinate
+        with pytest.raises(ValueError, match="draws"):
+            sample_perturbed(np.array([[1.0], [-1.0]]), np.array([[2.0], [-0.5]]), 1)
+
 
 class TestScans:
     def test_growth_ratios_finite_and_stable(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lps import basis
 from lps.basis import Expansion, PLAIN, differentiated, eigenvalue, ell
 from lps.czcheck import random_expansion
 from lps.gfunctions import (
@@ -107,6 +108,28 @@ class TestQuadratureAgreement:
         e = random_expansion((0.0,), PLAIN, seed=1)
         with pytest.raises(ValueError):
             gfun_exact(GFunctionKind("gVTmod", j=1), e, [1.0])
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("tag, fam, kw", ALL_KINDS)
+    def test_one_table_per_coordinate(self, tag, fam, kw, monkeypatch):
+        # every mode of the expansion reads the same per-coordinate tables
+        built = []
+        table_1d = basis._ell_table_1d
+
+        def counted(a, kmax, xi):
+            built.append(a)
+            return table_1d(a, kmax, xi)
+
+        alpha = (0.3, -0.5)
+        kind = GFunctionKind(tag, **kw)
+        e = random_expansion(alpha, fam, nmodes=10, max_level=6, seed=3)
+        pts = np.exp(np.random.default_rng(4).uniform(-1.5, 1.5, (25, 2)))
+        want = gfun_exact(kind, e, pts)
+        monkeypatch.setattr(basis, "_ell_table_1d", counted)
+        got = gfun_exact(kind, e, pts)
+        assert np.array_equal(got, want)
+        assert len(built) == 2
 
 
 class TestIsometry:
