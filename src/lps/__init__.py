@@ -47,8 +47,6 @@ from .kernels import (
     kernel_values,
     modified_heat_kernel,
     poisson_kernel,
-    t_of_zeta,
-    zeta_of_t,
 )
 from .measure import AlphaParam, as_alpha, doubling_ratio, mu_ball, mu_box, pi_alpha_integrate
 from .specfun import (

@@ -50,6 +50,9 @@ THREAD_ENV = "LPS_THREADS"
 # matmul block; smaller spans pad that matmul with zero rows, and two
 # workers on short spans lose more to the GIL than they gain
 SPAN_PAIRS = 32
+# largest dimension of czscan and lemmas, whose ball measures cost about
+# 0.1 ms per ball at d = 2, 90 ms at d = 4 and 20-30 s at d = 5
+MAX_BALL_DIMENSION = 4
 
 
 class ConfigError(Exception):
@@ -93,6 +96,11 @@ class RunConfig:
         if self.task in ("czscan", "lemmas", "kernel", "verify") and not a.cz_eligible:
             raise ConfigError(
                 f"alpha: task {self.task!r} requires alpha in [-1/2, inf)^d, got {a.components}"
+            )
+        if self.task in ("czscan", "lemmas") and a.d > MAX_BALL_DIMENSION:
+            raise ConfigError(
+                f"dimension: task {self.task!r} supports d <= {MAX_BALL_DIMENSION}, got {a.d}; "
+                "each pair needs a ball measure, and one d = 5 ball takes 20-30 s"
             )
         if self.task != "basis" and self.seed is None:
             raise ConfigError(f"seed: task {self.task!r} samples randomly and needs a seed")

@@ -23,7 +23,7 @@ import numpy as np
 from . import basis
 from .basis import Expansion, PLAIN, delta_apply, differentiated, eigenvalue, ell, riesz_transform
 from .kernels import KernelKind, ZetaGrid, kernel_values
-from .measure import as_alpha, mu_ball, pi_alpha_integrate
+from .measure import as_alpha, mu_ball, pi_alpha_rule
 
 __all__ = [
     "ESTIMATES",
@@ -79,9 +79,11 @@ _MAX_DRAWS = 10_000
 def sample_perturbed(x: np.ndarray, y: np.ndarray, seed: int):
     """Points x' with 0 < |x - x'| < |x - y|/2 and positive coordinates.
 
-    A pair that is coincident or not finite has no such x' and is rejected
-    with ValueError before any draw, as is a row whose _MAX_DRAWS draws all
-    leave the open orthant.
+    A draw is accepted only if its rounded value keeps that promise.  A pair
+    that is coincident or not finite has no such x' and is rejected with
+    ValueError before any draw, as is a row whose _MAX_DRAWS draws all leave
+    the open orthant or round outside the promise (|x - y| below the spacing
+    of x's coordinates rounds every draw back to x).
     """
     rng = np.random.default_rng(seed)
     count, d = x.shape
@@ -95,16 +97,19 @@ def sample_perturbed(x: np.ndarray, y: np.ndarray, seed: int):
                          "it has no perturbed point")
     xp = np.empty_like(x)
     for p in range(count):
+        # the separation as scan measures it, so its constraint holds for x'
+        sep_p = np.linalg.norm(x[p] - y[p])
         for _ in range(_MAX_DRAWS):
             direction = rng.normal(size=d)
             direction /= np.linalg.norm(direction)
             cand = x[p] + radius[p] * direction
-            if np.all(cand > 0) and not np.all(cand == y[p]):
+            if np.all(cand > 0) and 0.0 < 2.0 * np.linalg.norm(x[p] - cand) < sep_p:
                 xp[p] = cand
                 break
         else:
-            raise ValueError(f"pair {p} (x = {x[p]}): {_MAX_DRAWS} draws of a perturbed point "
-                             "all left the open orthant")
+            raise ValueError(f"pair {p} (x = {x[p]}, y = {y[p]}): {_MAX_DRAWS} draws of a "
+                             "perturbed point all left the open orthant or rounded outside "
+                             "0 < |x - x'| < |x - y|/2")
     return xp
 
 
@@ -236,25 +241,17 @@ def _fit_uw(cconst: float, grid: ZetaGrid) -> float:
         lambda q: q, 100.0, grid)
 
 
-def _fit_lem4(alpha, delta, kappa, order: int, seed: int) -> float:
-    alpha = as_alpha(alpha)
-    d = alpha.d
-    x, y = sample_pairs(d, 40, seed, 0.1, 8.0)
-    shifted = alpha
-    for c in range(1, d + 1):
-        shifted = shifted.shifted(c, delta[c - 1] + kappa[c - 1])
-    expo = -(d + alpha.total + float(np.sum(delta)))
+def _fit_lem4(alpha, delta, kappa, order: int, x, y, balls) -> float:
+    """Largest (x+y)^(2 delta) int q_+^expo dPi_(alpha+delta+kappa) times mu_alpha of the ball."""
+    shifted = as_alpha([a + (dl + kp) for a, dl, kp in zip(alpha.components, delta, kappa)])
+    expo = -(alpha.d + alpha.total + float(np.sum(delta)))
+    pts, w = pi_alpha_rule(shifted, order)
     best = 0.0
     for p in range(x.shape[0]):
         xy = (x[p] + y[p]) ** (2.0 * np.asarray(delta))
-
-        def integrand(s, p=p):
-            qp, _ = _q_forms(x[p][None, :], y[p][None, :], s)
-            return qp**expo
-
-        val = float(np.prod(xy)) * pi_alpha_integrate(shifted, integrand, order)
-        r = float(np.linalg.norm(x[p] - y[p]))
-        best = max(best, val * mu_ball(alpha, x[p], r))
+        qp, _ = _q_forms(x[p][None, :], y[p][None, :], pts)
+        val = float(np.prod(xy)) * float(np.sum(w * qp**expo))
+        best = max(best, val * balls[p])
     return best
 
 
@@ -296,8 +293,10 @@ def lemma_suite(alpha, samples: int = 100000, seed: int = 99, order: int = 24) -
     for delta in (zero, e1, half):
         for kappa in (zero, e1, half):
             combos.append((delta, kappa))
-    c1 = max(_fit_lem4(alpha, dl, kp, order, seed) for dl, kp in combos)
-    c2 = max(_fit_lem4(alpha, dl, kp, 2 * order, seed) for dl, kp in combos)
+    x, y = sample_pairs(d, 40, seed, 0.1, 8.0)
+    balls = ball_measures(alpha, x, y)
+    c1, c2 = (max(_fit_lem4(alpha, dl, kp, o, x, y, balls) for dl, kp in combos)
+              for o in (order, 2 * order))
     drift = abs(c2 - c1) / c2
     out.append(
         LemmaResult("q_integral_vs_ball_measure", drift < 0.05, drift, len(combos) * 40,

@@ -42,8 +42,6 @@ from .specfun import composite_legendre_rule, log_bessel_mantissa_ratio
 
 __all__ = [
     "SingularPairError",
-    "zeta_of_t",
-    "t_of_zeta",
     "ZetaGrid",
     "TimeProfile",
     "KindSpec",
@@ -69,20 +67,6 @@ _MATMUL_BLOCK = 32
 
 class SingularPairError(ValueError):
     """Raised when a kernel is requested on the diagonal x = y."""
-
-
-def zeta_of_t(t: float) -> float:
-    """zeta = tanh t, mapping (0, inf) to (0, 1)."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return math.tanh(t)
-
-
-def t_of_zeta(zeta: float) -> float:
-    """Inverse substitution t = (1/2) log((1+zeta)/(1-zeta))."""
-    if not 0 < zeta < 1:
-        raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
-    return math.atanh(zeta)
 
 
 def _eta_of_t(t) -> np.ndarray:

@@ -21,11 +21,14 @@ __all__ = [
     "mu_box",
     "mu_ball",
     "doubling_ratio",
+    "pi_alpha_rule",
     "pi_alpha_integrate",
 ]
 
 # radii per call of the ball slicing, which bounds its memory at any dimension
 _SLICE_BATCH = 1 << 12
+# nodes of the outermost slicing level of a ball
+_BALL_ORDER = 96
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ def _mu_interval(a: float, lo, hi):
     return (np.maximum(hi, 0.0) ** p - lo**p) / p
 
 
-def _sliced_measure(a: tuple, center, radii: np.ndarray, order: int, plain=False) -> np.ndarray:
+def _sliced_measure(a: tuple, center, radii: np.ndarray, order: int) -> np.ndarray:
     """mu_a(B(center, r) intersected with R_+^d) for every r in the 1-d radii.
 
     The last coordinate's interval measure is exact.  Above it the ball is
@@ -110,13 +113,12 @@ def _sliced_measure(a: tuple, center, radii: np.ndarray, order: int, plain=False
     at the clip or (rho - D)^(2a_j + 5/2) where a disk slice reaches a face at
     distance D, so levels whose slices have one or two dimensions use
     smooth_ends panels of at least 32 nodes and higher levels plain panels
-    of at least 16, sharing order.  plain=True gives each panel order plain
-    nodes, which keeps d = 2 balls as they were computed before.
+    of at least 16, sharing order.
     """
     if len(a) == 1:
         return _mu_interval(a[0], center[0] - radii, center[0] + radii)
     if radii.size > _SLICE_BATCH:
-        return np.concatenate([_sliced_measure(a, center, radii[i:i + _SLICE_BATCH], order, plain)
+        return np.concatenate([_sliced_measure(a, center, radii[i:i + _SLICE_BATCH], order)
                                for i in range(0, radii.size, _SLICE_BATCH)])
     c1 = center[0]
     # distances from the slice centre to the faces {x_j = 0 for j in S} of the orthant
@@ -138,10 +140,10 @@ def _sliced_measure(a: tuple, center, radii: np.ndarray, order: int, plain=False
     n_edges = 1 + (edges > lo).sum(axis=1)
     out = np.empty(radii.shape)
     # radii with as many edges share one panel layout and one rule call
-    smooth = len(a) <= 3 and not plain
+    smooth = len(a) <= 3
     for n in set(n_edges.tolist()):
         sel = n_edges == n
-        per_panel = order if plain else max(order // (n - 1), 32 if smooth else 16)
+        per_panel = max(order // (n - 1), 32 if smooth else 16)
         theta, w = composite_legendre_rule(edges[sel, -n:], per_panel, smooth_ends=smooth)
         r = radii[sel, None, None]
         cos = np.cos(theta)
@@ -154,14 +156,14 @@ def _sliced_measure(a: tuple, center, radii: np.ndarray, order: int, plain=False
     return out
 
 
-def mu_ball(alpha, center, r: float, order: int = 96) -> float:
+def mu_ball(alpha, center, r: float) -> float:
     """mu_alpha(B(center, r) intersected with R_+^d).
 
-    d = 1 uses the exact interval formula, higher d _sliced_measure: order
-    nodes per panel at d = 2.  At d >= 3 each level shares its order among its
-    panels, with at least 32 nodes per panel where its slices have one or two
-    dimensions and 16 where they have more; the outermost level's order is
-    order, and a level of order o passes max(o // 2, 24) to the one below.
+    d = 1 uses the exact interval formula, every higher d _sliced_measure:
+    each level shares its order among its panels, with at least 32 nodes per
+    panel where its slices have one or two dimensions and 16 where they have
+    more; the outermost level's order is _BALL_ORDER, and a level of order o
+    passes max(o // 2, 24) to the one below.
     """
     alpha = as_alpha(alpha)
     center = np.asarray(center, dtype=float)
@@ -174,7 +176,7 @@ def mu_ball(alpha, center, r: float, order: int = 96) -> float:
     if alpha.d == 1:
         return float(_mu_interval(alpha.components[0], center[0] - r, center[0] + r))
     radii = np.array([float(r)])
-    return float(_sliced_measure(alpha.components, center, radii, order, plain=alpha.d == 2)[0])
+    return float(_sliced_measure(alpha.components, center, radii, _BALL_ORDER)[0])
 
 
 def doubling_ratio(alpha, center, r: float) -> float:
@@ -182,14 +184,13 @@ def doubling_ratio(alpha, center, r: float) -> float:
     return mu_ball(alpha, center, 2.0 * r) / mu_ball(alpha, center, r)
 
 
-def pi_alpha_integrate(alpha, f, order: int = 48) -> float:
-    """Integral of f over [-1,1]^d against Pi_alpha.
+def pi_alpha_rule(alpha, order: int):
+    """Points (npoints, d) and weights of the tensor rule for Pi_alpha on [-1,1]^d.
 
-    f is called with an (npoints, d) array and must return npoints values.
-    Coordinates with a_i > -1/2 carry a normalized Gauss-Jacobi rule;
-    coordinates with a_i = -1/2 carry the two point masses at +-1.  Detection
-    of the boundary case is by exact comparison: the measure changes type
-    discontinuously there, so a tolerance band would misclassify.
+    Coordinates with a_i > -1/2 carry a normalized Gauss-Jacobi rule of order
+    nodes; coordinates with a_i = -1/2 carry the two point masses at +-1.
+    Detection of the boundary case is by exact comparison: the measure
+    changes type discontinuously there, so a tolerance band would misclassify.
     """
     alpha = as_alpha(alpha)
     if min(alpha.components) < -0.5:
@@ -204,7 +205,15 @@ def pi_alpha_integrate(alpha, f, order: int = 48) -> float:
             norm = 1.0 / (math.sqrt(math.pi) * 2.0**a * math.gamma(a + 0.5))
             nodes.append(rule.nodes)
             weights.append(rule.weights * norm)
-    pts, w = tensor_rule(nodes, weights)
+    return tensor_rule(nodes, weights)
+
+
+def pi_alpha_integrate(alpha, f, order: int = 48) -> float:
+    """Integral of f over [-1,1]^d against Pi_alpha, on pi_alpha_rule(alpha, order).
+
+    f is called with an (npoints, d) array and must return npoints values.
+    """
+    pts, w = pi_alpha_rule(alpha, order)
     vals = np.asarray(f(pts), dtype=float).ravel()
     if vals.shape != (pts.shape[0],):
         raise ValueError("integrand must return one value per point")

@@ -115,9 +115,13 @@ class TestExitCodes:
         ("czscan", "alpha = 0.0\nkind = hPmod\n", "kind"),
         # the positional task must not silently override a different config task
         ("czscan", "alpha = 0.0\ntask = lemmas\n", "task"),
+        # a d = 5 ball measure takes 20-30 s, once per pair
+        ("czscan", "alpha = 0 0 0 0 0\n", "d = 5 ball takes 20-30 s"),
+        ("lemmas", "alpha = 0 0 0 0 0\n", "d = 5 ball takes 20-30 s"),
     ], ids=["alpha_below_range", "alpha_nan", "quad_order_0", "cutoff_negative",
             "gfun_cutoff_0", "verify_cutoff_0", "zeta_order_1", "zeta_levels_1",
-            "box_hi_inf", "hTmod_d1", "hPmod_d1", "task_contradicts_command"])
+            "box_hi_inf", "hTmod_d1", "hPmod_d1", "task_contradicts_command",
+            "czscan_d5", "lemmas_d5"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, task, text, field):
         path = write_config(tmp_path, text + "seed = 1\ncount = 3\n")
         code = main([task, "--config", path, "--out", str(tmp_path / "r.csv")])

@@ -18,6 +18,8 @@ from lps.czcheck import (
 from lps.kernels import KernelKind, SingularPairError, ZetaGrid
 
 GRID = ZetaGrid(order=8, levels_zero=30, levels_one=30)
+_X = sample_pairs(2, 4, 1)[0]
+_ELEMENT_3 = np.arange(_X.size).reshape(_X.shape) == 3
 
 
 def scan_one(alpha, kind, estimate, x, y, pert=None, grid=GRID):
@@ -70,15 +72,16 @@ class TestSamplers:
             x, y = sample_pairs(d, 50, 20 + d)
             assert np.array_equal(sample_perturbed(x, y, 9), unbounded(x, y, 9))
 
-    @pytest.mark.parametrize("bad", [
-        lambda x: x.copy(),
-        lambda x: np.where(np.arange(x.size).reshape(x.shape) == 3, np.nan, x),
-        lambda x: np.where(np.arange(x.size).reshape(x.shape) == 3, np.inf, x),
-    ], ids=["coincident", "nan", "inf"])
-    def test_perturbation_rejects_degenerate_pair(self, bad):
-        x, _ = sample_pairs(2, 4, 1)
-        with pytest.raises(ValueError, match="pair [01] .* coincident or not finite"):
-            sample_perturbed(x, bad(x), 1)
+    @pytest.mark.parametrize("x,y,cause", [
+        (_X, _X.copy(), "coincident or not finite"),
+        (_X, np.where(_ELEMENT_3, np.nan, _X), "coincident or not finite"),
+        (_X, np.where(_ELEMENT_3, np.inf, _X), "coincident or not finite"),
+        # |x - y| below the spacing of x's coordinates: every draw rounds back to x
+        (np.array([[1.0, 2.0]]), np.array([[1.0 + 2.2e-16, 2.0]]), "rounded outside"),
+    ], ids=["coincident", "nan", "inf", "below_spacing"])
+    def test_perturbation_rejects_degenerate_pair(self, x, y, cause):
+        with pytest.raises(ValueError, match=f"pair [01] .* {cause}"):
+            sample_perturbed(x, y, 1)
 
     def test_perturbation_draws_are_bounded(self):
         # no point within the radius of x = -1 has a positive coordinate
@@ -173,6 +176,23 @@ class TestLemmaSuite:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             lemma_suite(-0.8, samples=10)
+
+    def test_balls_and_rules_built_once(self, monkeypatch):
+        # 40 pairs, one ball each; one Pi_alpha rule per (delta, kappa, order)
+        from lps import czcheck
+
+        calls = {"ball": 0, "rule": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(czcheck, "mu_ball", counted("ball", czcheck.mu_ball))
+        monkeypatch.setattr(czcheck, "pi_alpha_rule", counted("rule", czcheck.pi_alpha_rule))
+        lemma_suite((0.0, -0.5), samples=100, seed=23)
+        assert calls == {"ball": 40, "rule": 18}
 
 
 @settings(max_examples=200, deadline=None)

@@ -21,8 +21,6 @@ from lps.kernels import (
     modified_heat_kernel,
     poisson_kernel,
     subordination_u_rule,
-    t_of_zeta,
-    zeta_of_t,
 )
 from lps.measure import as_alpha
 from lps.specfun import gauss_laguerre_rule
@@ -42,23 +40,6 @@ def poisson_spectral(alpha, t, x, y, cutoff=300):
     n = np.arange(cutoff + 1)
     lam = 4.0 * n + 2.0 * alpha.total + 2.0 * alpha.d
     return float(np.sum(np.exp(-t * np.sqrt(lam)) * level[: cutoff + 1]))
-
-
-class TestZetaSubstitution:
-    def test_round_trip(self):
-        assert t_of_zeta(zeta_of_t(0.7)) == pytest.approx(0.7, rel=1e-14)
-
-    def test_small_t_expansion(self):
-        assert abs(zeta_of_t(1e-4) - 1e-4) <= 1e-11
-
-    def test_large_t_saturates(self):
-        assert zeta_of_t(20.0) >= 1.0 - 1e-16
-
-    def test_domains(self):
-        with pytest.raises(ValueError):
-            zeta_of_t(0.0)
-        with pytest.raises(ValueError):
-            t_of_zeta(1.0)
 
 
 class TestHeatKernel:

@@ -191,6 +191,10 @@ class TestMuBall:
             # and 4e-7
             ((0.2, 0.3, 0.7), (1.0231, 0.1081, 0.1386), 7.1742),
             ((-0.3, 0.0, 0.4), (0.6, 0.2, 1.5), 2.0),
+            # ball 16 of sample_pairs(2, 40, 7), clipped at both faces, where
+            # plain panels of 96 nodes at d = 2 were off by 1.6e-6 and 3.9e-10
+            ((-0.3, 0.7), (0.05322411035166527, 0.13857762338271398), 6.889089182602208),
+            ((0.2, 0.3), (0.05322411035166527, 0.13857762338271398), 6.889089182602208),
         ],
     )
     def test_clipped_ball_vs_nested_quad(self, alpha, c, r):
