@@ -32,7 +32,7 @@ from .czcheck import (
     riesz_identity_check,
     scan,
 )
-from .gfunctions import GFunctionKind, gfun_exact, gfun_l2_exact, gfun_l2_norm, gfun_quadrature
+from .gfunctions import gfun_exact, gfun_l2_exact, gfun_l2_norm, gfun_quadrature
 from .kernels import (
     KernelKind,
     SingularPairError,

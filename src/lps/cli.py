@@ -21,7 +21,7 @@ import stat
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import basis as basis_mod
 from . import czcheck
 from .basis import PLAIN, differentiated, ell_batch
 from .czcheck import lemma_suite, random_expansion, riesz_identity_check
-from .gfunctions import GFunctionKind, gfun_l2_exact, gfun_l2_norm
+from .gfunctions import gfun_l2_exact, gfun_l2_norm
 from .kernels import (
     KIND_TABLE,
     KernelKind,
@@ -44,7 +44,6 @@ from .measure import as_alpha
 
 __all__ = ["RunConfig", "run", "main"]
 
-TASKS = ("basis", "kernel", "gfun", "verify", "czscan", "lemmas")
 THREAD_ENV = "LPS_THREADS"
 # fewest sample pairs worth a worker of their own in czscan: one Poisson
 # matmul block; smaller spans pad that matmul with zero rows, and two
@@ -82,7 +81,7 @@ class RunConfig:
 
     def validate(self):
         if self.task not in TASKS:
-            raise ConfigError(f"task: unknown task {self.task!r}, expected one of {TASKS}")
+            raise ConfigError(f"task: unknown task {self.task!r}, expected one of {tuple(TASKS)}")
         try:
             a = as_alpha(self.alpha)
         except ValueError as exc:
@@ -144,26 +143,16 @@ class RunConfig:
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
-_FIELD_PARSERS = {
-    "alpha": lambda v: tuple(float(p) for p in v.replace(",", " ").split()),
-    "task": str,
-    "dimension": int,
-    "zeta_order": int,
-    "zeta_levels": int,
-    "quad_order": int,
-    "cutoff": int,
-    "count": int,
-    "seed": int,
-    "box_lo": float,
-    "box_hi": float,
-    "kind": str,
-    "estimate": str,
-    "out": str,
-    "format": str,
-    "threads": str,
-    "timestamp": lambda v: _BOOL[v.lower()],
-    "refine": lambda v: _BOOL[v.lower()],
+# the config schema is RunConfig itself: each field is parsed by its type
+_TYPE_PARSERS = {
+    tuple: lambda v: tuple(float(p) for p in v.replace(",", " ").split()),
+    str: str,
+    int: int,
+    int | None: int,
+    float: float,
+    bool: lambda v: _BOOL[v.lower()],
 }
+_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config(path: str) -> dict:
@@ -281,22 +270,21 @@ def _gfun_rows(cfg: RunConfig, alpha, report: Report):
     worst_row = None
     for n in range(cfg.count):
         seed = int(rng.integers(0, 2**31))
-        for spec in KIND_TABLE.values():
-            if spec.deriv != "d":
-                continue  # the vertical square functions are the isometries
-            kind = GFunctionKind(spec.gtag, *spec.default_coords)
+        # the vertical square functions are the isometries
+        for kind in (k for k in default_kinds(alpha.d) if k.spec.deriv == "d"):
             e = random_expansion(alpha, kind.input_family(), nmodes=8, max_level=cfg.cutoff,
                                  seed=seed)
             norm = gfun_l2_norm(kind, e, order=cfg.quad_order)
             dev = abs(norm - 0.5 * e.l2_norm()) / (0.5 * e.l2_norm())
-            report.add(check=f"isometry_{kind.tag}", sample=n, deviation=float(dev))
+            check = f"isometry_{kind.spec.gtag}"
+            report.add(check=check, sample=n, deviation=float(dev))
             if dev > worst:
-                worst, worst_row = float(dev), (f"isometry_{kind.tag}", n)
+                worst, worst_row = float(dev), (check, n)
         # horizontal: combined square sum against the spectral closed form
         e = random_expansion(alpha, PLAIN, nmodes=8, max_level=cfg.cutoff, seed=seed + 1)
-        quad = sum(gfun_l2_norm(GFunctionKind("gHT", i=i), e, order=cfg.quad_order) ** 2
+        quad = sum(gfun_l2_norm(KernelKind("hT", i=i), e, order=cfg.quad_order) ** 2
                    for i in range(1, alpha.d + 1))
-        exact = sum(gfun_l2_exact(GFunctionKind("gHT", i=i), e) ** 2
+        exact = sum(gfun_l2_exact(KernelKind("hT", i=i), e) ** 2
                     for i in range(1, alpha.d + 1))
         dev = abs(quad - exact) / max(exact, 1e-300)
         report.add(check="horizontal_heat_sum", sample=n, deviation=float(dev))
@@ -423,24 +411,16 @@ def _task_lemmas(cfg: RunConfig, alpha, report: Report):
     return worst, worst_row, ok
 
 
-_COLUMNS = {
-    "basis": ["family", "k", "l", "gram", "deviation"],
-    "kernel": ["t", "x", "y", "closed", "schlafli", "spectral", "rel_dev"],
-    "gfun": ["check", "sample", "deviation"],
-    "verify": ["t", "x", "y", "closed", "schlafli", "spectral", "rel_dev",
-               "check", "sample", "deviation"],
-    "czscan": ["kind", "estimate", "x", "y", "perturbed", "kernel_norm",
-               "ball_measure", "ratio", "constraint_ok"],
-    "lemmas": ["lemma", "passed", "margin", "samples", "detail"],
-}
-
-_RUNNERS = {
-    "basis": _task_basis,
-    "kernel": _task_kernel,
-    "gfun": _task_gfun,
-    "verify": _task_verify,
-    "czscan": _task_czscan,
-    "lemmas": _task_lemmas,
+# every task: its runner and the columns of its report
+TASKS = {
+    "basis": (_task_basis, ["family", "k", "l", "gram", "deviation"]),
+    "kernel": (_task_kernel, ["t", "x", "y", "closed", "schlafli", "spectral", "rel_dev"]),
+    "gfun": (_task_gfun, ["check", "sample", "deviation"]),
+    "verify": (_task_verify, ["t", "x", "y", "closed", "schlafli", "spectral", "rel_dev",
+                              "check", "sample", "deviation"]),
+    "czscan": (_task_czscan, ["kind", "estimate", "x", "y", "perturbed", "kernel_norm",
+                              "ball_measure", "ratio", "constraint_ok"]),
+    "lemmas": (_task_lemmas, ["lemma", "passed", "margin", "samples", "detail"]),
 }
 
 
@@ -453,8 +433,9 @@ def run(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    report = Report(_COLUMNS[cfg.task])
-    worst, worst_row, ok = _RUNNERS[cfg.task](cfg, alpha, report)
+    runner, columns = TASKS[cfg.task]
+    report = Report(columns)
+    worst, worst_row, ok = runner(cfg, alpha, report)
     elapsed = time.perf_counter() - t0
     out = cfg.out or f"lps_{cfg.task}.{ 'csv' if cfg.format == 'csv' else 'jsonl' }"
     header = [

@@ -255,17 +255,18 @@ def _fit_lem4(alpha, delta, kappa, order: int, x, y, balls) -> float:
     return best
 
 
-def lemma_suite(alpha, samples: int = 100000, seed: int = 99, order: int = 24) -> list:
+def lemma_suite(alpha, samples: int = 100000, seed: int = 99) -> list:
     """Exact inequalities on random samples; quadrature bounds by fitted constants.
 
     Exact ones must hold with zero violations; integral ones are accepted when
-    the fitted constant moves < 5% under quadrature refinement.
+    the fitted constant moves < 5% from quadrature order 24 to 48.
     """
     alpha = as_alpha(alpha)
     if not alpha.cz_eligible:
         raise ValueError("the lemma suite requires alpha in [-1/2, inf)^d")
     rng = np.random.default_rng(seed)
     d = alpha.d
+    order = 24
     out = []
 
     m = _lemma_obs(rng, samples, d)
@@ -344,13 +345,14 @@ def riesz_identity_check(alpha, j: int, e: Expansion, t_grid, x_grid) -> float:
     return worst
 
 
-def counterexample_profile(a: float, x_grid, grid: ZetaGrid | None = None, fd_step: float = 1e-5):
+def counterexample_profile(a: float, x_grid, grid: ZetaGrid | None = None):
     """The adjoint-derivative square function of the ground state, two ways.
 
     Swapping delta_1 for delta_1^* in the horizontal heat square function and
     applying it to l_0 yields |2x - (2a+1)/x| l_0(x) / sqrt(4a + 4) in closed
-    form; the quadrature route differences the semigroup action in x and takes
-    the L^2(dt) norm on the grid.  Returns (closed, quadrature, max deviation).
+    form; the quadrature route differences the semigroup action in x (central
+    differences, step 1e-5) and takes the L^2(dt) norm on the grid.  Returns
+    (closed, quadrature, max deviation).
     """
     alpha = as_alpha(a)
     if alpha.d != 1:
@@ -361,7 +363,7 @@ def counterexample_profile(a: float, x_grid, grid: ZetaGrid | None = None, fd_st
     l0 = ell(alpha, (0,), x[:, None])
     closed = np.abs(2.0 * x - (2.0 * a + 1.0) / x) * l0 / math.sqrt(4.0 * a + 4.0)
 
-    h = fd_step
+    h = 1e-5
     lp = ell(alpha, (0,), (x + h)[:, None])
     lm = ell(alpha, (0,), (x - h)[:, None])
     dstar = -(lp - lm) / (2.0 * h) + (x - (2.0 * a + 1.0) / x) * l0

@@ -8,22 +8,20 @@ is a closed double sum:
     ||.||^2 over t dt :  sum_(m,m') a_m a_m' / (nu_m + nu_m')^2
     ||.||^2 over dt   :  sum_(m,m') a_m a_m' / (nu_m + nu_m')
 
-The amplitudes a_m(x) come from one extraction table: each kind contributes a
-per-mode multiplier (an eigenvalue factor for vertical kinds, a ladder factor
--2 sqrt(k_i) for horizontal ones) and an output basis family.  The same table
-drives the ζ-grid quadrature route used for cross-checking.
+Every entry point takes the KernelKind of the square function's kernel; the
+square function's name is kind.spec.gtag (gVT, gHPmod, ...).  The amplitudes
+a_m(x) come from the kind: a per-mode multiplier (an eigenvalue factor for
+vertical kinds, a ladder factor -2 sqrt(k_c) for horizontal ones, c =
+kind.coord) and the output system kind.output_shifts.  The same amplitudes
+drive the ζ-grid quadrature route used for cross-checking.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Expansion, PLAIN, _as_points, _quad_grid, differentiated, eigenvalue, ell_batch
-from .kernels import KIND_TABLE, KindSpec, TimeProfile, ZetaGrid
+from .basis import Expansion, _as_points, _quad_grid, eigenvalue, ell_batch
+from .kernels import KernelKind, TimeProfile, ZetaGrid
 
 __all__ = [
-    "GFunctionKind",
-    "GFUNCTION_TAGS",
     "gfun_exact",
     "gfun_quadrature",
     "gfun_profile",
@@ -31,89 +29,49 @@ __all__ = [
     "gfun_l2_exact",
 ]
 
-# each square function is the g-function of one kernel kind of the table
-_SPEC_OF = {spec.gtag: spec for sg in ("T", "P") for spec in KIND_TABLE.values()
-            if spec.semigroup == sg}
-GFUNCTION_TAGS = tuple(_SPEC_OF)
 
-
-@dataclass(frozen=True)
-class GFunctionKind:
-    """Square-function tag with derivative coordinate i and family coordinate j."""
-
-    tag: str
-    i: int = 0
-    j: int = 0
-
-    def __post_init__(self):
-        if self.tag not in _SPEC_OF:
-            raise ValueError(f"unknown g-function tag {self.tag!r}")
-        self.spec.check_coords(self.tag, self.i, self.j)
-
-    @property
-    def spec(self) -> KindSpec:
-        return _SPEC_OF[self.tag]
-
-    @property
-    def measure_kind(self) -> str:
-        return self.spec.measure_kind
-
-    @property
-    def is_poisson(self) -> bool:
-        return self.spec.semigroup == "P"
-
-    def input_family(self):
-        return differentiated(self.j) if self.spec.modified else PLAIN
-
-
-def _check_input(kind: GFunctionKind, e: Expansion):
+def _check_input(kind: KernelKind, e: Expansion):
+    kind.check_dimension(e.alpha.d)
     want = kind.input_family()
     if e.family != want:
         raise ValueError(
-            f"{kind.tag} expects the {want.kind} family"
+            f"{kind.spec.gtag} expects the {want.kind} family"
             + (f" (j={want.j})" if not want.is_plain else "")
         )
 
 
-def _modes(kind: GFunctionKind, e: Expansion):
+def _modes(kind: KernelKind, e: Expansion):
     """Per-mode decay rates, multipliers and indices, and the output shifts.
 
     The output of mode k is the member k of the system ell_batch evaluates
     with the returned shift coordinates.
     """
     alpha = e.alpha
-    spec = kind.spec
-    if spec.deriv == "d":
-        shifts = e.family.shifts
-    elif spec.deriv == "h":
-        shifts = (kind.i, kind.j) if spec.modified else (kind.i,)
-    else:  # hStar
-        shifts = ()
     nus, mults, indices = [], [], []
     for k, c in e.coeffs.items():
         lam = eigenvalue(alpha, sum(k))
         nu = np.sqrt(lam) if kind.is_poisson else lam
-        if spec.deriv == "d":
+        if kind.spec.deriv == "d":
             mult = -nu
-        elif spec.deriv == "h":
-            if k[kind.i - 1] == 0:
+        else:
+            # delta_i and delta_j^* lower k_c by one, with factor -2 sqrt(k_c)
+            kc = k[kind.coord - 1]
+            if kc == 0:
                 continue
-            mult = -2.0 * np.sqrt(k[kind.i - 1])
-        else:  # hStar
-            mult = -2.0 * np.sqrt(k[kind.j - 1])
+            mult = -2.0 * np.sqrt(kc)
         nus.append(nu)
         mults.append(mult * c)
         indices.append(k)
-    return np.asarray(nus), np.asarray(mults), indices, shifts
+    return np.asarray(nus), np.asarray(mults), indices, kind.output_shifts
 
 
-def _amplitudes(kind: GFunctionKind, e: Expansion, pts: np.ndarray):
+def _amplitudes(kind: KernelKind, e: Expansion, pts: np.ndarray):
     """Amplitude matrix (nmodes, npts) and decay rates (nmodes,)."""
     nus, mults, indices, shifts = _modes(kind, e)
     return nus, mults[:, None] * ell_batch(e.alpha, shifts, indices, pts)
 
 
-def gfun_exact(kind: GFunctionKind, e: Expansion, x):
+def gfun_exact(kind: KernelKind, e: Expansion, x):
     """Pointwise value of the square function, by the closed double sum."""
     _check_input(kind, e)
     pts, single = _as_points(e.alpha, x)
@@ -127,7 +85,7 @@ def gfun_exact(kind: GFunctionKind, e: Expansion, x):
     return float(out[0]) if single else out
 
 
-def gfun_quadrature(kind: GFunctionKind, e: Expansion, x, grid: ZetaGrid | None = None):
+def gfun_quadrature(kind: KernelKind, e: Expansion, x, grid: ZetaGrid | None = None):
     """Same value through the ζ-grid time quadrature; cross-check route."""
     _check_input(kind, e)
     grid = grid or ZetaGrid()
@@ -142,7 +100,7 @@ def gfun_quadrature(kind: GFunctionKind, e: Expansion, x, grid: ZetaGrid | None 
     return float(out[0]) if single else out
 
 
-def gfun_profile(kind: GFunctionKind, e: Expansion, x, grid: ZetaGrid | None = None) -> TimeProfile:
+def gfun_profile(kind: KernelKind, e: Expansion, x, grid: ZetaGrid | None = None) -> TimeProfile:
     """The time integrand at one point x, as a TimeProfile."""
     _check_input(kind, e)
     grid = grid or ZetaGrid()
@@ -153,7 +111,7 @@ def gfun_profile(kind: GFunctionKind, e: Expansion, x, grid: ZetaGrid | None = N
     return TimeProfile(kind.measure_kind, grid.zeta, vals, grid.time_weights(kind.measure_kind))
 
 
-def gfun_l2_norm(kind: GFunctionKind, e: Expansion, order: int = 64) -> float:
+def gfun_l2_norm(kind: KernelKind, e: Expansion, order: int = 64) -> float:
     """||g(f)||_{L^2(d mu_alpha)} by Gauss-Laguerre quadrature of gfun_exact^2."""
     _check_input(kind, e)
     pts, w = _quad_grid(e.alpha, order)
@@ -161,7 +119,7 @@ def gfun_l2_norm(kind: GFunctionKind, e: Expansion, order: int = 64) -> float:
     return float(np.sqrt(np.sum(w * vals**2)))
 
 
-def gfun_l2_exact(kind: GFunctionKind, e: Expansion) -> float:
+def gfun_l2_exact(kind: KernelKind, e: Expansion) -> float:
     """The same norm from orthonormality of the output system (spectral form)."""
     _check_input(kind, e)
     if not e.coeffs:

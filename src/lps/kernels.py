@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .basis import ell_table
+from .basis import PLAIN, BasisFamily, differentiated, ell_table
 from .measure import AlphaParam, as_alpha, pi_alpha_integrate
 from .specfun import composite_legendre_rule, log_bessel_mantissa_ratio
 
@@ -128,8 +128,9 @@ class ZetaGrid:
             return self.wz * self.t * self.jacobian
         raise ValueError(f"unknown measure kind {measure_kind!r}")
 
-    def refined(self, factor: int = 2) -> "ZetaGrid":
-        return ZetaGrid(self.order * factor, self.levels_zero, self.levels_one)
+    def refined(self) -> "ZetaGrid":
+        """The same panels with twice the nodes per panel."""
+        return ZetaGrid(2 * self.order, self.levels_zero, self.levels_one)
 
 
 @dataclass
@@ -207,15 +208,6 @@ class KindSpec:
         i = (2 if self.modified else 1) if self.needs_i else 0
         return i, (1 if self.modified else 0)
 
-    def check_coords(self, tag: str, i: int, j: int):
-        """Raise ValueError unless (i, j) are valid coordinates for the kind."""
-        if self.needs_i and i < 1:
-            raise ValueError(f"{tag} needs a derivative coordinate i")
-        if self.modified and j < 1:
-            raise ValueError(f"{tag} needs a semigroup coordinate j")
-        if self.needs_i and self.modified and i == j:
-            raise ValueError(f"{tag} requires i != j (i = j is the Star kind)")
-
 
 KIND_TABLE = {spec.tag: spec for spec in (KindSpec(*c) for c in _KIND_CHOICES)}
 KERNEL_TAGS = tuple(KIND_TABLE)
@@ -223,7 +215,11 @@ KERNEL_TAGS = tuple(KIND_TABLE)
 
 @dataclass(frozen=True)
 class KernelKind:
-    """One of the ten kernel tags, with coordinates i (derivative) and j (family)."""
+    """One of the ten kinds, with coordinates i (derivative) and j (family).
+
+    A kind names both a vector-valued kernel (tag dT, hPmod, ...) and the
+    square function of that kernel (spec.gtag gVT, gHPmod, ...).
+    """
 
     tag: str
     i: int = 0
@@ -232,7 +228,22 @@ class KernelKind:
     def __post_init__(self):
         if self.tag not in KIND_TABLE:
             raise ValueError(f"unknown kernel tag {self.tag!r}")
-        self.spec.check_coords(self.tag, self.i, self.j)
+        spec = self.spec
+        for name, role, value, used in (("i", "derivative", self.i, spec.needs_i),
+                                        ("j", "semigroup", self.j, spec.modified)):
+            if used and value < 1:
+                raise ValueError(f"{self.tag} needs a {role} coordinate {name}")
+            if not used and value:
+                raise ValueError(f"{self.tag} takes no {role} coordinate, got {name}={value}")
+        if spec.needs_i and spec.modified and self.i == self.j:
+            raise ValueError(f"{self.tag} requires i != j (i = j is the Star kind)")
+
+    def check_dimension(self, d: int):
+        """Raise ValueError if a coordinate of the kind exceeds the dimension d."""
+        for name, value in (("i", self.i), ("j", self.j)):
+            if value > d:
+                raise ValueError(
+                    f"{self.tag}: coordinate {name}={value} exceeds the dimension d={d}")
 
     @property
     def spec(self) -> KindSpec:
@@ -245,6 +256,27 @@ class KernelKind:
     @property
     def is_poisson(self) -> bool:
         return self.spec.semigroup == "P"
+
+    @property
+    def coord(self) -> int:
+        """The coordinate the space derivative acts on: i for delta_i, j for delta_j^*."""
+        return {"h": self.i, "hStar": self.j}.get(self.spec.deriv, 0)
+
+    def input_family(self) -> BasisFamily:
+        """The system the square function's input expands in."""
+        return differentiated(self.j) if self.spec.modified else PLAIN
+
+    @property
+    def output_shifts(self) -> tuple:
+        """ell_batch shifts of the system the derivative maps the input family to.
+
+        d/dt keeps the input family, delta_i adds coordinate i to it, and
+        delta_j^* takes the j-differentiated family back to the plain one.
+        """
+        if self.spec.deriv == "hStar":
+            return ()
+        shifts = self.input_family().shifts
+        return (self.i,) + shifts if self.spec.deriv == "h" else shifts
 
     def heat_counterpart(self) -> "KernelKind":
         """The heat kind this Poisson kind is subordinated from."""
@@ -345,21 +377,19 @@ def _heat_kind_values(alpha: AlphaParam, kind: KernelKind, x, y, zeta, eta):
         )
         if spec.modified:
             factor = factor - 2.0
-    elif spec.deriv == "h":
-        i = kind.i
-        xi = x[:, i - 1][:, None]
-        yi = y[:, i - 1][:, None]
-        factor = xi * (1.0 - coth2t) + xi * yi * yi * ratio[i - 1] * inv_s**2
-    else:  # hStar
-        j = kind.j
-        xj = x[:, j - 1][:, None]
-        yj = y[:, j - 1][:, None]
-        aj = alpha.components[j - 1]
-        factor = (
-            xj * xj * (1.0 + coth2t)
-            - (2.0 * aj + 2.0)
-            - xj * xj * yj * yj * ratio[j - 1] * inv_s**2
-        )
+    else:
+        c = kind.coord
+        xc = x[:, c - 1][:, None]
+        yc = y[:, c - 1][:, None]
+        if spec.deriv == "h":
+            factor = xc * (1.0 - coth2t) + xc * yc * yc * ratio[c - 1] * inv_s**2
+        else:  # hStar
+            ac = alpha.components[c - 1]
+            factor = (
+                xc * xc * (1.0 + coth2t)
+                - (2.0 * ac + 2.0)
+                - xc * xc * yc * yc * ratio[c - 1] * inv_s**2
+            )
 
     vals = _exp_floor(logg, factor)
     e2t = eta / (1.0 + zeta)
@@ -370,10 +400,11 @@ def _heat_kind_values(alpha: AlphaParam, kind: KernelKind, x, y, zeta, eta):
     return vals
 
 
-@lru_cache(maxsize=32)
-def _default_inner_grid(order: int = 12) -> ZetaGrid:
+@lru_cache(maxsize=1)
+def _default_inner_grid() -> ZetaGrid:
+    """The inner tau grid of every Poisson kind."""
     # extra depth toward zeta = 1 keeps subordination truncation below 1e-9
-    return ZetaGrid(order=order, levels_zero=40, levels_one=60)
+    return ZetaGrid(order=12, levels_zero=40, levels_one=60)
 
 
 @lru_cache(maxsize=64)
@@ -392,8 +423,7 @@ def _subordination_matrix(outer: ZetaGrid, inner: ZetaGrid, time_derivative: boo
     return mat
 
 
-def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid,
-                  inner: ZetaGrid | None = None) -> np.ndarray:
+def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid) -> np.ndarray:
     """Batched kernel entries: values of shape (npairs, grid.n).
 
     x and y are (npairs, d) arrays of off-diagonal point pairs.
@@ -401,6 +431,7 @@ def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid,
     alpha = as_alpha(alpha)
     if not alpha.cz_eligible:
         raise ValueError("kernel entries require alpha in [-1/2, inf)^d")
+    kind.check_dimension(alpha.d)
     x = _pair_array(x, alpha.d)
     y = _pair_array(y, alpha.d)
     if x.shape != y.shape:
@@ -409,7 +440,7 @@ def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid,
         raise SingularPairError("kernel entries are undefined on the diagonal x = y")
     if not kind.is_poisson:
         return _heat_kind_values(alpha, kind, x, y, grid.zeta, grid.eta)
-    inner = inner or _default_inner_grid()
+    inner = _default_inner_grid()
     heat = _heat_kind_values(alpha, kind.heat_counterpart(), x, y, inner.zeta, inner.eta)
     mat = _subordination_matrix(grid, inner, kind.spec.deriv == "d").T
     # fixed-shape blocks (zero-padded) keep the BLAS summation order, and
@@ -425,17 +456,29 @@ def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid,
     return out
 
 
-def kernel_entry(alpha, kind: KernelKind, x, y, grid: ZetaGrid | None = None,
-                 inner: ZetaGrid | None = None) -> TimeProfile:
+def kernel_entry(alpha, kind: KernelKind, x, y, grid: ZetaGrid | None = None) -> TimeProfile:
     """The vector-valued kernel entry at one pair (x, y), as a TimeProfile."""
     grid = grid or ZetaGrid()
-    vals = kernel_values(alpha, kind, x, y, grid, inner)
+    vals = kernel_values(alpha, kind, x, y, grid)
     return TimeProfile(
         measure_kind=kind.measure_kind,
         zeta_nodes=grid.zeta,
         values=vals[0],
         weights=grid.time_weights(kind.measure_kind),
     )
+
+
+def _check_time(t):
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, got {t}")
+
+
+def _point(p, d: int) -> np.ndarray:
+    """One point of the open orthant as a (1, d) array."""
+    p = _pair_array(p, d)
+    if p.shape[0] != 1:
+        raise ValueError(f"expected one point with {d} coordinates, got {p.shape[0]}")
+    return p
 
 
 def _heat_values_at_times(alpha: AlphaParam, t, x, y) -> np.ndarray:
@@ -451,22 +494,20 @@ def _heat_values_at_times(alpha: AlphaParam, t, x, y) -> np.ndarray:
 def heat_kernel_closed(alpha, t: float, x, y) -> float:
     """Heat kernel G_t(x, y) from the closed Bessel-product formula."""
     alpha = as_alpha(alpha)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    x = _pair_array(x, alpha.d)
-    y = _pair_array(y, alpha.d)
+    _check_time(t)
+    x = _point(x, alpha.d)
+    y = _point(y, alpha.d)
     return float(_heat_values_at_times(alpha, t, x, y)[0])
 
 
 def heat_kernel_spectral(alpha, t: float, x, y, cutoff: int) -> float:
     """Partial spectral sum of the heat kernel through levels |k| <= cutoff."""
     alpha = as_alpha(alpha)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_time(t)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    x = _pair_array(x, alpha.d)
-    y = _pair_array(y, alpha.d)
+    x = _point(x, alpha.d)
+    y = _point(y, alpha.d)
     tx = ell_table(alpha, cutoff, x)
     ty = ell_table(alpha, cutoff, y)
     level = None
@@ -486,10 +527,9 @@ def heat_kernel_schlafli(alpha, t: float, x, y, order: int = 64) -> float:
     alpha = as_alpha(alpha)
     if not alpha.cz_eligible:
         raise ValueError("the integral representation requires alpha in [-1/2, inf)^d")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    x = np.asarray(x, dtype=float).reshape(alpha.d)
-    y = np.asarray(y, dtype=float).reshape(alpha.d)
+    _check_time(t)
+    x = _point(x, alpha.d)[0]
+    y = _point(y, alpha.d)[0]
     zeta = math.tanh(t)
     sq = float(np.dot(x, x) + np.dot(y, y))
     xy = x * y
@@ -506,44 +546,42 @@ def heat_kernel_schlafli(alpha, t: float, x, y, order: int = 64) -> float:
 def modified_heat_kernel(alpha, j: int, t: float, x, y) -> float:
     """Kernel of the modified semigroup: e^(-2t) x_j y_j G_t^(alpha+e_j)(x, y)."""
     alpha = as_alpha(alpha)
-    x = np.asarray(x, dtype=float).reshape(alpha.d)
-    y = np.asarray(y, dtype=float).reshape(alpha.d)
-    return (
-        math.exp(-2.0 * t)
-        * x[j - 1]
-        * y[j - 1]
-        * heat_kernel_closed(alpha.shifted(j), t, x, y)
-    )
+    _check_time(t)
+    base = alpha.shifted(j)
+    x = _point(x, alpha.d)[0]
+    y = _point(y, alpha.d)[0]
+    return math.exp(-2.0 * t) * x[j - 1] * y[j - 1] * heat_kernel_closed(base, t, x, y)
 
 
-@lru_cache(maxsize=16)
-def subordination_u_rule(order: int = 20, levels: int = 24, vmax: float = 14.0):
+@lru_cache(maxsize=1)
+def subordination_u_rule():
     """Quadrature (u_q, w_q) for (1/sqrt(pi)) int e^-u u^(-1/2) f(u) du.
 
     Substituting u = v^2 removes the endpoint singularity and turns the
     subordination factors exp(-c/u) into C-infinity functions of v; dyadically
     graded Legendre panels then converge to machine precision.  A generalized
     Gauss-Laguerre rule in u stalls near 1e-2 relative error on exactly the
-    slowly-decaying modes the identity tests exercise.
+    slowly-decaying modes the identity tests exercise.  The rule has 20 nodes
+    on each panel: 24 levels graded toward v = 0, then panels doubling in
+    width up to v = 14, where e^(-v^2) is below 1e-85.
     """
-    edges = [0.5**m for m in range(levels, -1, -1)]
+    edges = [0.5**m for m in range(24, -1, -1)]
     hi = 1.0
-    while hi < vmax:
-        edges.append(min(2.0 * hi, vmax))
+    while hi < 14.0:
+        edges.append(min(2.0 * hi, 14.0))
         hi *= 2.0
-    v, w = (a.ravel() for a in composite_legendre_rule(edges, order))
+    v, w = (a.ravel() for a in composite_legendre_rule(edges, 20))
     return v * v, 2.0 * np.exp(-v * v) * w / math.sqrt(math.pi)
 
 
-def poisson_kernel(alpha, t: float, x, y, j: int | None = None, u_order: int = 20) -> float:
+def poisson_kernel(alpha, t: float, x, y, j: int | None = None) -> float:
     """Poisson kernel (or its modified variant for coordinate j) by subordination."""
     alpha = as_alpha(alpha)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_time(t)
     base = alpha if j is None else alpha.shifted(j)
-    x = _pair_array(x, alpha.d)
-    y = _pair_array(y, alpha.d)
-    u, w = subordination_u_rule(u_order)
+    x = _point(x, alpha.d)
+    y = _point(y, alpha.d)
+    u, w = subordination_u_rule()
     tau = t * t / (4.0 * u)
     vals = _heat_values_at_times(base, tau, x, y)
     if j is not None:
@@ -555,8 +593,7 @@ def _fd_step(scale: float) -> float:
     return 1e-5 * max(scale, 0.1)
 
 
-def kernel_entry_fd(alpha, kind: KernelKind, x, y, grid: ZetaGrid | None = None,
-                    u_order: int = 20) -> TimeProfile:
+def kernel_entry_fd(alpha, kind: KernelKind, x, y, grid: ZetaGrid | None = None) -> TimeProfile:
     """Finite-difference realization of kernel_entry; a test oracle only.
 
     Time derivatives are central differences of the undifferentiated kernel;
@@ -564,9 +601,10 @@ def kernel_entry_fd(alpha, kind: KernelKind, x, y, grid: ZetaGrid | None = None,
     zeroth-order terms of delta_i or delta_j^*.
     """
     alpha = as_alpha(alpha)
+    kind.check_dimension(alpha.d)
     grid = grid or ZetaGrid()
-    x = np.asarray(x, dtype=float).reshape(alpha.d)
-    y = np.asarray(y, dtype=float).reshape(alpha.d)
+    x = _point(x, alpha.d)[0]
+    y = _point(y, alpha.d)[0]
     if np.all(x == y):
         raise SingularPairError("kernel entries are undefined on the diagonal x = y")
     spec = kind.spec
@@ -574,18 +612,18 @@ def kernel_entry_fd(alpha, kind: KernelKind, x, y, grid: ZetaGrid | None = None,
 
     def base(t, xx):
         if spec.semigroup == "P":
-            return poisson_kernel(alpha, t, xx, y, j=j, u_order=u_order)
+            return poisson_kernel(alpha, t, xx, y, j=j)
         if spec.modified:
             return modified_heat_kernel(alpha, j, t, xx, y)
         return heat_kernel_closed(alpha, t, xx, y)
 
     vals = np.empty(grid.n)
+    c = kind.coord
     for q, t in enumerate(grid.t):
         if spec.deriv == "d":
             h = min(_fd_step(t), 0.5 * t)
             vals[q] = (base(t + h, x) - base(t - h, x)) / (2.0 * h)
         else:
-            c = kind.i if spec.deriv == "h" else kind.j
             h = min(_fd_step(x[c - 1]), 0.5 * x[c - 1])
             xp = x.copy()
             xm = x.copy()
@@ -595,8 +633,8 @@ def kernel_entry_fd(alpha, kind: KernelKind, x, y, grid: ZetaGrid | None = None,
             if spec.deriv == "h":
                 vals[q] = diff + x[c - 1] * base(t, x)
             else:
-                aj = alpha.components[c - 1]
-                vals[q] = -diff + (x[c - 1] - (2.0 * aj + 1.0) / x[c - 1]) * base(t, x)
+                ac = alpha.components[c - 1]
+                vals[q] = -diff + (x[c - 1] - (2.0 * ac + 1.0) / x[c - 1]) * base(t, x)
     return TimeProfile(
         measure_kind=kind.measure_kind,
         zeta_nodes=grid.zeta,

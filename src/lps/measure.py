@@ -59,12 +59,12 @@ class AlphaParam:
         """True iff alpha lies in [-1/2, inf)^d, the range of the kernel estimates."""
         return min(self.components) >= -0.5
 
-    def shifted(self, j: int, amount: float = 1.0) -> "AlphaParam":
-        """alpha + amount * e_j with 1-based coordinate j."""
+    def shifted(self, j: int) -> "AlphaParam":
+        """alpha + e_j with 1-based coordinate j."""
         if not 1 <= j <= self.d:
             raise ValueError(f"coordinate j must be in 1..{self.d}, got {j}")
         comps = list(self.components)
-        comps[j - 1] += amount
+        comps[j - 1] += 1.0
         return AlphaParam(tuple(comps))
 
     def array(self) -> np.ndarray:

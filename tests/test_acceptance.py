@@ -23,8 +23,9 @@ from lps.czcheck import (
     sample_perturbed,
     scan,
 )
-from lps.gfunctions import GFunctionKind, gfun_l2_norm
+from lps.gfunctions import gfun_l2_norm
 from lps.kernels import (
+    KernelKind,
     ZetaGrid,
     default_kinds,
     heat_kernel_closed,
@@ -54,15 +55,15 @@ def test_01_isometry_suite():
         for rep in range(5):
             seed = 1000 * cfg_idx + rep
             e = random_expansion(alpha, PLAIN, nmodes=8, max_level=7, seed=seed)
-            for tag in ("gVT", "gVP"):
-                n = gfun_l2_norm(GFunctionKind(tag), e, order=40)
+            for tag in ("dT", "dP"):
+                n = gfun_l2_norm(KernelKind(tag), e, order=40)
                 worst = max(worst, abs(n - 0.5 * e.l2_norm()) / (0.5 * e.l2_norm()))
                 trials += 1
             j = 1 + rep % d
             em = random_expansion(alpha, differentiated(j), nmodes=8, max_level=7,
                                   seed=seed + 17)
-            for tag in ("gVTmod", "gVPmod"):
-                n = gfun_l2_norm(GFunctionKind(tag, j=j), em, order=40)
+            for tag in ("dTmod", "dPmod"):
+                n = gfun_l2_norm(KernelKind(tag, j=j), em, order=40)
                 worst = max(worst, abs(n - 0.5 * em.l2_norm()) / (0.5 * em.l2_norm()))
                 trials += 1
     elapsed = time.perf_counter() - t0
@@ -82,7 +83,7 @@ def test_02_horizontal_equivalence():
             # heat: f orthogonal to the ground state, sum_i ||g_HT^i||^2
             e = random_expansion(alpha, PLAIN, nmodes=8, max_level=7, seed=seed)
             e.coeffs.pop((0,) * d, None)
-            quad = sum(gfun_l2_norm(GFunctionKind("gHT", i=i), e, order=40) ** 2
+            quad = sum(gfun_l2_norm(KernelKind("hT", i=i), e, order=40) ** 2
                        for i in range(1, d + 1))
             want = sum(2.0 * sum(k) / eigenvalue(a, sum(k)) * c * c
                        for k, c in e.coeffs.items())
@@ -92,8 +93,8 @@ def test_02_horizontal_equivalence():
             j = 1 + rep % d
             em = random_expansion(alpha, differentiated(j), nmodes=8, max_level=7,
                                   seed=seed + 31)
-            quad = gfun_l2_norm(GFunctionKind("gHPmodStar", j=j), em, order=40) ** 2
-            quad += sum(gfun_l2_norm(GFunctionKind("gHPmod", i=i, j=j), em, order=40) ** 2
+            quad = gfun_l2_norm(KernelKind("hPmodStar", j=j), em, order=40) ** 2
+            quad += sum(gfun_l2_norm(KernelKind("hPmod", i=i, j=j), em, order=40) ** 2
                         for i in range(1, d + 1) if i != j)
             want = sum(sum(k) / eigenvalue(a, sum(k)) * c * c
                        for k, c in em.coeffs.items())

@@ -6,28 +6,36 @@ import pytest
 from lps import basis
 from lps.basis import Expansion, PLAIN, differentiated, eigenvalue, ell
 from lps.czcheck import random_expansion
-from lps.gfunctions import (
-    GFunctionKind,
-    gfun_exact,
-    gfun_l2_exact,
-    gfun_l2_norm,
-    gfun_quadrature,
-)
-from lps.kernels import ZetaGrid
+from lps.gfunctions import gfun_exact, gfun_l2_exact, gfun_l2_norm, gfun_quadrature
+from lps.kernels import KernelKind, ZetaGrid
 from lps.measure import as_alpha
 
 ALL_KINDS = [
-    ("gVT", PLAIN, {}),
-    ("gHT", PLAIN, {"i": 1}),
-    ("gVP", PLAIN, {}),
-    ("gHP", PLAIN, {"i": 2}),
-    ("gVTmod", differentiated(1), {"j": 1}),
-    ("gHTmod", differentiated(1), {"i": 2, "j": 1}),
-    ("gHTmodStar", differentiated(1), {"j": 1}),
-    ("gVPmod", differentiated(1), {"j": 1}),
-    ("gHPmod", differentiated(1), {"i": 2, "j": 1}),
-    ("gHPmodStar", differentiated(1), {"j": 1}),
+    KernelKind("dT"),
+    KernelKind("hT", i=1),
+    KernelKind("dP"),
+    KernelKind("hP", i=2),
+    KernelKind("dTmod", j=1),
+    KernelKind("hTmod", i=2, j=1),
+    KernelKind("hTmodStar", j=1),
+    KernelKind("dPmod", j=1),
+    KernelKind("hPmod", i=2, j=1),
+    KernelKind("hPmodStar", j=1),
 ]
+
+
+def _coords(kind):
+    return {name: v for name, v in (("i", kind.i), ("j", kind.j)) if v}
+
+
+# test ids name each case by its square function (spec.gtag), as they did
+# when the cases were (g-function tag, family, coordinates) triples
+CASE_IDS = [f"{k.spec.gtag}-{k.input_family()}-{_coords(k)}" for k in ALL_KINDS]
+CASE_NUMBER_IDS = [f"{k.spec.gtag}-fam{n}-kw{n}" for n, k in enumerate(ALL_KINDS)]
+
+
+def _gtag(kind):
+    return kind.spec.gtag
 
 
 class TestSingleMode:
@@ -38,7 +46,7 @@ class TestSingleMode:
         c = 1.7
         e = Expansion(alpha, PLAIN, {(2,): c})
         xs = np.array([[0.4], [1.0], [2.5]])
-        got = gfun_exact(GFunctionKind("gVT"), e, xs)
+        got = gfun_exact(KernelKind("dT"), e, xs)
         want = 0.5 * np.abs(c * ell(alpha, (2,), xs))
         assert np.allclose(got, want, rtol=1e-13)
 
@@ -46,7 +54,7 @@ class TestSingleMode:
         alpha = (0.3,)
         e = Expansion(alpha, PLAIN, {(3,): -0.8})
         xs = np.array([[0.7], [1.9]])
-        got = gfun_exact(GFunctionKind("gVP"), e, xs)
+        got = gfun_exact(KernelKind("dP"), e, xs)
         want = 0.5 * np.abs(-0.8 * ell(alpha, (3,), xs))
         assert np.allclose(got, want, rtol=1e-13)
 
@@ -63,20 +71,20 @@ class TestSingleMode:
             + 2 * l0 * l1 * lam0 * lam1 / (lam0 + lam1) ** 2
             + l1 * l1 * lam1 * lam1 / (2 * lam1) ** 2
         )
-        got = gfun_exact(GFunctionKind("gVT"), e, x)[0]
+        got = gfun_exact(KernelKind("dT"), e, x)[0]
         assert got == pytest.approx(math.sqrt(want_sq), rel=1e-13)
-        quad = gfun_quadrature(GFunctionKind("gVT"), e, x)[0]
+        quad = gfun_quadrature(KernelKind("dT"), e, x)[0]
         assert quad == pytest.approx(got, rel=1e-9)
 
 
 class TestQuadratureAgreement:
-    @pytest.mark.parametrize("tag,fam,kw", ALL_KINDS, ids=lambda v: str(v))
-    def test_exact_vs_quadrature(self, tag, fam, kw):
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=CASE_IDS)
+    def test_exact_vs_quadrature(self, kind):
         alpha = (0.3, -0.5)
         rng = np.random.default_rng(5)
         for trial in range(5):
-            e = random_expansion(alpha, fam, nmodes=6, max_level=5, seed=100 + trial)
-            kind = GFunctionKind(tag, **kw)
+            e = random_expansion(alpha, kind.input_family(), nmodes=6, max_level=5,
+                                 seed=100 + trial)
             xs = rng.uniform(0.2, 3.0, (10, 2))
             ex = gfun_exact(kind, e, xs)
             qd = gfun_quadrature(kind, e, xs)
@@ -84,35 +92,48 @@ class TestQuadratureAgreement:
 
     def test_zero_expansion(self):
         e = Expansion((0.0,), PLAIN, {})
-        assert gfun_exact(GFunctionKind("gVT"), e, [1.0]) == 0.0
-        assert gfun_quadrature(GFunctionKind("gVT"), e, [1.0]) == 0.0
+        assert gfun_exact(KernelKind("dT"), e, [1.0]) == 0.0
+        assert gfun_quadrature(KernelKind("dT"), e, [1.0]) == 0.0
 
     def test_grid_refinement_stability(self):
         alpha = (0.5,)
         e = random_expansion(alpha, PLAIN, nmodes=6, max_level=6, seed=44)
         g1 = ZetaGrid(order=8, levels_zero=30, levels_one=30)
         x = np.array([[1.1]])
-        v1 = gfun_quadrature(GFunctionKind("gVP"), e, x, g1)[0]
-        v2 = gfun_quadrature(GFunctionKind("gVP"), e, x, g1.refined())[0]
+        v1 = gfun_quadrature(KernelKind("dP"), e, x, g1)[0]
+        v2 = gfun_quadrature(KernelKind("dP"), e, x, g1.refined())[0]
         assert abs(v1 - v2) <= 1e-7 * abs(v2)
 
     def test_nonnegative(self):
         alpha = (0.3, 0.0)
         e = random_expansion(alpha, PLAIN, nmodes=8, max_level=6, seed=3)
         xs = np.random.default_rng(1).uniform(0.05, 6.0, (50, 2))
-        for tag, fam, kw in ALL_KINDS[:4]:
-            vals = gfun_exact(GFunctionKind(tag, **kw), e, xs)
+        for kind in ALL_KINDS[:4]:
+            vals = gfun_exact(kind, e, xs)
             assert np.all(vals >= 0)
 
     def test_family_mismatch_raises(self):
         e = random_expansion((0.0,), PLAIN, seed=1)
         with pytest.raises(ValueError):
-            gfun_exact(GFunctionKind("gVTmod", j=1), e, [1.0])
+            gfun_exact(KernelKind("dTmod", j=1), e, [1.0])
+
+    def test_coordinates_checked_against_dimension(self):
+        e = random_expansion((0.0, -0.5), PLAIN, seed=1)
+        em = random_expansion((0.0, -0.5), differentiated(2), seed=1)
+        x = [[1.0, 2.0]]
+        for kind, f in ((KernelKind("hT", i=3), e), (KernelKind("hTmod", i=3, j=2), em)):
+            for route in (lambda: gfun_exact(kind, f, x), lambda: gfun_quadrature(kind, f, x),
+                          lambda: gfun_l2_exact(kind, f)):
+                with pytest.raises(ValueError, match="i=3 exceeds the dimension d=2"):
+                    route()
+        # a coordinate the kind does not use is rejected, not ignored
+        with pytest.raises(ValueError, match="j=2"):
+            KernelKind("dT", j=2)
 
 
 class TestSharedTables:
-    @pytest.mark.parametrize("tag, fam, kw", ALL_KINDS)
-    def test_one_table_per_coordinate(self, tag, fam, kw, monkeypatch):
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=CASE_NUMBER_IDS)
+    def test_one_table_per_coordinate(self, kind, monkeypatch):
         # every mode of the expansion reads the same per-coordinate tables
         built = []
         table_1d = basis._ell_table_1d
@@ -122,8 +143,7 @@ class TestSharedTables:
             return table_1d(a, kmax, xi)
 
         alpha = (0.3, -0.5)
-        kind = GFunctionKind(tag, **kw)
-        e = random_expansion(alpha, fam, nmodes=10, max_level=6, seed=3)
+        e = random_expansion(alpha, kind.input_family(), nmodes=10, max_level=6, seed=3)
         pts = np.exp(np.random.default_rng(4).uniform(-1.5, 1.5, (25, 2)))
         want = gfun_exact(kind, e, pts)
         monkeypatch.setattr(basis, "_ell_table_1d", counted)
@@ -133,17 +153,17 @@ class TestSharedTables:
 
 
 class TestIsometry:
-    @pytest.mark.parametrize("tag", ["gVT", "gVP"])
-    def test_plain_vertical_isometry(self, tag):
+    @pytest.mark.parametrize("kind", [KernelKind("dT"), KernelKind("dP")], ids=_gtag)
+    def test_plain_vertical_isometry(self, kind):
         rng = np.random.default_rng(11)
         for trial in range(12):
             d = 1 + trial % 2
             alpha = tuple(rng.uniform(-0.5, 3.0, d))
             e = random_expansion(alpha, PLAIN, nmodes=8, max_level=6, seed=200 + trial)
-            norm = gfun_l2_norm(GFunctionKind(tag), e, order=48)
+            norm = gfun_l2_norm(kind, e, order=48)
             assert norm == pytest.approx(0.5 * e.l2_norm(), rel=1e-7)
 
-    @pytest.mark.parametrize("tag", ["gVTmod", "gVPmod"])
+    @pytest.mark.parametrize("tag", ["dTmod", "dPmod"], ids=["gVTmod", "gVPmod"])
     def test_modified_vertical_isometry(self, tag):
         rng = np.random.default_rng(13)
         for trial in range(12):
@@ -152,14 +172,13 @@ class TestIsometry:
             j = 1 + trial % d
             e = random_expansion(alpha, differentiated(j), nmodes=8, max_level=6,
                                  seed=300 + trial)
-            norm = gfun_l2_norm(GFunctionKind(tag, j=j), e, order=48)
+            norm = gfun_l2_norm(KernelKind(tag, j=j), e, order=48)
             assert norm == pytest.approx(0.5 * e.l2_norm(), rel=1e-7)
 
     def test_spectral_norm_matches_quadrature(self):
         alpha = (0.3, -0.5)
-        for tag, fam, kw in ALL_KINDS:
-            e = random_expansion(alpha, fam, nmodes=6, max_level=5, seed=77)
-            kind = GFunctionKind(tag, **kw)
+        for kind in ALL_KINDS:
+            e = random_expansion(alpha, kind.input_family(), nmodes=6, max_level=5, seed=77)
             assert gfun_l2_norm(kind, e, order=48) == pytest.approx(
                 gfun_l2_exact(kind, e), rel=1e-9
             )
@@ -172,7 +191,7 @@ class TestHorizontalSums:
         a = as_alpha(alpha)
         e = random_expansion(alpha, PLAIN, nmodes=8, max_level=6, seed=91)
         got = sum(
-            gfun_l2_norm(GFunctionKind("gHT", i=i), e, order=48) ** 2
+            gfun_l2_norm(KernelKind("hT", i=i), e, order=48) ** 2
             for i in (1, 2)
         )
         want = sum(
@@ -190,8 +209,8 @@ class TestHorizontalSums:
         a = as_alpha(alpha)
         j = 1
         e = random_expansion(alpha, differentiated(j), nmodes=8, max_level=6, seed=93)
-        got = gfun_l2_norm(GFunctionKind("gHPmodStar", j=j), e, order=48) ** 2
-        got += gfun_l2_norm(GFunctionKind("gHPmod", i=2, j=j), e, order=48) ** 2
+        got = gfun_l2_norm(KernelKind("hPmodStar", j=j), e, order=48) ** 2
+        got += gfun_l2_norm(KernelKind("hPmod", i=2, j=j), e, order=48) ** 2
         want = sum(
             sum(k) / eigenvalue(a, sum(k)) * c * c for k, c in e.coeffs.items()
         )

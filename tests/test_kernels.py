@@ -99,6 +99,17 @@ class TestHeatKernel:
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             heat_kernel_closed(0.0, 0.0, [1.0], [2.0])
+        # nan and inf fail `t <= 0` too: each scalar kernel rejects them
+        for t in (0.0, -1.0, math.nan, math.inf):
+            for kernel in (
+                lambda: heat_kernel_closed(-0.5, t, [1.0], [2.0]),
+                lambda: heat_kernel_spectral(0.0, t, [1.0], [2.0], 10),
+                lambda: heat_kernel_schlafli(0.0, t, [1.0], [2.0]),
+                lambda: modified_heat_kernel(0.0, 1, t, [1.0], [2.0]),
+                lambda: poisson_kernel(0.0, t, [1.0], [2.0]),
+            ):
+                with pytest.raises(ValueError, match="t must be finite and positive"):
+                    kernel()
 
 
 class TestSchlafli:
@@ -131,6 +142,12 @@ class TestSchlafli:
             c = heat_kernel_closed(alpha, t, x, y)
             g = heat_kernel_schlafli(alpha, t, x, y, order=64)
             assert g == pytest.approx(c, rel=1e-8)
+
+    @pytest.mark.parametrize("x,y", [([-1.0], [2.0]), ([1.0], [math.nan]), ([1.0, 2.0], [2.0]),
+                                     ([[1.0], [3.0]], [2.0])])
+    def test_rejects_bad_points(self, x, y):
+        with pytest.raises(ValueError):
+            heat_kernel_schlafli(-0.5, 1.0, x, y)
 
     def test_q_plus_sanity(self):
         from lps.czcheck import _q_forms
@@ -255,6 +272,19 @@ class TestKernelKind:
             KernelKind("hTmod", i=1, j=1)
         with pytest.raises(ValueError):
             KernelKind("nope")
+        # a coordinate the kind does not use is rejected, not ignored
+        for tag, i, j in (("dT", 5, 3), ("dT", 0, 2), ("hT", 1, 1), ("dTmod", 2, 1),
+                          ("hPmodStar", 1, 1), ("hP", 2, -1)):
+            with pytest.raises(ValueError, match="takes no"):
+                KernelKind(tag, i=i, j=j)
+        # a coordinate above the dimension names itself and d
+        x = [[1.0, 2.0]]
+        y = [[2.0, 1.5]]
+        for kind, name in ((KernelKind("hT", i=3), "i=3"), (KernelKind("dTmod", j=3), "j=3")):
+            with pytest.raises(ValueError, match=f"{name} exceeds the dimension d=2"):
+                kernel_values((0.0, 0.0), kind, x, y, SMALL_GRID)
+            with pytest.raises(ValueError, match=f"{name} exceeds the dimension d=2"):
+                kernel_entry_fd((0.0, 0.0), kind, x, y, SMALL_GRID)
 
 
 class TestKernelEntry:
@@ -385,26 +415,19 @@ class TestKernelAssociation:
     """Integrating an entry against f reproduces the derivative semigroup."""
 
     @pytest.mark.parametrize(
-        "tag,i,j,gtag",
-        [
-            ("dT", 0, 0, "gVT"),
-            ("hT", 1, 0, "gHT"),
-            ("dP", 0, 0, "gVP"),
-            ("hTmodStar", 0, 1, "gHTmodStar"),
-            ("dPmod", 0, 1, "gVPmod"),
-        ],
+        "kind",
+        [KernelKind("dT"), KernelKind("hT", i=1), KernelKind("dP"), KernelKind("hTmodStar", j=1),
+         KernelKind("dPmod", j=1)],
+        # the kernel's tag and coordinates, then its square function's name
+        ids=lambda k: f"{k.tag}-{k.i}-{k.j}-{k.spec.gtag}",
     )
-    def test_association_with_spectral_route(self, tag, i, j, gtag):
+    def test_association_with_spectral_route(self, kind):
         from lps import basis as basis_mod
         from lps.czcheck import random_expansion
-        from lps.gfunctions import GFunctionKind, gfun_profile
-        from lps.basis import PLAIN, differentiated
+        from lps.gfunctions import gfun_profile
 
         alpha = (0.3,)
-        fam = PLAIN if j == 0 else differentiated(j)
-        e = random_expansion(alpha, fam, nmodes=5, max_level=4, seed=61)
-        kind = KernelKind(tag, i=i, j=j)
-        gkind = GFunctionKind(gtag, i=i, j=j)
+        e = random_expansion(alpha, kind.input_family(), nmodes=5, max_level=4, seed=61)
         x = np.array([1.37])
         grid = ZetaGrid(order=6, levels_zero=10, levels_one=12)
         # kernel route: quadrature in y against the synthesized f
@@ -414,7 +437,7 @@ class TestKernelAssociation:
                              pts, grid)
         kernel_route = (w * fy) @ vals
         # spectral route: the g-function time integrand at x
-        spectral_route = gfun_profile(gkind, e, x, grid).values
+        spectral_route = gfun_profile(kind, e, x, grid).values
         # the y-grid cannot resolve the near-diagonal kernel spike of width
         # sqrt(t); compare where the kernel is smooth on the grid scale
         # (subordination mixes in heat times down to ~t^2, so Poisson kinds
