@@ -13,7 +13,7 @@ numbers come out order one.
 
 import numpy as np
 
-from lps import KernelKind, ZetaGrid, bnorm, kernel_entry
+from lps import KernelKind, ZetaGrid, kernel_values
 from lps.czcheck import (
     ball_measures,
     counterexample_profile,
@@ -26,8 +26,10 @@ from lps.czcheck import (
 grid = ZetaGrid(order=8, levels_zero=30, levels_one=30)
 
 # one kernel entry: the time profile of the heat-kernel time derivative
-profile = kernel_entry(0.0, KernelKind("dT"), [1.0], [1.5], grid)
-print(f"dT entry at (1.0, 1.5): L^2(t dt) norm = {bnorm(profile):.6f}")
+dT = KernelKind("dT")
+profile = kernel_values(0.0, dT, [1.0], [1.5], grid)[0]
+norm = np.sqrt(profile**2 @ grid.time_weights(dT.measure_kind))
+print(f"dT entry at (1.0, 1.5): L^2(t dt) norm = {norm:.6f}")
 
 # one pair sample, its perturbations and its ball measures serve every scan
 x, y = sample_pairs(1, 150, 7)

@@ -14,7 +14,6 @@ from .basis import (
     Expansion,
     PLAIN,
     analyze,
-    basis_eval,
     delta_apply,
     delta_star_apply,
     differentiated,
@@ -36,27 +35,20 @@ from .gfunctions import gfun_exact, gfun_l2_exact, gfun_l2_norm, gfun_quadrature
 from .kernels import (
     KernelKind,
     SingularPairError,
-    TimeProfile,
     ZetaGrid,
-    bnorm,
     heat_kernel_closed,
     heat_kernel_schlafli,
     heat_kernel_spectral,
-    kernel_entry,
-    kernel_entry_fd,
     kernel_values,
     modified_heat_kernel,
     poisson_kernel,
 )
-from .measure import AlphaParam, as_alpha, doubling_ratio, mu_ball, mu_box, pi_alpha_integrate
+from .measure import AlphaParam, as_alpha, mu_ball, mu_box, pi_alpha_integrate
 from .specfun import (
     QuadratureRule,
-    gamma_fn,
     gauss_jacobi_rule,
     gauss_laguerre_rule,
     gauss_legendre_rule,
-    laguerre_poly,
-    scaled_bessel_i,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ __all__ = [
     "ell",
     "ell_table",
     "ell_batch",
-    "basis_eval",
     "analyze",
     "synthesize",
     "delta_apply",
@@ -206,14 +205,9 @@ def ell(alpha, k, x):
 
     x may be a single point (d coordinates) or an (n, d) array of points.
     """
-    return basis_eval(alpha, PLAIN, k, x)
-
-
-def basis_eval(alpha, family: BasisFamily, k, x):
-    """Value of the family member indexed by k at x (0 when the index is null)."""
     alpha = as_alpha(alpha)
     pts, single = _as_points(alpha, x)
-    val = ell_batch(alpha, family.shifts, [k], pts)[0]
+    val = ell_batch(alpha, (), [k], pts)[0]
     return float(val[0]) if single else val
 
 

@@ -52,6 +52,8 @@ SPAN_PAIRS = 32
 # largest dimension of czscan and lemmas, whose ball measures cost about
 # 0.1 ms per ball at d = 2, 90 ms at d = 4 and 20-30 s at d = 5
 MAX_BALL_DIMENSION = 4
+# the kernel triple draws its points from the box clipped to this range
+KERNEL_BOX = (0.2, 4.0)
 
 
 class ConfigError(Exception):
@@ -124,6 +126,11 @@ class RunConfig:
             raise ConfigError(f"cutoff: task {self.task!r} needs cutoff >= 1")
         if not (math.isfinite(self.box_hi) and 0 < self.box_lo < self.box_hi):
             raise ConfigError("box_lo/box_hi: need finite 0 < box_lo < box_hi")
+        if self.task in ("kernel", "verify") and (
+                self.box_lo > KERNEL_BOX[1] or self.box_hi < KERNEL_BOX[0]):
+            raise ConfigError(f"box_lo/box_hi: task {self.task!r} draws its points from "
+                              f"{list(KERNEL_BOX)} within the box, and "
+                              f"({self.box_lo}, {self.box_hi}) misses it")
         return a
 
     def thread_count(self) -> int:
@@ -250,8 +257,9 @@ def _task_kernel(cfg: RunConfig, alpha, report: Report):
     worst_row = None
     for _ in range(cfg.count):
         t = float(rng.uniform(0.1, 2.0))
-        x = rng.uniform(max(cfg.box_lo, 0.2), min(cfg.box_hi, 4.0), alpha.d)
-        y = rng.uniform(max(cfg.box_lo, 0.2), min(cfg.box_hi, 4.0), alpha.d)
+        lo, hi = max(cfg.box_lo, KERNEL_BOX[0]), min(cfg.box_hi, KERNEL_BOX[1])
+        x = rng.uniform(lo, hi, alpha.d)
+        y = rng.uniform(lo, hi, alpha.d)
         closed = heat_kernel_closed(alpha, t, x, y)
         schlafli = heat_kernel_schlafli(alpha, t, x, y, order=cfg.quad_order)
         spectral = heat_kernel_spectral(alpha, t, x, y, cutoff=60)

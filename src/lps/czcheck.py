@@ -135,7 +135,7 @@ def scan(alpha, kind: KernelKind, x, y, xp, yp, balls, grid: ZetaGrid,
          estimates=ESTIMATES) -> dict:
     """Columns of the requested estimates over the pairs (x[p], y[p]).
 
-    growth is bnorm(K(x,y)) * mu_alpha(B(x, |x-y|)); smooth_x (smooth_y)
+    growth is ||K(x,y)|| * mu_alpha(B(x, |x-y|)); smooth_x (smooth_y)
     norms K(x,y) - K(x',y) (K(x,y) - K(x,y')), with the profiles subtracted
     nodewise on the shared zeta grid, and multiplies in the inverted factor
     |x-y|/|x-x'|, flagging the half-distance constraint |x-y| > 2|x-x'|.

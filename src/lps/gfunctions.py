@@ -19,12 +19,11 @@ drive the ζ-grid quadrature route used for cross-checking.
 import numpy as np
 
 from .basis import Expansion, _as_points, _quad_grid, eigenvalue, ell_batch
-from .kernels import KernelKind, TimeProfile, ZetaGrid
+from .kernels import KernelKind, ZetaGrid
 
 __all__ = [
     "gfun_exact",
     "gfun_quadrature",
-    "gfun_profile",
     "gfun_l2_norm",
     "gfun_l2_exact",
 ]
@@ -98,17 +97,6 @@ def gfun_quadrature(kind: KernelKind, e: Expansion, x, grid: ZetaGrid | None = N
     integrand = amp.T @ decay  # (npts, T)
     out = np.sqrt(np.maximum(integrand**2 @ w, 0.0))
     return float(out[0]) if single else out
-
-
-def gfun_profile(kind: KernelKind, e: Expansion, x, grid: ZetaGrid | None = None) -> TimeProfile:
-    """The time integrand at one point x, as a TimeProfile."""
-    _check_input(kind, e)
-    grid = grid or ZetaGrid()
-    pts, _ = _as_points(e.alpha, x)
-    nus, amp = _amplitudes(kind, e, pts[:1])
-    decay = np.exp(-np.outer(nus, grid.t))
-    vals = (amp.T @ decay)[0]
-    return TimeProfile(kind.measure_kind, grid.zeta, vals, grid.time_weights(kind.measure_kind))
 
 
 def gfun_l2_norm(kind: KernelKind, e: Expansion, order: int = 64) -> float:

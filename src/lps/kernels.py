@@ -43,13 +43,10 @@ from .specfun import composite_legendre_rule, log_bessel_mantissa_ratio
 __all__ = [
     "SingularPairError",
     "ZetaGrid",
-    "TimeProfile",
     "KindSpec",
     "KIND_TABLE",
     "KernelKind",
-    "KERNEL_TAGS",
     "default_kinds",
-    "bnorm",
     "heat_kernel_closed",
     "heat_kernel_spectral",
     "heat_kernel_schlafli",
@@ -57,8 +54,6 @@ __all__ = [
     "poisson_kernel",
     "subordination_u_rule",
     "kernel_values",
-    "kernel_entry",
-    "kernel_entry_fd",
 ]
 
 LOG_FLOOR = -700.0  # below this, exp underflows; the value is exactly 0 in doubles
@@ -133,24 +128,6 @@ class ZetaGrid:
         return ZetaGrid(2 * self.order, self.levels_zero, self.levels_one)
 
 
-@dataclass
-class TimeProfile:
-    """A time-side function sampled on a zeta grid, with its L^2 weights."""
-
-    measure_kind: str
-    zeta_nodes: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-
-    def squared_norm(self) -> float:
-        return float(np.sum(self.weights * self.values**2))
-
-
-def bnorm(profile: TimeProfile) -> float:
-    """L^2(dt) or L^2(t dt) norm of the profile."""
-    return math.sqrt(profile.squared_norm())
-
-
 # Every kernel kind is a product of three choices: the derivative ("d" = d/dt,
 # "h" = delta_i, "hStar" = delta_j^*, which only the modified kinds carry), the
 # semigroup ("T" = heat, "P" = Poisson) and whether the semigroup is the
@@ -210,7 +187,6 @@ class KindSpec:
 
 
 KIND_TABLE = {spec.tag: spec for spec in (KindSpec(*c) for c in _KIND_CHOICES)}
-KERNEL_TAGS = tuple(KIND_TABLE)
 
 
 @dataclass(frozen=True)
@@ -456,18 +432,6 @@ def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid) -> np.ndarray:
     return out
 
 
-def kernel_entry(alpha, kind: KernelKind, x, y, grid: ZetaGrid | None = None) -> TimeProfile:
-    """The vector-valued kernel entry at one pair (x, y), as a TimeProfile."""
-    grid = grid or ZetaGrid()
-    vals = kernel_values(alpha, kind, x, y, grid)
-    return TimeProfile(
-        measure_kind=kind.measure_kind,
-        zeta_nodes=grid.zeta,
-        values=vals[0],
-        weights=grid.time_weights(kind.measure_kind),
-    )
-
-
 def _check_time(t):
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be finite and positive, got {t}")
@@ -571,7 +535,9 @@ def subordination_u_rule():
         edges.append(min(2.0 * hi, 14.0))
         hi *= 2.0
     v, w = (a.ravel() for a in composite_legendre_rule(edges, 20))
-    return v * v, 2.0 * np.exp(-v * v) * w / math.sqrt(math.pi)
+    u, w = v * v, 2.0 * np.exp(-v * v) * w / math.sqrt(math.pi)
+    u.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return u, w
 
 
 def poisson_kernel(alpha, t: float, x, y, j: int | None = None) -> float:
@@ -588,56 +554,3 @@ def poisson_kernel(alpha, t: float, x, y, j: int | None = None) -> float:
         vals = vals * np.exp(-2.0 * tau) * x[0, j - 1] * y[0, j - 1]
     return float(np.sum(w * vals))
 
-
-def _fd_step(scale: float) -> float:
-    return 1e-5 * max(scale, 0.1)
-
-
-def kernel_entry_fd(alpha, kind: KernelKind, x, y, grid: ZetaGrid | None = None) -> TimeProfile:
-    """Finite-difference realization of kernel_entry; a test oracle only.
-
-    Time derivatives are central differences of the undifferentiated kernel;
-    space derivatives difference in the relevant coordinate and add the
-    zeroth-order terms of delta_i or delta_j^*.
-    """
-    alpha = as_alpha(alpha)
-    kind.check_dimension(alpha.d)
-    grid = grid or ZetaGrid()
-    x = _point(x, alpha.d)[0]
-    y = _point(y, alpha.d)[0]
-    if np.all(x == y):
-        raise SingularPairError("kernel entries are undefined on the diagonal x = y")
-    spec = kind.spec
-    j = kind.j if spec.modified else None
-
-    def base(t, xx):
-        if spec.semigroup == "P":
-            return poisson_kernel(alpha, t, xx, y, j=j)
-        if spec.modified:
-            return modified_heat_kernel(alpha, j, t, xx, y)
-        return heat_kernel_closed(alpha, t, xx, y)
-
-    vals = np.empty(grid.n)
-    c = kind.coord
-    for q, t in enumerate(grid.t):
-        if spec.deriv == "d":
-            h = min(_fd_step(t), 0.5 * t)
-            vals[q] = (base(t + h, x) - base(t - h, x)) / (2.0 * h)
-        else:
-            h = min(_fd_step(x[c - 1]), 0.5 * x[c - 1])
-            xp = x.copy()
-            xm = x.copy()
-            xp[c - 1] += h
-            xm[c - 1] -= h
-            diff = (base(t, xp) - base(t, xm)) / (2.0 * h)
-            if spec.deriv == "h":
-                vals[q] = diff + x[c - 1] * base(t, x)
-            else:
-                ac = alpha.components[c - 1]
-                vals[q] = -diff + (x[c - 1] - (2.0 * ac + 1.0) / x[c - 1]) * base(t, x)
-    return TimeProfile(
-        measure_kind=kind.measure_kind,
-        zeta_nodes=grid.zeta,
-        values=vals,
-        weights=grid.time_weights(kind.measure_kind),
-    )

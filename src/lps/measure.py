@@ -20,7 +20,6 @@ __all__ = [
     "as_alpha",
     "mu_box",
     "mu_ball",
-    "doubling_ratio",
     "pi_alpha_rule",
     "pi_alpha_integrate",
 ]
@@ -177,11 +176,6 @@ def mu_ball(alpha, center, r: float) -> float:
         return float(_mu_interval(alpha.components[0], center[0] - r, center[0] + r))
     radii = np.array([float(r)])
     return float(_sliced_measure(alpha.components, center, radii, _BALL_ORDER)[0])
-
-
-def doubling_ratio(alpha, center, r: float) -> float:
-    """mu_alpha(B(x, 2r)) / mu_alpha(B(x, r))."""
-    return mu_ball(alpha, center, 2.0 * r) / mu_ball(alpha, center, r)
 
 
 def pi_alpha_rule(alpha, order: int):

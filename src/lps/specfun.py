@@ -1,10 +1,10 @@
 """Scalar special functions and Gaussian quadrature rules.
 
 Everything else in the package reduces to a handful of scalar primitives:
-the gamma function, generalized Laguerre polynomials, the scaled modified
-Bessel function i_nu(z) = z^(-nu) I_nu(z), and Gauss rules for the weights
-u^a e^(-u) on (0, inf) and (1-s^2)^(a-1/2) on (-1, 1).  Every composite
-(panelled) and tensor-product rule of the package is built here too.
+the scaled modified Bessel function i_nu(z) = z^(-nu) I_nu(z), through its
+log-mantissa and ratio, and Gauss rules for the weights u^a e^(-u) on
+(0, inf) and (1-s^2)^(a-1/2) on (-1, 1).  Every composite (panelled) and
+tensor-product rule of the package is built here too.
 
 The scaled Bessel form is used because the heat kernel only ever needs the
 combination (x y)^(-nu) I_nu(x y / sinh 2t), which is entire in the argument;
@@ -20,9 +20,6 @@ from scipy.special import gammaln, ive, roots_genlaguerre, roots_jacobi
 
 __all__ = [
     "QuadratureRule",
-    "gamma_fn",
-    "laguerre_poly",
-    "scaled_bessel_i",
     "log_bessel_mantissa_ratio",
     "gauss_laguerre_rule",
     "gauss_jacobi_rule",
@@ -62,35 +59,6 @@ class QuadratureRule:
             raise ValueError("nodes must be strictly increasing")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
-
-    def integrate(self, f) -> float:
-        return float(np.sum(self.weights * f(self.nodes)))
-
-
-def gamma_fn(z: float) -> float:
-    """Gamma(z) for z > 0."""
-    if z <= 0:
-        raise ValueError(f"gamma_fn requires z > 0, got {z}")
-    return math.gamma(z)
-
-
-def laguerre_poly(k: int, a: float, x):
-    """Generalized Laguerre polynomial L_k^a(x) by upward recurrence.
-
-    Stable for the k <= ~40 range used here; vectorized over x.
-    """
-    if k < 0 or k != int(k):
-        raise ValueError(f"degree must be a nonnegative integer, got {k}")
-    if a <= -1:
-        raise ValueError(f"order must exceed -1, got {a}")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if k == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = 1.0 + a - x
-    for m in range(1, k):
-        p, p_prev = ((2 * m + 1 + a - x) * p - (m + a) * p_prev) / (m + 1), p
-    return p if p.ndim else float(p)
 
 
 def _series_start(nu: float) -> float:
@@ -156,15 +124,6 @@ def log_bessel_mantissa_ratio(nu: float, z):
     if z.ndim == 0:
         return float(logm), float(ratio)
     return logm, ratio
-
-
-def scaled_bessel_i(nu: float, z):
-    """i_nu(z) = z^(-nu) I_nu(z) for nu >= -1/2; overflows for z beyond ~700."""
-    if nu < -0.5:
-        raise ValueError(f"order must be >= -1/2, got {nu}")
-    z = np.asarray(z, dtype=float)
-    logm, _ = log_bessel_mantissa_ratio(nu, z)
-    return np.exp(logm + z)
 
 
 @lru_cache(maxsize=64)

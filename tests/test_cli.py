@@ -118,10 +118,16 @@ class TestExitCodes:
         # a d = 5 ball measure takes 20-30 s, once per pair
         ("czscan", "alpha = 0 0 0 0 0\n", "d = 5 ball takes 20-30 s"),
         ("lemmas", "alpha = 0 0 0 0 0\n", "d = 5 ball takes 20-30 s"),
+        # the kernel triple draws from the box clipped to [0.2, 4]
+        ("kernel", "alpha = 0.0\nbox_lo = 0.05\nbox_hi = 0.1\n", "box_lo/box_hi"),
+        ("kernel", "alpha = 0.0\nbox_lo = 5\nbox_hi = 9\n", "box_lo/box_hi"),
+        ("verify", "alpha = 0.0\nbox_lo = 0.05\nbox_hi = 0.1\n", "box_lo/box_hi"),
+        ("verify", "alpha = 0.0\nbox_lo = 5\nbox_hi = 9\n", "box_lo/box_hi"),
     ], ids=["alpha_below_range", "alpha_nan", "quad_order_0", "cutoff_negative",
             "gfun_cutoff_0", "verify_cutoff_0", "zeta_order_1", "zeta_levels_1",
             "box_hi_inf", "hTmod_d1", "hPmod_d1", "task_contradicts_command",
-            "czscan_d5", "lemmas_d5"])
+            "czscan_d5", "lemmas_d5", "kernel_box_below", "kernel_box_above",
+            "verify_box_below", "verify_box_above"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, task, text, field):
         path = write_config(tmp_path, text + "seed = 1\ncount = 3\n")
         code = main([task, "--config", path, "--out", str(tmp_path / "r.csv")])

@@ -6,17 +6,12 @@ import pytest
 from lps import kernels as kernels_mod
 from lps.basis import ell_table
 from lps.kernels import (
-    KERNEL_TAGS,
     KernelKind,
     SingularPairError,
-    TimeProfile,
     ZetaGrid,
-    bnorm,
     heat_kernel_closed,
     heat_kernel_schlafli,
     heat_kernel_spectral,
-    kernel_entry,
-    kernel_entry_fd,
     kernel_values,
     modified_heat_kernel,
     poisson_kernel,
@@ -40,6 +35,59 @@ def poisson_spectral(alpha, t, x, y, cutoff=300):
     n = np.arange(cutoff + 1)
     lam = 4.0 * n + 2.0 * alpha.total + 2.0 * alpha.d
     return float(np.sum(np.exp(-t * np.sqrt(lam)) * level[: cutoff + 1]))
+
+
+def _fd_step(scale: float) -> float:
+    return 1e-5 * max(scale, 0.1)
+
+
+def kernel_entry_fd(alpha, kind: KernelKind, x, y, grid: ZetaGrid) -> np.ndarray:
+    """Oracle: the kernel entry at one pair on grid.t, by finite differences.
+
+    Time derivatives are central differences of the undifferentiated kernel;
+    space derivatives difference in the relevant coordinate and add the
+    zeroth-order terms of delta_i or delta_j^*.
+    """
+    alpha = as_alpha(alpha)
+    kind.check_dimension(alpha.d)
+    x = kernels_mod._point(x, alpha.d)[0]
+    y = kernels_mod._point(y, alpha.d)[0]
+    if np.all(x == y):
+        raise SingularPairError("kernel entries are undefined on the diagonal x = y")
+    spec = kind.spec
+    j = kind.j if spec.modified else None
+
+    def base(t, xx):
+        if spec.semigroup == "P":
+            return poisson_kernel(alpha, t, xx, y, j=j)
+        if spec.modified:
+            return modified_heat_kernel(alpha, j, t, xx, y)
+        return heat_kernel_closed(alpha, t, xx, y)
+
+    vals = np.empty(grid.n)
+    c = kind.coord
+    for q, t in enumerate(grid.t):
+        if spec.deriv == "d":
+            h = min(_fd_step(t), 0.5 * t)
+            vals[q] = (base(t + h, x) - base(t - h, x)) / (2.0 * h)
+        else:
+            h = min(_fd_step(x[c - 1]), 0.5 * x[c - 1])
+            xp = x.copy()
+            xm = x.copy()
+            xp[c - 1] += h
+            xm[c - 1] -= h
+            diff = (base(t, xp) - base(t, xm)) / (2.0 * h)
+            if spec.deriv == "h":
+                vals[q] = diff + x[c - 1] * base(t, x)
+            else:
+                ac = alpha.components[c - 1]
+                vals[q] = -diff + (x[c - 1] - (2.0 * ac + 1.0) / x[c - 1]) * base(t, x)
+    return vals
+
+
+def time_norm(grid: ZetaGrid, measure_kind: str, values) -> float:
+    """L^2(dt) or L^2(t dt) norm of values sampled on grid.t."""
+    return math.sqrt(np.sum(grid.time_weights(measure_kind) * values**2))
 
 
 class TestHeatKernel:
@@ -238,6 +286,32 @@ class TestPoisson:
                 worst = max(worst, abs(got - math.exp(-t * math.sqrt(lam))))
         assert worst <= 1e-10
 
+    def test_u_rule_cached_and_read_only(self):
+        u, w = subordination_u_rule()
+        for arr in (u, w):
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+        again = subordination_u_rule()
+        assert again[0] is u and again[1] is w
+
+    @pytest.mark.parametrize("params", [(4, 6, 6), (6, 16, 16), (8, 30, 30), (16, 30, 30)],
+                             ids=lambda p: "-".join(map(str, p)))
+    def test_per_mode_subordination_matrices(self, params):
+        # the matrices the Poisson kinds of kernel_values apply to heat values
+        # on the inner grid: e^(-lam tau) -> e^(-t sqrt(lam)) and, for the
+        # time derivative, -lam e^(-lam tau) -> -sqrt(lam) e^(-t sqrt(lam))
+        grid = ZetaGrid(*params)
+        inner = kernels_mod._default_inner_grid()
+        lam = np.arange(1.0, 51.0)
+        heat = np.exp(-np.outer(inner.t, lam))
+        outer = grid.t >= 1e-3
+        t = grid.t[outer, None]
+        want = np.exp(-t * np.sqrt(lam))
+        plain = kernels_mod._subordination_matrix(grid, inner, False)[outer] @ heat
+        deriv = kernels_mod._subordination_matrix(grid, inner, True)[outer] @ (-lam * heat)
+        assert np.max(np.abs(plain - want)) <= 1e-11
+        assert np.max(np.abs(deriv + np.sqrt(lam) * want)) <= 1e-11
+
 
 def all_ten_kinds():
     return [
@@ -289,16 +363,16 @@ class TestKernelKind:
 
 class TestKernelEntry:
     def test_far_separation_decay(self):
-        profile = kernel_entry(0.0, KernelKind("dT"), [1.0], [6.0], SMALL_GRID)
-        assert np.max(np.abs(profile.values)) <= 1e-3
+        values = kernel_values(0.0, KernelKind("dT"), [1.0], [6.0], SMALL_GRID)[0]
+        assert np.max(np.abs(values)) <= 1e-3
 
     def test_diagonal_rejected(self):
         with pytest.raises(SingularPairError):
-            kernel_entry(0.0, KernelKind("dT"), [1.0], [1.0])
+            kernel_values(0.0, KernelKind("dT"), [1.0], [1.0], SMALL_GRID)
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
-            kernel_entry(-0.8, KernelKind("dT"), [1.0], [2.0])
+            kernel_values(-0.8, KernelKind("dT"), [1.0], [2.0], SMALL_GRID)
         with pytest.raises(ValueError):
             kernel_values(0.0, KernelKind("dT"), [[math.nan]], [[2.0]], SMALL_GRID)
 
@@ -307,11 +381,11 @@ class TestKernelEntry:
         alpha = (0.7, -0.5)
         x = [1.0, 2.0]
         y = [0.5, 1.4]
-        an = kernel_entry(alpha, kind, x, y, SMALL_GRID)
+        an = kernel_values(alpha, kind, x, y, SMALL_GRID)[0]
         fd = kernel_entry_fd(alpha, kind, x, y, SMALL_GRID)
         rng = np.random.default_rng(55)
         nodes = rng.choice(SMALL_GRID.n, size=20, replace=False)
-        assert np.max(np.abs(an.values[nodes] - fd.values[nodes])) <= 1e-6
+        assert np.max(np.abs(an[nodes] - fd[nodes])) <= 1e-6
 
     @pytest.mark.parametrize("kind", [k for k in all_ten_kinds() if not k.is_poisson],
                              ids=lambda k: k.tag)
@@ -321,12 +395,12 @@ class TestKernelEntry:
         alpha = (0.7, -0.5)
         x = [0.3, 0.2]
         y = [24.0, 26.0]
-        an = kernel_entry(alpha, kind, x, y, SMALL_GRID)
+        an = kernel_values(alpha, kind, x, y, SMALL_GRID)[0]
         fd = kernel_entry_fd(alpha, kind, x, y, SMALL_GRID)
-        assert np.mean(an.values == 0.0) > 0.5
-        scale = np.max(np.abs(fd.values))
+        assert np.mean(an == 0.0) > 0.5
+        scale = np.max(np.abs(fd))
         assert scale > 0
-        assert np.max(np.abs(an.values - fd.values)) <= 1e-6 * scale
+        assert np.max(np.abs(an - fd)) <= 1e-6 * scale
 
     @pytest.mark.parametrize("kind", all_ten_kinds(), ids=lambda k: k.tag)
     def test_skipping_underflow_changes_no_bit(self, kind, monkeypatch):
@@ -346,14 +420,16 @@ class TestKernelEntry:
         kind = KernelKind("hTmodStar", j=2)
         vals = kernel_values(alpha, kind, x, y, SMALL_GRID)
         for p in range(2):
-            single = kernel_entry(alpha, kind, x[p], y[p], SMALL_GRID)
-            assert np.allclose(vals[p], single.values, rtol=1e-14, atol=0)
+            single = kernel_values(alpha, kind, x[p], y[p], SMALL_GRID)
+            assert single.shape == (1, SMALL_GRID.n)
+            assert np.allclose(vals[p], single[0], rtol=1e-14, atol=0)
 
     def test_profile_measure_kinds(self):
-        p = kernel_entry(0.0, KernelKind("hT", i=1), [1.0], [2.0], SMALL_GRID)
-        assert p.measure_kind == "dt"
-        p = kernel_entry(0.0, KernelKind("dP"), [1.0], [2.0], SMALL_GRID)
-        assert p.measure_kind == "t_dt"
+        # one pair gives one profile on the grid, normed in its kind's measure
+        for kind, measure in ((KernelKind("hT", i=1), "dt"), (KernelKind("dP"), "t_dt")):
+            values = kernel_values(0.0, kind, [1.0], [2.0], SMALL_GRID)
+            assert values.shape == (1, SMALL_GRID.n)
+            assert kind.measure_kind == measure
 
     def test_equal_grids_share_subordination_matrix(self):
         kernels_mod._subordination_matrix.cache_clear()
@@ -424,7 +500,7 @@ class TestKernelAssociation:
     def test_association_with_spectral_route(self, kind):
         from lps import basis as basis_mod
         from lps.czcheck import random_expansion
-        from lps.gfunctions import gfun_profile
+        from lps.gfunctions import _amplitudes
 
         alpha = (0.3,)
         e = random_expansion(alpha, kind.input_family(), nmodes=5, max_level=4, seed=61)
@@ -437,7 +513,8 @@ class TestKernelAssociation:
                              pts, grid)
         kernel_route = (w * fy) @ vals
         # spectral route: the g-function time integrand at x
-        spectral_route = gfun_profile(kind, e, x, grid).values
+        nus, amp = _amplitudes(kind, e, x[None, :])
+        spectral_route = (amp.T @ np.exp(-np.outer(nus, grid.t)))[0]
         # the y-grid cannot resolve the near-diagonal kernel spike of width
         # sqrt(t); compare where the kernel is smooth on the grid scale
         # (subordination mixes in heat times down to ~t^2, so Poisson kinds
@@ -452,20 +529,18 @@ class TestKernelAssociation:
 class TestBnorm:
     def test_zero_profile(self):
         g = ZetaGrid(order=4, levels_zero=4, levels_one=4)
-        p = TimeProfile("t_dt", g.zeta, np.zeros(g.n), g.time_weights("t_dt"))
-        assert bnorm(p) == 0.0
+        assert time_norm(g, "t_dt", np.zeros(g.n)) == 0.0
 
     @pytest.mark.parametrize("c", [0.7, 2.0, 5.0])
     def test_exponential_t_dt(self, c):
         g = ZetaGrid()
-        p = TimeProfile("t_dt", g.zeta, np.exp(-c * g.t), g.time_weights("t_dt"))
-        assert bnorm(p) == pytest.approx(1.0 / (2.0 * c), rel=1e-9)
+        assert time_norm(g, "t_dt", np.exp(-c * g.t)) == pytest.approx(1.0 / (2.0 * c), rel=1e-9)
 
     @pytest.mark.parametrize("c", [0.7, 2.0, 5.0])
     def test_exponential_dt(self, c):
         g = ZetaGrid()
-        p = TimeProfile("dt", g.zeta, np.exp(-c * g.t), g.time_weights("dt"))
-        assert bnorm(p) == pytest.approx(1.0 / math.sqrt(2.0 * c), rel=1e-9)
+        assert time_norm(g, "dt", np.exp(-c * g.t)) == pytest.approx(
+            1.0 / math.sqrt(2.0 * c), rel=1e-9)
 
 
 class TestGridStability:

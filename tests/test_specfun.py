@@ -7,16 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from scipy.special import gammaln
 
+from lps.basis import ell
 from lps.specfun import (
     QuadratureRule,
     composite_legendre_rule,
-    gamma_fn,
     gauss_jacobi_rule,
     gauss_laguerre_rule,
     gauss_legendre_rule,
-    laguerre_poly,
     log_bessel_mantissa_ratio,
-    scaled_bessel_i,
     tensor_rule,
 )
 
@@ -44,56 +42,21 @@ def bessel_series_oracle(nu, z, terms=40):
         return float(acc / mpmath.mpf(2) ** nu)
 
 
-class TestGamma:
-    def test_classical_values(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-13)
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-13)
-
-    def test_against_mpmath(self):
-        for z in np.linspace(0.05, 30.0, 37):
-            assert gamma_fn(z) == pytest.approx(float(mpmath.gamma(z)), rel=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_fn(0.0)
-        with pytest.raises(ValueError):
-            gamma_fn(-1.5)
+def scaled_bessel_i(nu, z):
+    """i_nu(z) = z^(-nu) I_nu(z) as exp(logm + z) of the one Bessel primitive."""
+    logm, _ = log_bessel_mantissa_ratio(nu, z)
+    return np.exp(logm + np.asarray(z, dtype=float))
 
 
-class TestLaguerrePoly:
-    def test_degree_zero_is_one(self):
-        for a in (-0.5, 0.0, 2.3):
-            assert laguerre_poly(0, a, 1.7) == 1.0
-
-    def test_degree_one(self):
-        assert laguerre_poly(1, 0.7, 2.0) == pytest.approx(-0.3, abs=1e-14)
-
-    def test_degree_two(self):
-        # L_2^0(x) = (x^2 - 4x + 2)/2
-        assert laguerre_poly(2, 0.0, 1.0) == pytest.approx(-0.5, abs=1e-14)
-
-    @pytest.mark.parametrize("a", [-0.5, 0.0, 0.7, 3.0])
-    def test_recurrence_vs_series(self, a):
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(0.0, 20.0, 100)
-        for k in range(13):
-            for x in xs[:25]:
-                got = laguerre_poly(k, a, float(x))
-                want = laguerre_series(k, a, float(x))
-                assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
-
-    def test_vectorized(self):
-        xs = np.linspace(0.0, 5.0, 7)
-        vals = laguerre_poly(3, 0.5, xs)
-        assert vals.shape == xs.shape
-        assert vals[0] == pytest.approx(laguerre_series(3, 0.5, 0.0))
+def integrate(rule, f):
+    """sum_q w_q f(u_q) over the nodes of a QuadratureRule."""
+    return float(np.sum(rule.weights * f(rule.nodes)))
 
 
 class TestScaledBessel:
     def test_value_at_zero(self):
         for nu in (-0.5, 0.0, 1.0, 2.7):
-            want = 1.0 / (2.0**nu * gamma_fn(nu + 1.0))
+            want = 1.0 / (2.0**nu * math.gamma(nu + 1.0))
             assert scaled_bessel_i(nu, 0.0) == pytest.approx(want, rel=1e-13)
 
     def test_half_order_sinh(self):
@@ -151,8 +114,6 @@ class TestScaledBessel:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            scaled_bessel_i(-0.6, 1.0)
-        with pytest.raises(ValueError):
             scaled_bessel_i(0.0, -1.0)
 
 
@@ -201,18 +162,18 @@ class TestQuadrature:
     def test_laguerre_moments(self):
         # zeroth moment with a = 0.3 is Gamma(1.3); first moment with a = 0 is 1
         rule = gauss_laguerre_rule(8, 0.3)
-        assert rule.integrate(lambda u: np.ones_like(u)) == pytest.approx(
-            gamma_fn(1.3), rel=1e-13
+        assert integrate(rule, lambda u: np.ones_like(u)) == pytest.approx(
+            math.gamma(1.3), rel=1e-13
         )
         rule = gauss_laguerre_rule(8, 0.0)
-        assert rule.integrate(lambda u: u) == pytest.approx(1.0, rel=1e-13)
+        assert integrate(rule, lambda u: u) == pytest.approx(1.0, rel=1e-13)
 
     @pytest.mark.parametrize("n,a", [(6, -0.5), (10, 0.0), (9, 1.7), (14, 4.0)])
     def test_laguerre_degree_exactness(self, n, a):
         rule = gauss_laguerre_rule(n, a)
         for m in range(2 * n):
             want = float(mpmath.gamma(a + m + 1))
-            got = rule.integrate(lambda u: u**m)
+            got = integrate(rule, lambda u: u**m)
             assert abs(got - want) <= 1e-11 * want
 
     def test_jacobi_total_weight(self):
@@ -222,12 +183,12 @@ class TestQuadrature:
         # general a: beta function oracle B(1/2, a+1/2)
         for a in (0.0, 0.8, 2.5):
             rule = gauss_jacobi_rule(8, a)
-            want = math.sqrt(math.pi) * gamma_fn(a + 0.5) / gamma_fn(a + 1.0)
+            want = math.sqrt(math.pi) * math.gamma(a + 0.5) / math.gamma(a + 1.0)
             assert rule.weights.sum() == pytest.approx(want, rel=1e-12)
 
     def test_jacobi_odd_moment_vanishes(self):
         rule = gauss_jacobi_rule(8, 0.7)
-        assert abs(rule.integrate(lambda s: s)) < 1e-14
+        assert abs(integrate(rule, lambda s: s)) < 1e-14
 
     @pytest.mark.parametrize("n,a", [(6, 0.0), (8, 0.7), (10, 2.0)])
     def test_jacobi_degree_exactness(self, n, a):
@@ -235,12 +196,12 @@ class TestQuadrature:
         for m in range(0, 2 * n, 2):
             with mpmath.workdps(40):
                 want = float(mpmath.beta((m + 1) / 2.0, a + 0.5))
-            got = rule.integrate(lambda s: s**m)
+            got = integrate(rule, lambda s: s**m)
             assert abs(got - want) <= 1e-11 * want
 
     def test_legendre(self):
         rule = gauss_legendre_rule(12)
-        assert rule.integrate(lambda s: s**8) == pytest.approx(2.0 / 9.0, rel=1e-13)
+        assert integrate(rule, lambda s: s**8) == pytest.approx(2.0 / 9.0, rel=1e-13)
 
     def test_rule_invariants(self):
         for rule in (
@@ -335,6 +296,8 @@ class TestQuadrature:
 )
 @example(k=12, a=0.7, x=18.0)
 def test_laguerre_recurrence_property(k, a, x):
-    got = laguerre_poly(k, a, x)
+    # ell(a, k, sqrt(u)) = sqrt(2 k! / Gamma(k+a+1)) e^(-u/2) L_k^a(u)
+    norm = math.exp(0.5 * (math.log(2.0) + math.lgamma(k + 1) - math.lgamma(k + a + 1)))
+    got = ell(a, k, math.sqrt(x)) * math.exp(0.5 * x) / norm
     want = laguerre_series(k, a, x)
     assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
