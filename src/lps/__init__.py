@@ -40,7 +40,6 @@ from .kernels import (
     heat_kernel_schlafli,
     heat_kernel_spectral,
     kernel_values,
-    modified_heat_kernel,
     poisson_kernel,
 )
 from .measure import AlphaParam, as_alpha, mu_ball, mu_box, pi_alpha_integrate

@@ -64,7 +64,6 @@ class ConfigError(Exception):
 class RunConfig:
     alpha: tuple
     task: str
-    dimension: int = 0
     zeta_order: int = 12
     zeta_levels: int = 40
     quad_order: int = 64
@@ -88,10 +87,6 @@ class RunConfig:
             a = as_alpha(self.alpha)
         except ValueError as exc:
             raise ConfigError(f"alpha: {exc}") from exc
-        if self.dimension and self.dimension != a.d:
-            raise ConfigError(
-                f"dimension: {self.dimension} contradicts alpha of length {a.d}"
-            )
         # czscan/lemmas scan the standard estimates, kernel/verify use the
         # integral representation: all need the restricted type-index range
         if self.task in ("czscan", "lemmas", "kernel", "verify") and not a.cz_eligible:
@@ -126,11 +121,12 @@ class RunConfig:
             raise ConfigError(f"cutoff: task {self.task!r} needs cutoff >= 1")
         if not (math.isfinite(self.box_hi) and 0 < self.box_lo < self.box_hi):
             raise ConfigError("box_lo/box_hi: need finite 0 < box_lo < box_hi")
+        # a box that meets the range in one point would draw that point every time
         if self.task in ("kernel", "verify") and (
-                self.box_lo > KERNEL_BOX[1] or self.box_hi < KERNEL_BOX[0]):
+                self.box_lo >= KERNEL_BOX[1] or self.box_hi <= KERNEL_BOX[0]):
             raise ConfigError(f"box_lo/box_hi: task {self.task!r} draws its points from "
                               f"{list(KERNEL_BOX)} within the box, and "
-                              f"({self.box_lo}, {self.box_hi}) misses it")
+                              f"({self.box_lo}, {self.box_hi}) leaves no interval of it")
         return a
 
     def thread_count(self) -> int:

@@ -30,7 +30,7 @@ matching heat entry sampled on an inner tau grid.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "heat_kernel_closed",
     "heat_kernel_spectral",
     "heat_kernel_schlafli",
-    "modified_heat_kernel",
     "poisson_kernel",
     "subordination_u_rule",
     "kernel_values",
@@ -254,10 +253,6 @@ class KernelKind:
         shifts = self.input_family().shifts
         return (self.i,) + shifts if self.spec.deriv == "h" else shifts
 
-    def heat_counterpart(self) -> "KernelKind":
-        """The heat kind this Poisson kind is subordinated from."""
-        return KernelKind(replace(self.spec, semigroup="T").tag, self.i, self.j)
-
 
 def default_kinds(d: int) -> list:
     """Every kind that exists in dimension d, at its default coordinates."""
@@ -293,33 +288,6 @@ def _live_entries(acomp: np.ndarray, logg: np.ndarray):
     return logg + top > LOG_FLOOR - 1.0
 
 
-def _log_heat(acomp: np.ndarray, x: np.ndarray, y: np.ndarray, zeta, eta):
-    """log G_t for pairs (P, d) at time nodes (T,).
-
-    Returns logg (P, T), z = (P, d, T) and the Bessel ratios
-    i_(a_i+1)(z_i) / i_(a_i)(z_i) as (d, P, T).  Entries that underflow
-    anyway skip the Bessel factors: there logg is -inf and the ratios are 0.
-    """
-    inv_s = 0.5 * (1.0 + zeta) * eta / zeta  # 1 / sinh 2t
-    sx = np.sum(x * x, axis=1)[:, None]
-    sy = np.sum(y * y, axis=1)[:, None]
-    sep = np.sum((x - y) ** 2, axis=1)[:, None]
-    core = -0.5 * zeta * (sx + sy) - 0.5 * sep * inv_s
-    with np.errstate(divide="ignore"):
-        log_s = np.log(2.0 * zeta) - np.log1p(zeta) - np.log(eta)
-    logg = core - (len(acomp) + acomp.sum()) * log_s
-    z = x[:, :, None] * y[:, :, None] * inv_s
-    live = _live_entries(acomp, logg)
-    ratio = np.zeros((len(acomp),) + logg.shape)
-    part = logg[live]
-    for i, a in enumerate(acomp):
-        logm, ratio[i][live] = log_bessel_mantissa_ratio(a, z[:, i, :][live])
-        part = part + logm
-    logg = np.full_like(logg, -np.inf)
-    logg[live] = part
-    return logg, z, ratio
-
-
 def _exp_floor(logg: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """factor * exp(logg) with exact zeros where the exponential underflows."""
     factor = np.broadcast_to(factor, logg.shape)
@@ -330,18 +298,40 @@ def _exp_floor(logg: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return out
 
 
-def _heat_kind_values(alpha: AlphaParam, kind: KernelKind, x, y, zeta, eta):
-    """Values (P, T) of a heat-family kernel kind at time nodes (zeta, eta)."""
-    inv_s = 0.5 * (1.0 + zeta) * eta / zeta
-    coth2t = 0.5 * (1.0 + zeta * zeta) / zeta
-    spec = kind.spec
-    base = alpha.shifted(kind.j) if spec.modified else alpha
-    acomp = base.array()
-    logg, z, ratio = _log_heat(acomp, x, y, zeta, eta)
+def _heat_values(alpha: AlphaParam, kind: KernelKind | None, x: np.ndarray, y: np.ndarray,
+                 zeta, eta) -> np.ndarray:
+    """G_t (kind None) or the heat entry of kind, as (P, T) for pairs (P, d) at times (T,).
 
-    if spec.deriv == "d":
-        sx = np.sum(x * x, axis=1)[:, None]
-        sy = np.sum(y * y, axis=1)[:, None]
+    A Poisson kind gives the heat entry it is subordinated from, which reads
+    only its derivative, its modification and its coordinates.  Entries that
+    underflow anyway skip the Bessel factors and come out as exact zeros.
+    """
+    spec = None if kind is None else kind.spec
+    base = alpha.shifted(kind.j) if spec is not None and spec.modified else alpha
+    acomp = base.array()
+    inv_s = 0.5 * (1.0 + zeta) * eta / zeta  # 1 / sinh 2t
+    coth2t = 0.5 * (1.0 + zeta * zeta) / zeta
+    sx = np.sum(x * x, axis=1)[:, None]
+    sy = np.sum(y * y, axis=1)[:, None]
+    sep = np.sum((x - y) ** 2, axis=1)[:, None]
+    core = -0.5 * zeta * (sx + sy) - 0.5 * sep * inv_s
+    with np.errstate(divide="ignore"):
+        log_s = np.log(2.0 * zeta) - np.log1p(zeta) - np.log(eta)
+    logg = core - (len(acomp) + acomp.sum()) * log_s
+    # log G_t adds the Bessel mantissas; ratio[i] = i_(a_i+1)(z_i) / i_(a_i)(z_i)
+    z = x[:, :, None] * y[:, :, None] * inv_s
+    live = _live_entries(acomp, logg)
+    ratio = np.zeros((len(acomp),) + logg.shape)
+    part = logg[live]
+    for i, a in enumerate(acomp):
+        logm, ratio[i][live] = log_bessel_mantissa_ratio(a, z[:, i, :][live])
+        part = part + logm
+    logg = np.full_like(logg, -np.inf)
+    logg[live] = part
+
+    if spec is None:
+        factor = 1.0
+    elif spec.deriv == "d":
         zr = np.zeros_like(logg)
         for i in range(len(acomp)):
             zi = z[:, i, :]
@@ -368,12 +358,12 @@ def _heat_kind_values(alpha: AlphaParam, kind: KernelKind, x, y, zeta, eta):
             )
 
     vals = _exp_floor(logg, factor)
+    if spec is None or not spec.modified:
+        return vals
     e2t = eta / (1.0 + zeta)
     if spec.deriv == "hStar":
-        vals = vals * e2t * y[:, kind.j - 1][:, None]
-    elif spec.modified:
-        vals = vals * e2t * (x[:, kind.j - 1] * y[:, kind.j - 1])[:, None]
-    return vals
+        return vals * e2t * y[:, kind.j - 1][:, None]
+    return vals * e2t * (x[:, kind.j - 1] * y[:, kind.j - 1])[:, None]
 
 
 @lru_cache(maxsize=1)
@@ -415,9 +405,9 @@ def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid) -> np.ndarray:
     if np.any(np.all(x == y, axis=1)):
         raise SingularPairError("kernel entries are undefined on the diagonal x = y")
     if not kind.is_poisson:
-        return _heat_kind_values(alpha, kind, x, y, grid.zeta, grid.eta)
+        return _heat_values(alpha, kind, x, y, grid.zeta, grid.eta)
     inner = _default_inner_grid()
-    heat = _heat_kind_values(alpha, kind.heat_counterpart(), x, y, inner.zeta, inner.eta)
+    heat = _heat_values(alpha, kind, x, y, inner.zeta, inner.eta)
     mat = _subordination_matrix(grid, inner, kind.spec.deriv == "d").T
     # fixed-shape blocks (zero-padded) keep the BLAS summation order, and
     # hence the report bytes, independent of how callers batch the pairs
@@ -445,23 +435,26 @@ def _point(p, d: int) -> np.ndarray:
     return p
 
 
-def _heat_values_at_times(alpha: AlphaParam, t, x, y) -> np.ndarray:
-    """G_t(x, y) for one pair at an array of times."""
+def _heat_values_at_times(alpha: AlphaParam, t, x, y, j: int | None) -> np.ndarray:
+    """G_t(x, y), or the modified kernel of coordinate j, for one pair at an array of times.
+
+    The modified kernel is e^(-2t) x_j y_j G_t^(alpha+e_j)(x, y).
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    zeta = np.tanh(t)
-    eta = _eta_of_t(t)
-    logg, _, _ = _log_heat(alpha.array(), x, y, zeta, eta)
-    with np.errstate(under="ignore"):
-        return np.where(logg[0] > LOG_FLOOR, np.exp(np.maximum(logg[0], LOG_FLOOR)), 0.0)
+    base = alpha if j is None else alpha.shifted(j)
+    vals = _heat_values(base, None, x, y, np.tanh(t), _eta_of_t(t))[0]
+    if j is not None:
+        vals = vals * np.exp(-2.0 * t) * x[0, j - 1] * y[0, j - 1]
+    return vals
 
 
-def heat_kernel_closed(alpha, t: float, x, y) -> float:
-    """Heat kernel G_t(x, y) from the closed Bessel-product formula."""
+def heat_kernel_closed(alpha, t: float, x, y, j: int | None = None) -> float:
+    """Heat kernel G_t(x, y) (or its modified variant for coordinate j) in closed form."""
     alpha = as_alpha(alpha)
     _check_time(t)
     x = _point(x, alpha.d)
     y = _point(y, alpha.d)
-    return float(_heat_values_at_times(alpha, t, x, y)[0])
+    return float(_heat_values_at_times(alpha, t, x, y, j)[0])
 
 
 def heat_kernel_spectral(alpha, t: float, x, y, cutoff: int) -> float:
@@ -507,16 +500,6 @@ def heat_kernel_schlafli(alpha, t: float, x, y, order: int = 64) -> float:
     return pref * pi_alpha_integrate(alpha, integrand, order)
 
 
-def modified_heat_kernel(alpha, j: int, t: float, x, y) -> float:
-    """Kernel of the modified semigroup: e^(-2t) x_j y_j G_t^(alpha+e_j)(x, y)."""
-    alpha = as_alpha(alpha)
-    _check_time(t)
-    base = alpha.shifted(j)
-    x = _point(x, alpha.d)[0]
-    y = _point(y, alpha.d)[0]
-    return math.exp(-2.0 * t) * x[j - 1] * y[j - 1] * heat_kernel_closed(base, t, x, y)
-
-
 @lru_cache(maxsize=1)
 def subordination_u_rule():
     """Quadrature (u_q, w_q) for (1/sqrt(pi)) int e^-u u^(-1/2) f(u) du.
@@ -544,13 +527,9 @@ def poisson_kernel(alpha, t: float, x, y, j: int | None = None) -> float:
     """Poisson kernel (or its modified variant for coordinate j) by subordination."""
     alpha = as_alpha(alpha)
     _check_time(t)
-    base = alpha if j is None else alpha.shifted(j)
     x = _point(x, alpha.d)
     y = _point(y, alpha.d)
     u, w = subordination_u_rule()
     tau = t * t / (4.0 * u)
-    vals = _heat_values_at_times(base, tau, x, y)
-    if j is not None:
-        vals = vals * np.exp(-2.0 * tau) * x[0, j - 1] * y[0, j - 1]
-    return float(np.sum(w * vals))
+    return float(np.sum(w * _heat_values_at_times(alpha, tau, x, y, j)))
 

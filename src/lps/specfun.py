@@ -12,7 +12,7 @@ the raw I_nu would introduce a spurious 0 * inf ambiguity at the origin.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -44,8 +44,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
-    params: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         # read-only copies: cached rules are shared by every caller
@@ -134,7 +132,7 @@ def gauss_laguerre_rule(n: int, a: float = 0.0) -> QuadratureRule:
     if a <= -1:
         raise ValueError(f"exponent must exceed -1, got {a}")
     nodes, weights = roots_genlaguerre(n, a)
-    return QuadratureRule(nodes, weights, "gauss_laguerre", (n, a))
+    return QuadratureRule(nodes, weights)
 
 
 @lru_cache(maxsize=64)
@@ -149,7 +147,7 @@ def gauss_jacobi_rule(n: int, a: float) -> QuadratureRule:
     if a <= -0.5:
         raise ValueError(f"exponent must exceed -1/2, got {a}")
     nodes, weights = roots_jacobi(n, a - 0.5, a - 0.5)
-    return QuadratureRule(nodes, weights, "gauss_jacobi", (n, a))
+    return QuadratureRule(nodes, weights)
 
 
 @lru_cache(maxsize=64)
@@ -158,7 +156,7 @@ def gauss_legendre_rule(n: int) -> QuadratureRule:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(nodes, weights, "gauss_legendre", (n,))
+    return QuadratureRule(nodes, weights)
 
 
 def composite_legendre_rule(edges, n: int, smooth_ends: bool = False):

@@ -70,11 +70,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             cfg.validate()
 
-    def test_dimension_mismatch(self):
-        cfg = RunConfig(alpha=(0.0, 0.0), task="basis", dimension=3)
-        with pytest.raises(ConfigError, match="dimension"):
-            cfg.validate()
-
     def test_thread_env_override(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         cfg = RunConfig(alpha=(0.0,), task="basis", threads="2")
@@ -123,11 +118,17 @@ class TestExitCodes:
         ("kernel", "alpha = 0.0\nbox_lo = 5\nbox_hi = 9\n", "box_lo/box_hi"),
         ("verify", "alpha = 0.0\nbox_lo = 0.05\nbox_hi = 0.1\n", "box_lo/box_hi"),
         ("verify", "alpha = 0.0\nbox_lo = 5\nbox_hi = 9\n", "box_lo/box_hi"),
+        # a box meeting [0.2, 4] in one point would draw that point every time
+        ("kernel", "alpha = 0.0\nbox_lo = 4\nbox_hi = 10\n", "box_lo/box_hi"),
+        ("kernel", "alpha = 0.0\nbox_lo = 0.05\nbox_hi = 0.2\n", "box_lo/box_hi"),
+        # alpha fixes the dimension; there is no key for it
+        ("basis", "alpha = 0.0\ndimension = 1\n", "unknown key 'dimension'"),
     ], ids=["alpha_below_range", "alpha_nan", "quad_order_0", "cutoff_negative",
             "gfun_cutoff_0", "verify_cutoff_0", "zeta_order_1", "zeta_levels_1",
             "box_hi_inf", "hTmod_d1", "hPmod_d1", "task_contradicts_command",
             "czscan_d5", "lemmas_d5", "kernel_box_below", "kernel_box_above",
-            "verify_box_below", "verify_box_above"])
+            "verify_box_below", "verify_box_above", "kernel_box_at_top",
+            "kernel_box_at_bottom", "dimension_key"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, task, text, field):
         path = write_config(tmp_path, text + "seed = 1\ncount = 3\n")
         code = main([task, "--config", path, "--out", str(tmp_path / "r.csv")])

@@ -31,6 +31,21 @@ CASES = {
         "alpha = -0.5\nkind = dT\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
         "9a4eb80935e873f21d3e9c126dbca486d744e50270e516cf9c5d5b5b14ba7f2c"),
+    "czscan-d1-hT": (
+        "czscan",
+        "alpha = -0.5\nkind = hT\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
+        "0cde1f583f2a9f547f8016a6b7f5602882518bc13a2e6cccbbec382320107e94"),
+    "czscan-d1-dTmod": (
+        "czscan",
+        "alpha = -0.5\nkind = dTmod\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
+        "8ae7e987418cb28c08891b0efc8619b25e0dacdc79ee686ad1c080f9ed126c96"),
+    "czscan-d2-hTmod": (
+        "czscan",
+        "alpha = 0, -0.5\nkind = hTmod\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
+        "9f35e976a31ddda09d8ac71582128aa6bd94e5aba951091cb28d0a18571e991f"),
 }
 
 

@@ -13,7 +13,6 @@ from lps.kernels import (
     heat_kernel_schlafli,
     heat_kernel_spectral,
     kernel_values,
-    modified_heat_kernel,
     poisson_kernel,
     subordination_u_rule,
 )
@@ -61,7 +60,7 @@ def kernel_entry_fd(alpha, kind: KernelKind, x, y, grid: ZetaGrid) -> np.ndarray
         if spec.semigroup == "P":
             return poisson_kernel(alpha, t, xx, y, j=j)
         if spec.modified:
-            return modified_heat_kernel(alpha, j, t, xx, y)
+            return heat_kernel_closed(alpha, t, xx, y, j=j)
         return heat_kernel_closed(alpha, t, xx, y)
 
     vals = np.empty(grid.n)
@@ -153,7 +152,7 @@ class TestHeatKernel:
                 lambda: heat_kernel_closed(-0.5, t, [1.0], [2.0]),
                 lambda: heat_kernel_spectral(0.0, t, [1.0], [2.0], 10),
                 lambda: heat_kernel_schlafli(0.0, t, [1.0], [2.0]),
-                lambda: modified_heat_kernel(0.0, 1, t, [1.0], [2.0]),
+                lambda: heat_kernel_closed(0.0, t, [1.0], [2.0], j=1),
                 lambda: poisson_kernel(0.0, t, [1.0], [2.0]),
             ):
                 with pytest.raises(ValueError, match="t must be finite and positive"):
@@ -221,8 +220,8 @@ class TestSchlafli:
 class TestModifiedKernel:
     def test_positive_and_symmetric(self):
         a = (0.3, -0.5)
-        v1 = modified_heat_kernel(a, 1, 0.6, [1.0, 0.5], [2.0, 1.5])
-        v2 = modified_heat_kernel(a, 1, 0.6, [2.0, 1.5], [1.0, 0.5])
+        v1 = heat_kernel_closed(a, 0.6, [1.0, 0.5], [2.0, 1.5], j=1)
+        v2 = heat_kernel_closed(a, 0.6, [2.0, 1.5], [1.0, 0.5], j=1)
         assert v1 > 0
         assert v1 == v2
 
@@ -233,7 +232,27 @@ class TestModifiedKernel:
             t = float(rng.uniform(0.05, 3.0))
             x = rng.uniform(0.05, 5.0, 2)
             y = rng.uniform(0.05, 5.0, 2)
-            assert modified_heat_kernel(a, 1, t, x, y) <= heat_kernel_closed(a, t, x, y) * (1 + 1e-12)
+            assert heat_kernel_closed(a, t, x, y, j=1) <= heat_kernel_closed(a, t, x, y) * (1 + 1e-12)
+
+    def test_j_is_the_shifted_kernel_times_the_modification(self):
+        # e^(-2t) x_j y_j G_t^(alpha+e_j)(x, y)
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            a = as_alpha(tuple(rng.uniform(-0.5, 2.0, 2)))
+            t = float(rng.uniform(0.05, 3.0))
+            x = rng.uniform(0.05, 5.0, 2)
+            y = rng.uniform(0.05, 5.0, 2)
+            for j in (1, 2):
+                want = math.exp(-2.0 * t) * x[j - 1] * y[j - 1] * heat_kernel_closed(
+                    a.shifted(j), t, x, y)
+                assert want > 0
+                assert heat_kernel_closed(a, t, x, y, j=j) == pytest.approx(want, rel=1e-14)
+
+    def test_coordinate_out_of_range(self):
+        for kernel in (heat_kernel_closed, poisson_kernel):
+            for j in (0, 3):
+                with pytest.raises(ValueError, match="coordinate j must be in 1..2"):
+                    kernel((0.0, -0.5), 0.5, [1.0, 2.0], [2.0, 1.0], j=j)
 
     def test_spectral_cross_check(self):
         # sum_n e^(-t lambda_n) x_j y_j l_(k-e_j)^(a+e_j)(x) l_(k-e_j)^(a+e_j)(y)
@@ -248,7 +267,7 @@ class TestModifiedKernel:
         series = x * y * float(
             np.sum(np.exp(-t * lam) * tx[0][: cutoff, 0] * ty[0][: cutoff, 0])
         )
-        assert modified_heat_kernel(a, 1, t, [x], [y]) == pytest.approx(series, rel=1e-8)
+        assert heat_kernel_closed(a, t, [x], [y], j=1) == pytest.approx(series, rel=1e-8)
 
 
 class TestPoisson:
@@ -482,7 +501,7 @@ class TestKernelEntry:
             x = rng.uniform(0.1, 4.0, 2)
             y = rng.uniform(0.1, 4.0, 2)
             assert heat_kernel_closed(a, t, x, y) > 0
-            assert modified_heat_kernel(a, 1, t, x, y) > 0
+            assert heat_kernel_closed(a, t, x, y, j=1) > 0
             assert poisson_kernel(a, t, x, y) > 0
             assert poisson_kernel(a, t, x, y, j=2) > 0
 

@@ -283,9 +283,9 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             gauss_jacobi_rule(4, -0.5)
         with pytest.raises(ValueError):
-            QuadratureRule([1.0, 0.5], [1.0, 1.0], "bad")
+            QuadratureRule([1.0, 0.5], [1.0, 1.0])
         with pytest.raises(ValueError):
-            QuadratureRule([0.5, 1.0], [1.0, -1.0], "bad")
+            QuadratureRule([0.5, 1.0], [1.0, -1.0])
 
 
 @settings(max_examples=60, deadline=None)
