@@ -35,12 +35,13 @@ print(f"dT entry at (1.0, 1.5): L^2(t dt) norm = {norm:.6f}")
 x, y = sample_pairs(1, 150, 7)
 xp = sample_perturbed(x, y, 8)
 balls = ball_measures(0.0, x, y)
-for kind in (KernelKind("dT"), KernelKind("hT", i=1), KernelKind("dP")):
-    ratios = scan(0.0, kind, x, y, None, None, balls, grid, ("growth",))["growth"].ratio
+kinds = [KernelKind("dT"), KernelKind("hT", i=1), KernelKind("dP")]
+for kind, (cols,) in zip(kinds, scan(0.0, kinds, x, y, None, None, balls, [grid], ("growth",))):
+    ratios = cols["growth"].ratio
     print(f"{kind.tag:4s} growth ratios over 150 pairs: "
           f"max {ratios.max():.3f}  median {np.median(ratios):.3f}")
 
-ratios = scan(0.0, KernelKind("dT"), x, y, xp, None, balls, grid, ("smooth_x",))["smooth_x"].ratio
+ratios = scan(0.0, [dT], x, y, xp, None, balls, [grid], ("smooth_x",))[0][0]["smooth_x"].ratio
 print(f"dT   smoothness (x-argument):      max {ratios.max():.3f}  "
       f"median {np.median(ratios):.3f}")
 

@@ -32,6 +32,7 @@ from .czcheck import lemma_suite, random_expansion, riesz_identity_check
 from .gfunctions import gfun_l2_exact, gfun_l2_norm
 from .kernels import (
     KIND_TABLE,
+    PAIR_BLOCK,
     KernelKind,
     ZetaGrid,
     default_kinds,
@@ -45,10 +46,6 @@ from .measure import as_alpha
 __all__ = ["RunConfig", "run", "main"]
 
 THREAD_ENV = "LPS_THREADS"
-# fewest sample pairs worth a worker of their own in czscan: one Poisson
-# matmul block; smaller spans pad that matmul with zero rows, and two
-# workers on short spans lose more to the GIL than they gain
-SPAN_PAIRS = 32
 # largest dimension of czscan and lemmas, whose ball measures cost about
 # 0.1 ms per ball at d = 2, 90 ms at d = 4 and 20-30 s at d = 5
 MAX_BALL_DIMENSION = 4
@@ -352,15 +349,18 @@ def _task_czscan(cfg: RunConfig, alpha, report: Report):
     x, y = czcheck.sample_pairs(alpha.d, cfg.count, cfg.seed, cfg.box_lo, cfg.box_hi)
     xp = czcheck.sample_perturbed(x, y, cfg.seed + 1)
     yp = czcheck.sample_perturbed(y, x, cfg.seed + 2)
-    spans = _chunks(cfg.count, max(1, min(nthreads, cfg.count // SPAN_PAIRS)))
+    # a worker gets at least one block of pairs: smaller spans pad the Poisson
+    # matmul with zero rows, and two workers on short spans lose more to the
+    # GIL than they gain
+    spans = _chunks(cfg.count, max(1, min(nthreads, cfg.count // PAIR_BLOCK)))
 
     def work(span):
         # one span of sample indices: its ball measures, then every kind at
         # every grid; merging the spans in order preserves sample order
         s = slice(*span)
         balls = czcheck.ball_measures(alpha, x[s], y[s])
-        return balls, [[czcheck.scan(alpha, kind, x[s], y[s], xp[s], yp[s], balls, g, estimates)
-                        for g in grids] for kind in kinds]
+        return balls, czcheck.scan(alpha, kinds, x[s], y[s], xp[s], yp[s], balls, grids,
+                                   estimates)
 
     if nthreads == 1 or len(spans) == 1:
         parts = [work(s) for s in spans]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import basis
 from .basis import Expansion, PLAIN, delta_apply, differentiated, eigenvalue, ell, riesz_transform
-from .kernels import KernelKind, ZetaGrid, kernel_values
+from .kernels import PAIR_BLOCK, ZetaGrid, _kind_values
 from .measure import as_alpha, mu_ball, pi_alpha_rule
 
 __all__ = [
@@ -131,38 +131,56 @@ def ball_measures(alpha, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([mu_ball(alpha, c, float(r)) for c, r in zip(x, _distances(x, y))])
 
 
-def scan(alpha, kind: KernelKind, x, y, xp, yp, balls, grid: ZetaGrid,
-         estimates=ESTIMATES) -> dict:
+def scan(alpha, kinds, x, y, xp, yp, balls, grids, estimates=ESTIMATES) -> list:
     """Columns of the requested estimates over the pairs (x[p], y[p]).
 
+    The result is indexed [k][g][estimate] for kinds[k] on grids[g].
     growth is ||K(x,y)|| * mu_alpha(B(x, |x-y|)); smooth_x (smooth_y)
     norms K(x,y) - K(x',y) (K(x,y) - K(x,y')), with the profiles subtracted
     nodewise on the shared zeta grid, and multiplies in the inverted factor
     |x-y|/|x-x'|, flagging the half-distance constraint |x-y| > 2|x-x'|.
     xp and yp are the perturbed points (None when their estimate is not
     requested) and balls the output of ball_measures on the same pairs.
-    K(x, y) is evaluated once and shared by all estimates.
+    The pairs are taken PAIR_BLOCK at a time, with (x, y), (x', y) and
+    (x, y') stacked into one batch, so each base's heat parts serve every
+    kind and point set of a block; each kind's values are reduced to their
+    norms before the next kind's are made.
     """
-    vals = kernel_values(alpha, kind, x, y, grid)
-    w = grid.time_weights(kind.measure_kind)
-    sep = _distances(x, y)
-    out = {}
+    pairs = {"growth": (x, y), "smooth_x": (xp, y), "smooth_y": (x, yp)}
     for est in estimates:
-        if est == "growth":
-            norms = _row_norms(vals, w)
-            out[est] = EstimateColumns(norms, norms * balls, np.ones(norms.shape, dtype=bool))
-            continue
-        if est == "smooth_x":
-            base, pert, moved = x, xp, (xp, y)
-        elif est == "smooth_y":
-            base, pert, moved = y, yp, (x, yp)
-        else:
+        if est not in pairs:
             raise ValueError(f"unknown estimate {est!r}, expected one of {ESTIMATES}")
-        if pert is None:
+        if any(p is None for p in pairs[est]):
             raise ValueError(f"{est} needs its perturbed points")
-        norms = _row_norms(vals - kernel_values(alpha, kind, *moved, grid), w)
-        dp = _distances(base, pert)
-        out[est] = EstimateColumns(norms, norms * balls * sep / dp, sep > 2.0 * dp)
+    # in a block's batch, the pairs of moved[m] follow those of (x, y) as set m + 1
+    moved = [est for est in estimates if est != "growth"]
+    norms = [[{est: [] for est in estimates} for _ in grids] for _ in kinds]
+    for start in range(0, len(x), PAIR_BLOCK):
+        s = slice(start, start + PAIR_BLOCK)
+        rows = len(x[s])
+        bx = np.vstack([x[s]] + [pairs[est][0][s] for est in moved])
+        by = np.vstack([y[s]] + [pairs[est][1][s] for est in moved])
+        for k, g, vals in _kind_values(alpha, kinds, bx, by, grids):
+            w = grids[g].time_weights(kinds[k].measure_kind)
+            for est in estimates:
+                diff = vals[:rows]
+                if est != "growth":
+                    m = moved.index(est) + 1
+                    diff = diff - vals[m * rows : (m + 1) * rows]
+                norms[k][g][est].append(_row_norms(diff, w))
+    sep = _distances(x, y)
+    # |x - x'| and |y - y'|: the unperturbed point of each estimate and its perturbation
+    shifts = {"smooth_x": (x, xp), "smooth_y": (y, yp)}
+    dps = {est: _distances(*shifts[est]) for est in moved}
+    out = [[{} for _ in grids] for _ in kinds]
+    for k, g in np.ndindex(len(kinds), len(grids)):
+        for est in estimates:
+            col = np.concatenate(norms[k][g][est])
+            if est == "growth":
+                out[k][g][est] = EstimateColumns(col, col * balls, np.ones(col.shape, dtype=bool))
+            else:
+                dp = dps[est]
+                out[k][g][est] = EstimateColumns(col, col * balls * sep / dp, sep > 2.0 * dp)
     return out
 
 

@@ -32,6 +32,7 @@ matching heat entry sampled on an inner tau grid.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -56,7 +57,10 @@ __all__ = [
 ]
 
 LOG_FLOOR = -700.0  # below this, exp underflows; the value is exactly 0 in doubles
-_MATMUL_BLOCK = 32
+# pairs per Poisson matmul block, per block of czcheck.scan and, at least, per
+# czscan worker span: zero-padded fixed-shape matmul blocks keep the BLAS
+# summation order, and hence the report bytes, independent of the batching
+PAIR_BLOCK = 32
 
 
 class SingularPairError(ValueError):
@@ -289,7 +293,12 @@ def _live_entries(acomp: np.ndarray, logg: np.ndarray):
 
 
 def _exp_floor(logg: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """factor * exp(logg) with exact zeros where the exponential underflows."""
+    """factor * exp(logg) with exact zeros where the exponential underflows.
+
+    A NaN exponent means a failed evaluation, not an underflow, and raises.
+    """
+    if np.isnan(logg).any():
+        raise FloatingPointError("heat kernel exponent is NaN")
     factor = np.broadcast_to(factor, logg.shape)
     out = np.zeros_like(logg)
     mask = logg > LOG_FLOOR
@@ -298,16 +307,29 @@ def _exp_floor(logg: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return out
 
 
-def _heat_values(alpha: AlphaParam, kind: KernelKind | None, x: np.ndarray, y: np.ndarray,
-                 zeta, eta) -> np.ndarray:
-    """G_t (kind None) or the heat entry of kind, as (P, T) for pairs (P, d) at times (T,).
+class _HeatParts(NamedTuple):
+    """What every kind's heat entry of one base reads, as (P, T) for pairs (P, d) at times (T,)."""
 
-    A Poisson kind gives the heat entry it is subordinated from, which reads
-    only its derivative, its modification and its coordinates.  Entries that
-    underflow anyway skip the Bessel factors and come out as exact zeros.
+    x: np.ndarray
+    y: np.ndarray
+    zeta: np.ndarray
+    eta: np.ndarray
+    acomp: np.ndarray  # components of the base, alpha or alpha + e_j
+    inv_s: np.ndarray  # 1 / sinh 2t
+    coth2t: np.ndarray
+    sx: np.ndarray  # |x|^2, (P, 1)
+    sy: np.ndarray
+    z: np.ndarray  # x_i y_i / sinh 2t, (P, d, T)
+    logg: np.ndarray  # log G_t of the base, -inf where it underflows
+    ratio: np.ndarray  # ratio[i] = i_(a_i+1)(z_i) / i_(a_i)(z_i), (d, P, T)
+
+
+def _heat_parts(base: AlphaParam, x: np.ndarray, y: np.ndarray, zeta, eta) -> _HeatParts:
+    """The kind-independent parts of G_t of the type index base.
+
+    Entries that underflow anyway skip the Bessel factors: their log G_t is
+    -inf and their ratios 0.
     """
-    spec = None if kind is None else kind.spec
-    base = alpha.shifted(kind.j) if spec is not None and spec.modified else alpha
     acomp = base.array()
     inv_s = 0.5 * (1.0 + zeta) * eta / zeta  # 1 / sinh 2t
     coth2t = 0.5 * (1.0 + zeta * zeta) / zeta
@@ -318,7 +340,7 @@ def _heat_values(alpha: AlphaParam, kind: KernelKind | None, x: np.ndarray, y: n
     with np.errstate(divide="ignore"):
         log_s = np.log(2.0 * zeta) - np.log1p(zeta) - np.log(eta)
     logg = core - (len(acomp) + acomp.sum()) * log_s
-    # log G_t adds the Bessel mantissas; ratio[i] = i_(a_i+1)(z_i) / i_(a_i)(z_i)
+    # log G_t adds the Bessel mantissas
     z = x[:, :, None] * y[:, :, None] * inv_s
     live = _live_entries(acomp, logg)
     ratio = np.zeros((len(acomp),) + logg.shape)
@@ -328,7 +350,17 @@ def _heat_values(alpha: AlphaParam, kind: KernelKind | None, x: np.ndarray, y: n
         part = part + logm
     logg = np.full_like(logg, -np.inf)
     logg[live] = part
+    return _HeatParts(x, y, zeta, eta, acomp, inv_s, coth2t, sx, sy, z, logg, ratio)
 
+
+def _heat_entry(alpha: AlphaParam, kind: KernelKind | None, parts: _HeatParts) -> np.ndarray:
+    """G_t (kind None) or the heat entry of kind, from the parts of its base.
+
+    A Poisson kind gives the heat entry it is subordinated from, which reads
+    only its derivative, its modification and its coordinates.
+    """
+    x, y, zeta, eta, acomp, inv_s, coth2t, sx, sy, z, logg, ratio = parts
+    spec = None if kind is None else kind.spec
     if spec is None:
         factor = 1.0
     elif spec.deriv == "d":
@@ -389,37 +421,72 @@ def _subordination_matrix(outer: ZetaGrid, inner: ZetaGrid, time_derivative: boo
     return mat
 
 
-def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid) -> np.ndarray:
-    """Batched kernel entries: values of shape (npairs, grid.n).
+def _subordinate(heat: np.ndarray, outer: ZetaGrid, inner: ZetaGrid,
+                 time_derivative: bool) -> np.ndarray:
+    """Poisson values on outer from heat values on inner, PAIR_BLOCK rows at a time."""
+    mat = _subordination_matrix(outer, inner, time_derivative).T
+    n = heat.shape[0]
+    out = np.empty((n, outer.n))
+    for start in range(0, n, PAIR_BLOCK):
+        block = heat[start : start + PAIR_BLOCK]
+        rows = block.shape[0]
+        if rows < PAIR_BLOCK:
+            block = np.vstack([block, np.zeros((PAIR_BLOCK - rows, heat.shape[1]))])
+        out[start : start + rows] = (block @ mat)[:rows]
+    return out
 
-    x and y are (npairs, d) arrays of off-diagonal point pairs.
+
+def _kind_values(alpha, kinds, x, y, grids):
+    """Yield (k, g, values): the entries of kinds[k] on grids[g], shape (npairs, grids[g].n).
+
+    x and y are (npairs, d) arrays of off-diagonal point pairs.  The kinds
+    are grouped by base, alpha or alpha + e_j, and one base's heat parts are
+    held at a time: the parts on each outer grid serve its heat kinds, and
+    the parts on the inner grid serve its Poisson kinds, whose heat entries
+    are subordinated to every outer grid.  Each kind's values are yielded as
+    soon as they exist, so a caller can reduce them before the next is made.
     """
     alpha = as_alpha(alpha)
     if not alpha.cz_eligible:
         raise ValueError("kernel entries require alpha in [-1/2, inf)^d")
-    kind.check_dimension(alpha.d)
+    for kind in kinds:
+        kind.check_dimension(alpha.d)
     x = _pair_array(x, alpha.d)
     y = _pair_array(y, alpha.d)
     if x.shape != y.shape:
         raise ValueError("x and y batches must have matching shapes")
     if np.any(np.all(x == y, axis=1)):
         raise SingularPairError("kernel entries are undefined on the diagonal x = y")
-    if not kind.is_poisson:
-        return _heat_values(alpha, kind, x, y, grid.zeta, grid.eta)
+    by_base = {}
+    for k, kind in enumerate(kinds):
+        by_base.setdefault(kind.j if kind.spec.modified else 0, []).append(k)
     inner = _default_inner_grid()
-    heat = _heat_values(alpha, kind, x, y, inner.zeta, inner.eta)
-    mat = _subordination_matrix(grid, inner, kind.spec.deriv == "d").T
-    # fixed-shape blocks (zero-padded) keep the BLAS summation order, and
-    # hence the report bytes, independent of how callers batch the pairs
-    n = heat.shape[0]
-    out = np.empty((n, grid.n))
-    for start in range(0, n, _MATMUL_BLOCK):
-        block = heat[start : start + _MATMUL_BLOCK]
-        rows = block.shape[0]
-        if rows < _MATMUL_BLOCK:
-            block = np.vstack([block, np.zeros((_MATMUL_BLOCK - rows, heat.shape[1]))])
-        out[start : start + rows] = (block @ mat)[:rows]
-    return out
+    for j, members in by_base.items():
+        base = alpha.shifted(j) if j else alpha
+        heat = [k for k in members if not kinds[k].is_poisson]
+        poisson = [k for k in members if kinds[k].is_poisson]
+        if heat:
+            for g, grid in enumerate(grids):
+                parts = _heat_parts(base, x, y, grid.zeta, grid.eta)
+                for k in heat:
+                    yield k, g, _heat_entry(alpha, kinds[k], parts)
+                del parts
+        if poisson:
+            parts = _heat_parts(base, x, y, inner.zeta, inner.eta)
+            for k in poisson:
+                entry = _heat_entry(alpha, kinds[k], parts)
+                for g, grid in enumerate(grids):
+                    yield k, g, _subordinate(entry, grid, inner, kinds[k].spec.deriv == "d")
+            del parts
+
+
+def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid) -> np.ndarray:
+    """Batched kernel entries: values of shape (npairs, grid.n).
+
+    x and y are (npairs, d) arrays of off-diagonal point pairs.
+    """
+    ((_, _, values),) = _kind_values(alpha, [kind], x, y, [grid])
+    return values
 
 
 def _check_time(t):
@@ -442,7 +509,7 @@ def _heat_values_at_times(alpha: AlphaParam, t, x, y, j: int | None) -> np.ndarr
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     base = alpha if j is None else alpha.shifted(j)
-    vals = _heat_values(base, None, x, y, np.tanh(t), _eta_of_t(t))[0]
+    vals = _heat_entry(base, None, _heat_parts(base, x, y, np.tanh(t), _eta_of_t(t)))[0]
     if j is not None:
         vals = vals * np.exp(-2.0 * t) * x[0, j - 1] * y[0, j - 1]
     return vals

@@ -36,6 +36,10 @@ BESSEL_SERIES_CUTOFF = 20.0
 _SERIES_TERMS = 80
 # the series regime is summed per band; each band stops on its own terms
 _SERIES_BANDS = (1.0, 4.0, 10.0, BESSEL_SERIES_CUTOFF)
+# scipy's ive returns NaN above 2^30 - 1/2; the Hankel expansion takes over
+# from here, where each of its terms is below 1e-6 of the last for orders up to 40
+BESSEL_HANKEL_CUTOFF = 2.0**30 - 1.0
+_HANKEL_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,24 @@ def _bessel_series_pair(nu: float, z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _hankel_sum(nu: float, z: np.ndarray) -> np.ndarray:
+    """sqrt(2 pi z) e^-z I_nu(z) for large z: sum_k (-1)^k a_k(nu) / z^k (DLMF 10.40.1).
+
+    Each term is the last times -(4 nu^2 - (2k-1)^2) / (8 k z), so at
+    z near 2^30 and moderate nu the sum stops after a few terms, once every
+    term is below 1e-18 of its sum.
+    """
+    mu = 4.0 * nu * nu
+    term = np.ones_like(z)
+    acc = term.copy()
+    for k in range(1, _HANKEL_TERMS + 1):
+        term = -term * (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * z)
+        acc += term
+        if np.all(np.abs(term) <= 1e-18 * acc):
+            break
+    return acc
+
+
 def log_bessel_mantissa_ratio(nu: float, z):
     """log(e^-z i_nu(z)) and i_(nu+1)(z) / i_nu(z) in one pass, for nu > -1.
 
@@ -94,7 +116,8 @@ def log_bessel_mantissa_ratio(nu: float, z):
     1/(2 nu + 2) at z = 0 and ~ 1/z at infinity.  Below the cutoff both come
     from the power series, summed per band of z so that small arguments do
     not wait for the slowest terms; above it from the exponentially scaled
-    ive.
+    ive, and from BESSEL_HANKEL_CUTOFF on, where ive fails, from the Hankel
+    expansion.
     Arrays of any shape are accepted; a scalar z gives two floats.
     """
     if nu <= -1:
@@ -113,12 +136,18 @@ def log_bessel_mantissa_ratio(nu: float, z):
             mant, mant1 = _bessel_series_pair(nu, zb)
             logm[band] = np.log(mant) - zb
             ratio[band] = mant1 / mant
-    large = ~(z < BESSEL_SERIES_CUTOFF)  # NaN lands here too: every entry is written
+    large = (z >= BESSEL_SERIES_CUTOFF) & (z < BESSEL_HANKEL_CUTOFF)
     if np.any(large):
         zl = z[large]
         scaled = ive(nu, zl)
         logm[large] = np.log(scaled * zl ** (-nu))
         ratio[large] = ive(nu + 1.0, zl) / (zl * scaled)
+    huge = ~(z < BESSEL_HANKEL_CUTOFF)  # NaN lands here too: every entry is written
+    if np.any(huge):
+        zh = z[huge]
+        hankel = _hankel_sum(nu, zh)
+        logm[huge] = np.log(hankel) - 0.5 * np.log(2.0 * math.pi * zh) - nu * np.log(zh)
+        ratio[huge] = _hankel_sum(nu + 1.0, zh) / (zh * hankel)
     if z.ndim == 0:
         return float(logm), float(ratio)
     return logm, ratio

@@ -186,8 +186,7 @@ def test_07_cz_scans_all_ten_kinds():
         xp = sample_perturbed(x, y, 708)
         yp = sample_perturbed(y, x, 709)
         balls = ball_measures(alpha, x, y)
-        for kind in kinds:
-            scans = [scan(alpha, kind, x, y, xp, yp, balls, g) for g in (grid, fine)]
+        for kind, scans in zip(kinds, scan(alpha, kinds, x, y, xp, yp, balls, [grid, fine])):
             for which in ESTIMATES:
                 maxes = []
                 for cols in scans:

@@ -231,7 +231,7 @@ class TestReproducibility:
 
     def test_threads_give_same_rows(self, tmp_path, monkeypatch):
         # one pair per span, so the six pairs are split over the workers
-        monkeypatch.setattr(cli, "SPAN_PAIRS", 1)
+        monkeypatch.setattr(cli, "PAIR_BLOCK", 1)
         base = "alpha = 0.0\nseed = 9\ncount = 6\nkind = dP\nzeta_order = 6\nzeta_levels = 12\n"
         p1 = write_config(tmp_path, base + "threads = 1\n", "one.cfg")
         p2 = write_config(tmp_path, base + "threads = 3\n", "three.cfg")
@@ -242,13 +242,13 @@ class TestReproducibility:
         assert open(o1).read() == open(o2).read()
 
     def test_short_scan_starts_no_pool(self, tmp_path, monkeypatch):
-        # fewer pairs than SPAN_PAIRS per worker: one span, run in the caller
+        # fewer pairs than PAIR_BLOCK per worker: one span, run in the caller
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        count = 2 * cli.SPAN_PAIRS - 1
+        count = 2 * cli.PAIR_BLOCK - 1
         p = write_config(tmp_path, f"alpha = 0.0\nseed = 9\ncount = {count}\nkind = dT\n"
                          "estimate = growth\nzeta_order = 4\nzeta_levels = 6\nthreads = 8\n")
         assert main(["czscan", "--config", p, "--out", str(tmp_path / "r.csv")]) == 0

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lps.basis import Expansion, PLAIN, ell
 from lps.czcheck import (
+    ESTIMATES,
     ball_measures,
     counterexample_profile,
     lemma_suite,
@@ -15,7 +16,7 @@ from lps.czcheck import (
     sample_perturbed,
     scan,
 )
-from lps.kernels import KernelKind, SingularPairError, ZetaGrid
+from lps.kernels import KernelKind, SingularPairError, ZetaGrid, default_kinds, kernel_values
 
 GRID = ZetaGrid(order=8, levels_zero=30, levels_one=30)
 _X = sample_pairs(2, 4, 1)[0]
@@ -26,8 +27,8 @@ def scan_one(alpha, kind, estimate, x, y, pert=None, grid=GRID):
     """Columns of one estimate; pert is x' for smooth_x and y' for smooth_y."""
     xp = pert if estimate == "smooth_x" else None
     yp = pert if estimate == "smooth_y" else None
-    return scan(alpha, kind, x, y, xp, yp, ball_measures(alpha, x, y), grid,
-                (estimate,))[estimate]
+    return scan(alpha, [kind], x, y, xp, yp, ball_measures(alpha, x, y), [grid],
+                (estimate,))[0][0][estimate]
 
 
 class TestSamplers:
@@ -112,7 +113,8 @@ class TestScans:
         x = np.array([[1.0]])
         # the kernel rejects the pair before the ball measures are read
         with pytest.raises(SingularPairError):
-            scan(0.0, KernelKind("dT"), x, x.copy(), None, None, np.ones(1), GRID, ("growth",))
+            scan(0.0, [KernelKind("dT")], x, x.copy(), None, None, np.ones(1), [GRID],
+                 ("growth",))
 
     def test_smoothness_reports(self):
         x, y = sample_pairs(1, 50, 13)
@@ -134,7 +136,7 @@ class TestScans:
         # statistically indistinguishable ratio populations
         x, y = sample_pairs(1, 80, 17)
         xp, yp = sample_perturbed(x, y, 18), sample_perturbed(y, x, 18)
-        cols = scan(0.0, KernelKind("dT"), x, y, xp, yp, ball_measures(0.0, x, y), GRID)
+        cols = scan(0.0, [KernelKind("dT")], x, y, xp, yp, ball_measures(0.0, x, y), [GRID])[0][0]
         rx, ry = cols["smooth_x"].ratio, cols["smooth_y"].ratio
         mx = np.median(rx)
         my = np.median(ry)
@@ -145,6 +147,32 @@ class TestScans:
         x, y = sample_pairs(2, 20, 19)
         cols = scan_one((0.0, -0.5), KernelKind("hPmod", i=2, j=1), "growth", x, y)
         assert np.all(np.isfinite(cols.ratio))
+
+    @pytest.mark.parametrize("alpha", [(-0.5,), (0.0, -0.5)], ids=["d1", "d2"])
+    @pytest.mark.parametrize("ngrids", [1, 2])
+    def test_all_kinds_scan_matches_single_kind_scans(self, alpha, ngrids):
+        # 70 pairs take three blocks, the last one short; kinds that share a
+        # base share its heat parts, and no column may move a bit for it
+        d = len(alpha)
+        x, y = sample_pairs(d, 70, 31)
+        xp, yp = sample_perturbed(x, y, 32), sample_perturbed(y, x, 33)
+        balls = ball_measures(alpha, x, y)
+        grid = ZetaGrid(order=4, levels_zero=12, levels_one=12)
+        grids = [grid, grid.refined()][:ngrids]
+        kinds = default_kinds(d)
+        joint = scan(alpha, kinds, x, y, xp, yp, balls, grids)
+        assert len(joint) == len(kinds) and all(len(per) == ngrids for per in joint)
+        for k, kind in enumerate(kinds):
+            for g, one_grid in enumerate(grids):
+                alone = scan(alpha, [kind], x, y, xp, yp, balls, [one_grid])[0][0]
+                for est in ESTIMATES:
+                    for got, want in zip(joint[k][g][est], alone[est]):
+                        assert np.array_equal(got, want), (kind.tag, g, est)
+            # and the growth norms are those of the kind's own kernel entries
+            vals = kernel_values(alpha, kind, x, y, grids[0])
+            w = grids[0].time_weights(kind.measure_kind)
+            norms = np.sqrt(np.array([np.dot(row, w) for row in vals * vals]))
+            assert np.array_equal(joint[k][0]["growth"].kernel_norm, norms), kind.tag
 
     def test_smoothness_ratio_bounded_as_perturbation_shrinks(self):
         # difference quotient stays bounded: |x - x'| in {1e-2, 1e-3, 1e-4}

@@ -31,6 +31,13 @@ CASES = {
         "alpha = -0.5\nkind = dT\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
         "9a4eb80935e873f21d3e9c126dbca486d744e50270e516cf9c5d5b5b14ba7f2c"),
+    # the multi-grid path: refine scans a second grid, and the report keeps
+    # the first grid's bytes
+    "czscan-d1-dT-refine": (
+        "czscan",
+        "alpha = -0.5\nkind = dT\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nrefine = true\n",
+        "9a4eb80935e873f21d3e9c126dbca486d744e50270e516cf9c5d5b5b14ba7f2c"),
     "czscan-d1-hT": (
         "czscan",
         "alpha = -0.5\nkind = hT\nestimate = all\ncount = 12\n"

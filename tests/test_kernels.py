@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -142,6 +143,26 @@ class TestHeatKernel:
             x = rng.uniform(0.05, 6.0, 2)
             y = rng.uniform(0.05, 6.0, 2)
             assert heat_kernel_closed(a, t, x, y) > 0
+
+    @pytest.mark.parametrize("a, t, x, y", [(-0.5, 1e-12, 1.0, 1.0 + 1e-6),
+                                            (0.0, 1e-11, 2.0, 2.0 + 3e-6),
+                                            (1.5, 3e-11, 0.7, 0.7 - 1e-6)])
+    def test_near_diagonal_small_time_against_mpmath(self, a, t, x, y):
+        # x y / sinh 2t lies past 2^30, where scipy's ive gives NaN: the value
+        # was once a silent 0.0
+        got = heat_kernel_closed(a, t, [x], [y])
+        with mpmath.workdps(40):
+            a, t, x, y = (mpmath.mpf(v) for v in (a, t, x, y))
+            s = mpmath.sinh(2 * t)
+            z = x * y / s
+            want = float(s ** (-1 - a) * mpmath.exp(-(x * x + y * y) / (2 * mpmath.tanh(2 * t)))
+                         * mpmath.besseli(a, z) * z ** (-a))
+        assert got == pytest.approx(want, rel=1e-9)
+
+    def test_nan_exponent_raises(self):
+        # a failed evaluation must not pass for an underflow
+        with pytest.raises(FloatingPointError, match="NaN"):
+            kernels_mod._exp_floor(np.array([0.0, math.nan, -800.0]), 1.0)
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):

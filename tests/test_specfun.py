@@ -133,6 +133,21 @@ class TestBesselMantissaRatio:
             assert lm == pytest.approx(want_lm, rel=1e-9, abs=1e-12)
             assert r == pytest.approx(want_r, rel=1e-10)
 
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.3, 1.0, 3.5, 12.0])
+    def test_hankel_branch_against_mpmath(self, nu):
+        # scipy's ive returns NaN above 2^30 - 1/2, where the Hankel expansion
+        # takes over; the first argument is the last one ive still serves
+        zs = np.array([2.0**30 - 1.5, 2.0**30 - 1.0, 2.0**30, 3.7e9, 1e10, 2.5e11, 1e12])
+        logm, ratio = log_bessel_mantissa_ratio(nu, zs)
+        for z, lm, r in zip(zs, logm, ratio):
+            with mpmath.workdps(60):
+                z = mpmath.mpf(float(z))
+                i_nu = mpmath.besseli(nu, z)
+                want_lm = float(mpmath.log(i_nu) - nu * mpmath.log(z) - z)
+                want_r = float(mpmath.besseli(nu + 1, z) / (z * i_nu))
+            assert lm == pytest.approx(want_lm, rel=1e-15, abs=1e-14)
+            assert r == pytest.approx(want_r, rel=1e-15)
+
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.3, 1.0, 3.5])
     def test_log_mantissa_below_value_at_zero(self, nu):
         # e^-z i_nu(z) decreases from i_nu(0) for nu >= -1/2: the bound the
