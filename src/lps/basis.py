@@ -111,9 +111,6 @@ class Expansion:
     def l2_norm(self) -> float:
         return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
 
-    def max_degree(self) -> int:
-        return max((max(k) for k in self.coeffs), default=0)
-
 
 def eigenvalue(alpha, n: int) -> float:
     """Eigenvalue 4n + 2|alpha| + 2d of the level-n eigenspace."""

@@ -97,6 +97,8 @@ class RunConfig:
             )
         if self.task != "basis" and self.seed is None:
             raise ConfigError(f"seed: task {self.task!r} samples randomly and needs a seed")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"format: expected csv or jsonl, got {self.format!r}")
         if self.kind != "all":
@@ -403,16 +405,11 @@ def _task_czscan(cfg: RunConfig, alpha, report: Report):
 
 def _task_lemmas(cfg: RunConfig, alpha, report: Report):
     results = lemma_suite(alpha, samples=cfg.count, seed=cfg.seed)
-    ok = True
-    worst = 0.0
-    worst_row = None
     for r in results:
         report.add(lemma=r.name, passed=r.passed, margin=r.margin,
                    samples=r.samples, detail=r.detail)
-        ok = ok and r.passed
-        if r.margin > worst:
-            worst, worst_row = r.margin, (r.name, r.margin)
-    return worst, worst_row, ok
+    worst = max(results, key=lambda r: r.margin)
+    return worst.margin, (worst.name, worst.margin), all(r.passed for r in results)
 
 
 # every task: its runner and the columns of its report

@@ -40,6 +40,7 @@ _SERIES_BANDS = (1.0, 4.0, 10.0, BESSEL_SERIES_CUTOFF)
 # from here, where each of its terms is below 1e-6 of the last for orders up to 40
 BESSEL_HANKEL_CUTOFF = 2.0**30 - 1.0
 _HANKEL_TERMS = 20
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,10 @@ def log_bessel_mantissa_ratio(nu: float, z):
     if np.any(large):
         zl = z[large]
         scaled = ive(nu, zl)
-        logm[large] = np.log(scaled * zl ** (-nu))
+        mant = scaled * zl ** (-nu)
+        # at large orders the product leaves the normal range: there the logs are added
+        logm[large] = np.where(mant < _TINY, np.log(scaled) - nu * np.log(zl),
+                               np.log(np.maximum(mant, _TINY)))
         ratio[large] = ive(nu + 1.0, zl) / (zl * scaled)
     huge = ~(z < BESSEL_HANKEL_CUTOFF)  # NaN lands here too: every entry is written
     if np.any(huge):

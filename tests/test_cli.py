@@ -135,6 +135,14 @@ class TestExitCodes:
         assert code == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", list(cli.TASKS))
+    def test_negative_seed_exits_2(self, tmp_path, capsys, task):
+        # numpy rejects a negative seed with a traceback; validation names the key
+        path = write_config(tmp_path, "alpha = 0.0\ncount = 3\n")
+        code = main([task, "--config", path, "--seed", "-1", "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_verify_below_range_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "alpha = -0.9\nseed = 1\ncount = 3\n")
         code = main(["verify", "--config", path, "--out", str(tmp_path / "r.csv")])
@@ -220,14 +228,16 @@ class TestReproducibility:
     def test_jsonl_format(self, tmp_path):
         import json
 
-        path = write_config(tmp_path, "alpha = 0.0\nseed = 9\ncount = 3\nkind = dT\nzeta_order = 6\nzeta_levels = 12\nformat = jsonl\n")
-        out = str(tmp_path / "scan.jsonl")
-        assert main(["czscan", "--config", path, "--out", out, "--no-timestamp"]) == 0
-        lines = open(out).read().splitlines()
-        header = json.loads(lines[0])
-        assert "header" in header
-        rec = json.loads(lines[1])
-        assert rec["kind"] == "dT"
+        # every task, so that no report column holds a type JSON cannot encode
+        path = write_config(tmp_path, "alpha = 0.0\nseed = 9\ncount = 2\ncutoff = 4\n"
+                            "quad_order = 32\nzeta_order = 6\nzeta_levels = 12\nformat = jsonl\n")
+        for task, (_, columns) in cli.TASKS.items():
+            out = str(tmp_path / f"{task}.jsonl")
+            assert main([task, "--config", path, "--out", out, "--no-timestamp"]) == 0, task
+            header, *records = (json.loads(line) for line in open(out).read().splitlines())
+            assert "header" in header
+            assert records, task
+            assert all(list(rec) == columns for rec in records), task
 
     def test_threads_give_same_rows(self, tmp_path, monkeypatch):
         # one pair per span, so the six pairs are split over the workers

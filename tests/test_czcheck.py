@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from lps.basis import Expansion, PLAIN, ell
 from lps.czcheck import (
     ESTIMATES,
+    _log_weight_integral,
+    _time_integral,
     ball_measures,
     counterexample_profile,
     lemma_suite,
@@ -204,6 +207,56 @@ class TestLemmaSuite:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             lemma_suite(-0.8, samples=10)
+
+    def test_closed_form_constants(self):
+        rows = {r.name: r for r in lemma_suite((0.0, -0.5), samples=100, seed=23)}
+        # Gamma(1/2) = sqrt(pi), and 2/c at c = 1/64
+        assert rows["time_singularity_integral"].detail == "constant=1.77245"
+        assert rows["log_weight_integral"].detail == "constant=128"
+        assert (rows["time_singularity_integral"].samples, rows["log_weight_integral"].samples) \
+            == (120, 80)
+        for name in ("time_singularity_integral", "log_weight_integral"):
+            assert rows[name].passed and rows[name].margin <= 1e-10
+        # plain Python types, which a JSON report can hold
+        assert all(type(r.passed) is bool and type(r.margin) is float for r in rows.values())
+
+    @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
+    def test_time_integral_against_mpmath(self, a):
+        bigt = np.array([1e-3, 1.0, 30.0])
+        got = _time_integral(a, bigt, ZetaGrid())
+        with mpmath.workdps(30):
+            for g, tv in zip(got, bigt):
+                tv = mpmath.mpf(tv)
+                want = mpmath.quad(lambda z: z ** (-a) * mpmath.exp(-tv / z), [0, tv, 1])
+                assert abs(g - float(want)) <= 1e-12 * float(want)
+
+    @pytest.mark.parametrize("c", [0.125, 1.0 / 64.0])
+    def test_log_weight_integral_against_mpmath(self, c):
+        q = np.array([1e-3, 1.0, 100.0])
+        got = _log_weight_integral(c, q, ZetaGrid())
+        with mpmath.workdps(30):
+            for g, qv in zip(got, q):
+                s = mpmath.mpf(c) * mpmath.mpf(qv)
+                want = mpmath.quad(lambda z: 2 * mpmath.atanh(z) * z ** -3 * mpmath.exp(-s / z),
+                                   [0, min(s, 0.5), 1])
+                assert abs(g - float(want)) <= 1e-12 * float(want)
+
+    def test_perturbed_quadrature_fails(self, monkeypatch):
+        # weights off by 1e-8 break both closed-form checks; the other rows
+        # do not use the time grid
+        from lps import czcheck
+
+        class Perturbed(ZetaGrid):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.wz = self.wz * (1.0 + 1e-8)
+
+        monkeypatch.setattr(czcheck, "ZetaGrid", Perturbed)
+        rows = {r.name: r for r in lemma_suite((0.0, -0.5), samples=100, seed=23)}
+        assert not rows["time_singularity_integral"].passed
+        assert not rows["log_weight_integral"].passed
+        assert all(r.passed for n, r in rows.items()
+                   if n not in ("time_singularity_integral", "log_weight_integral"))
 
     def test_balls_and_rules_built_once(self, monkeypatch):
         # 40 pairs, one ball each; one Pi_alpha rule per (delta, kappa, order)

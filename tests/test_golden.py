@@ -18,7 +18,7 @@ CASES = {
     "verify": ("verify", "alpha = 0, -0.5\ncount = 4\ncutoff = 5\nquad_order = 32\nbox_hi = 2\n",
                "d14465c27187a49fa34aebbb871547147581dd6bf3863e446739d7fda7382e0a"),
     "lemmas": ("lemmas", "alpha = 0, -0.5\ncount = 2000\n",
-               "f124b8e5cac10a4a3ebf81910009d8ba8ed57e06dbc09904b1a4a0a845947670"),
+               "ab0ba84e7d98894f3db2b3eeb3497fe5fb796764254ab9c6f9b01efecd695b11"),
     "basis": ("basis", "alpha = 0.3, -0.5\ncutoff = 4\nquad_order = 24\n",
               "39cc05dfd9832f5ca2d7bc560f0c99de912b6bcd3b1e57e18133b19c7a8dde30"),
     "czscan-d2-hTmodStar": (

@@ -159,6 +159,19 @@ class TestHeatKernel:
                          * mpmath.besseli(a, z) * z ** (-a))
         assert got == pytest.approx(want, rel=1e-9)
 
+    def test_large_order_against_mpmath(self):
+        # the Bessel product underflows at order 150; the value was once a silent 0.0
+        a, t, x, y = 150.0, 0.05, 3.0, 3.1
+        got = heat_kernel_closed((a,), t, [x], [y])
+        with mpmath.workdps(40):
+            a, t, x, y = (mpmath.mpf(v) for v in (a, t, x, y))
+            s = mpmath.sinh(2 * t)
+            z = x * y / s
+            want = float(s ** (-1 - a) * mpmath.exp(-(x * x + y * y) / (2 * mpmath.tanh(2 * t)))
+                         * mpmath.besseli(a, z) * z ** (-a))
+        assert want > 1e-300
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_nan_exponent_raises(self):
         # a failed evaluation must not pass for an underflow
         with pytest.raises(FloatingPointError, match="NaN"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scipy.special import gammaln
+from scipy.special import gammaln, ive
 
 from lps.basis import ell
 from lps.specfun import (
@@ -147,6 +147,28 @@ class TestBesselMantissaRatio:
                 want_r = float(mpmath.besseli(nu + 1, z) / (z * i_nu))
             assert lm == pytest.approx(want_lm, rel=1e-15, abs=1e-14)
             assert r == pytest.approx(want_r, rel=1e-15)
+
+    @pytest.mark.parametrize("nu", [150.0, 200.0, 250.5])
+    def test_large_orders_against_mpmath(self, nu):
+        # in the ive regime z^-nu e^-z I_nu(z) lies below the smallest double
+        # here; its log was once -inf
+        zs = np.array([20.0, 20.1, 50.0, 300.0, 1e4])
+        logm, ratio = log_bessel_mantissa_ratio(nu, zs)
+        for z, lm, r in zip(zs, logm, ratio):
+            with mpmath.workdps(60):
+                z = mpmath.mpf(float(z))
+                i_nu = mpmath.besseli(nu, z)
+                want_lm = float(mpmath.log(i_nu) - nu * mpmath.log(z) - z)
+                want_r = float(mpmath.besseli(nu + 1, z) / (z * i_nu))
+            assert lm == pytest.approx(want_lm, rel=1e-13)
+            assert r == pytest.approx(want_r, rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [-0.5, 3.5, 60.0])
+    def test_ive_regime_keeps_its_bits(self, nu):
+        # the log of the product, unchanged wherever it stays a normal double
+        zs = np.array([20.0, 37.5, 400.0, 3000.0])
+        logm, _ = log_bessel_mantissa_ratio(nu, zs)
+        assert np.array_equal(logm, np.log(ive(nu, zs) * zs ** (-nu)))
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.3, 1.0, 3.5])
     def test_log_mantissa_below_value_at_zero(self, nu):
