@@ -15,7 +15,6 @@ import numpy as np
 
 from lps import KernelKind, ZetaGrid, kernel_values
 from lps.czcheck import (
-    ball_measures,
     counterexample_profile,
     lemma_suite,
     sample_pairs,
@@ -31,17 +30,17 @@ profile = kernel_values(0.0, dT, [1.0], [1.5], grid)[0]
 norm = np.sqrt(profile**2 @ grid.time_weights(dT.measure_kind))
 print(f"dT entry at (1.0, 1.5): L^2(t dt) norm = {norm:.6f}")
 
-# one pair sample, its perturbations and its ball measures serve every scan
+# one pair sample and its perturbations serve every scan; a scan's ratios are
+# indexed [kind, grid, estimate, pair]
 x, y = sample_pairs(1, 150, 7)
 xp = sample_perturbed(x, y, 8)
-balls = ball_measures(0.0, x, y)
 kinds = [KernelKind("dT"), KernelKind("hT", i=1), KernelKind("dP")]
-for kind, (cols,) in zip(kinds, scan(0.0, kinds, x, y, None, None, balls, [grid], ("growth",))):
-    ratios = cols["growth"].ratio
+growth = scan(0.0, kinds, x, y, None, None, [grid], ("growth",)).ratio[:, 0, 0]
+for kind, ratios in zip(kinds, growth):
     print(f"{kind.tag:4s} growth ratios over 150 pairs: "
           f"max {ratios.max():.3f}  median {np.median(ratios):.3f}")
 
-ratios = scan(0.0, [dT], x, y, xp, None, balls, [grid], ("smooth_x",))[0][0]["smooth_x"].ratio
+ratios = scan(0.0, [dT], x, y, xp, None, [grid], ("smooth_x",)).ratio[0, 0, 0]
 print(f"dT   smoothness (x-argument):      max {ratios.max():.3f}  "
       f"median {np.median(ratios):.3f}")
 

@@ -22,6 +22,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .measure import as_alpha
 
 __all__ = ["RunConfig", "run", "main"]
 
-THREAD_ENV = "LPS_THREADS"
 # largest dimension of czscan and lemmas, whose ball measures cost about
 # 0.1 ms per ball at d = 2, 90 ms at d = 4 and 20-30 s at d = 5
 MAX_BALL_DIMENSION = 4
@@ -129,8 +129,7 @@ class RunConfig:
         return a
 
     def thread_count(self) -> int:
-        env = os.environ.get(THREAD_ENV)
-        raw = env if env else self.threads
+        raw = self.threads
         if raw == "auto":
             return min(os.cpu_count() or 1, 8)
         try:
@@ -197,32 +196,30 @@ class Report:
     def add(self, **kw):
         self.rows.append([kw.get(c, "") for c in self.columns])
 
+    def add_columns(self, **cols):
+        """One row per entry of the columns, one column given for each of the report's."""
+        self.rows.extend(zip(*(cols[c] for c in self.columns)))
+
     def write(self, path: str, fmt: str, header_lines):
+        # the whole text is built first, so a row that fails to serialise
+        # leaves an existing report as it was
+        if fmt == "csv":
+            lines = [f"# {line}" for line in header_lines] + [",".join(self.columns)]
+            lines += [",".join(map(_fmt, row)) for row in self.rows]
+        else:
+            lines = [json.dumps({"header": line}) for line in header_lines]
+            lines += [json.dumps({c: (_fmt(v) if isinstance(v, (float, tuple, list, np.ndarray))
+                                      else v) for c, v in zip(self.columns, row)})
+                      for row in self.rows]
+        text = "\n".join(lines) + "\n"
         # overwritten in place, then cut to length: opening with O_TRUNC
         # empties an existing file, and ext4 then flushes it on close, which
         # cost about 1 ms per short report with stalls of up to 10 ms
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         with open(fd, "w", encoding="utf-8") as fh:
-            if fmt == "csv":
-                for line in header_lines:
-                    fh.write(f"# {line}\n")
-                fh.write(",".join(self.columns) + "\n")
-                for row in self.rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
-            else:
-                for line in header_lines:
-                    fh.write(json.dumps({"header": line}) + "\n")
-                for row in self.rows:
-                    rec = {c: (_fmt(v) if isinstance(v, (float, tuple, list, np.ndarray)) else v)
-                           for c, v in zip(self.columns, row)}
-                    fh.write(json.dumps(rec) + "\n")
+            fh.write(text)
             if stat.S_ISREG(os.fstat(fd).st_mode):
                 fh.truncate()
-
-
-def _chunks(n: int, parts: int):
-    step = max(1, math.ceil(n / parts))
-    return [(s, min(s + step, n)) for s in range(0, n, step)]
 
 
 def _task_basis(cfg: RunConfig, alpha, report: Report):
@@ -354,53 +351,48 @@ def _task_czscan(cfg: RunConfig, alpha, report: Report):
     # a worker gets at least one block of pairs: smaller spans pad the Poisson
     # matmul with zero rows, and two workers on short spans lose more to the
     # GIL than they gain
-    spans = _chunks(cfg.count, max(1, min(nthreads, cfg.count // PAIR_BLOCK)))
+    step = math.ceil(cfg.count / max(1, min(nthreads, cfg.count // PAIR_BLOCK)))
+    spans = [slice(s, s + step) for s in range(0, cfg.count, step)]
 
-    def work(span):
-        # one span of sample indices: its ball measures, then every kind at
-        # every grid; merging the spans in order preserves sample order
-        s = slice(*span)
-        balls = czcheck.ball_measures(alpha, x[s], y[s])
-        return balls, czcheck.scan(alpha, kinds, x[s], y[s], xp[s], yp[s], balls, grids,
-                                   estimates)
+    def work(s):
+        # one span of sample indices, every kind at every grid; joining the
+        # spans' columns in span order preserves sample order
+        return czcheck.scan(alpha, kinds, x[s], y[s], xp[s], yp[s], grids, estimates)
 
     if nthreads == 1 or len(spans) == 1:
         parts = [work(s) for s in spans]
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             parts = list(pool.map(work, spans))
-    balls = np.concatenate([b for b, _ in parts])
+    res = czcheck.ScanColumns(*(np.concatenate(f, axis=-1) for f in zip(*parts)))
 
-    def merged(k, g, est):
-        # the spans' columns joined in span order, which is sample order
-        cols = [scans[k][g][est] for _, scans in parts]
-        return czcheck.EstimateColumns(*map(np.concatenate, zip(*cols)))
+    ratio = res.ratio[:, 0]  # [kind, estimate, pair] on the reported grid
+    ok = bool(np.all(np.isfinite(ratio)))
+    if cfg.refine:
+        top = res.ratio.max(axis=-1)
+        drift = np.abs(top[:, 1] - top[:, 0]) / np.maximum(top[:, 1], 1e-300)
+        ok = ok and bool(np.all(drift < 0.05))
+    # the first strict maximum above 0 in (kind, estimate, pair) order; NaN never wins
+    positive = np.where(ratio > 0, ratio, 0.0)
+    k, e, p = np.unravel_index(np.argmax(positive), ratio.shape)
+    worst_ratio = float(positive[k, e, p])
+    worst_row = (_kind_label(kinds[k]), estimates[e], tuple(x[p]), tuple(y[p]),
+                 worst_ratio) if worst_ratio > 0 else None
 
-    worst_ratio = 0.0
-    worst_row = None
-    all_finite = True
-    stable = True
-    pert = {"growth": None, "smooth_x": xp, "smooth_y": yp}
+    # cells of a pair are formatted once and shared by the rows of every kind
+    xs, ys = [_fmt(r) for r in x], [_fmt(r) for r in y]
+    balls = [_fmt(b) for b in res.ball_measure.tolist()]
+    moved = {"smooth_x": xp, "smooth_y": yp}
+    pert = {est: [_fmt(r) for r in moved[est]] if est in moved else repeat("()")
+            for est in estimates}
     for k, kind in enumerate(kinds):
         label = _kind_label(kind)
-        for est in estimates:
-            cols = merged(k, 0, est)
-            if cfg.refine:
-                kmax, rmax = cols.ratio.max(), merged(k, 1, est).ratio.max()
-                drift = abs(rmax - kmax) / max(rmax, 1e-300)
-                stable = stable and drift < 0.05
-            for p in range(cfg.count):
-                ratio = float(cols.ratio[p])
-                all_finite = all_finite and math.isfinite(ratio)
-                report.add(kind=label, estimate=est, x=tuple(x[p]), y=tuple(y[p]),
-                           perturbed=() if pert[est] is None else tuple(pert[est][p]),
-                           kernel_norm=float(cols.kernel_norm[p]),
-                           ball_measure=float(balls[p]), ratio=ratio,
-                           constraint_ok=bool(cols.constraint_ok[p]))
-                if ratio > worst_ratio:
-                    worst_ratio = ratio
-                    worst_row = (label, est, tuple(x[p]), tuple(y[p]), ratio)
-    return worst_ratio, worst_row, all_finite and stable
+        for e, est in enumerate(estimates):
+            report.add_columns(kind=repeat(label), estimate=repeat(est), x=xs, y=ys,
+                               perturbed=pert[est], kernel_norm=res.kernel_norm[k, 0, e].tolist(),
+                               ball_measure=balls, ratio=ratio[k, e].tolist(),
+                               constraint_ok=res.constraint_ok[e].tolist())
+    return worst_ratio, worst_row, ok
 
 
 def _task_lemmas(cfg: RunConfig, alpha, report: Report):

@@ -29,8 +29,8 @@ from .measure import as_alpha, mu_ball, pi_alpha_rule
 
 __all__ = [
     "ESTIMATES",
-    "EstimateColumns",
     "LemmaResult",
+    "ScanColumns",
     "sample_pairs",
     "sample_perturbed",
     "ball_measures",
@@ -45,9 +45,11 @@ __all__ = [
 ESTIMATES = ("growth", "smooth_x", "smooth_y")
 
 
-class EstimateColumns(NamedTuple):
-    """One scanned estimate, one entry per pair."""
+class ScanColumns(NamedTuple):
+    """The result of scan: kernel_norm and ratio are indexed [kind, grid,
+    estimate, pair], constraint_ok [estimate, pair] (all true for growth)."""
 
+    ball_measure: np.ndarray
     kernel_norm: np.ndarray
     ratio: np.ndarray
     constraint_ok: np.ndarray
@@ -133,20 +135,19 @@ def ball_measures(alpha, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([mu_ball(alpha, c, float(r)) for c, r in zip(x, _distances(x, y))])
 
 
-def scan(alpha, kinds, x, y, xp, yp, balls, grids, estimates=ESTIMATES) -> list:
-    """Columns of the requested estimates over the pairs (x[p], y[p]).
+def scan(alpha, kinds, x, y, xp, yp, grids, estimates=ESTIMATES) -> ScanColumns:
+    """The requested estimates of every kind on every grid over the pairs (x[p], y[p]).
 
-    The result is indexed [k][g][estimate] for kinds[k] on grids[g].
     growth is ||K(x,y)|| * mu_alpha(B(x, |x-y|)); smooth_x (smooth_y)
     norms K(x,y) - K(x',y) (K(x,y) - K(x,y')), with the profiles subtracted
     nodewise on the shared zeta grid, and multiplies in the inverted factor
     |x-y|/|x-x'|, flagging the half-distance constraint |x-y| > 2|x-x'|.
     xp and yp are the perturbed points (None when their estimate is not
-    requested) and balls the output of ball_measures on the same pairs.
-    The pairs are taken PAIR_BLOCK at a time, with (x, y), (x', y) and
-    (x, y') stacked into one batch, so each base's heat parts serve every
-    kind and point set of a block; each kind's values are reduced to their
-    norms before the next kind's are made.
+    requested).  The pairs are taken PAIR_BLOCK at a time, with (x, y),
+    (x', y) and (x, y') stacked into one batch, so each base's heat parts
+    serve every kind and point set of a block; each kind's values are
+    reduced to their norms before the next kind's are made.  The ball
+    measures come last, so a singular pair is rejected before any is taken.
     """
     pairs = {"growth": (x, y), "smooth_x": (xp, y), "smooth_y": (x, yp)}
     for est in estimates:
@@ -156,7 +157,7 @@ def scan(alpha, kinds, x, y, xp, yp, balls, grids, estimates=ESTIMATES) -> list:
             raise ValueError(f"{est} needs its perturbed points")
     # in a block's batch, the pairs of moved[m] follow those of (x, y) as set m + 1
     moved = [est for est in estimates if est != "growth"]
-    norms = [[{est: [] for est in estimates} for _ in grids] for _ in kinds]
+    norms = np.empty((len(kinds), len(grids), len(estimates), len(x)))
     for start in range(0, len(x), PAIR_BLOCK):
         s = slice(start, start + PAIR_BLOCK)
         rows = len(x[s])
@@ -164,26 +165,24 @@ def scan(alpha, kinds, x, y, xp, yp, balls, grids, estimates=ESTIMATES) -> list:
         by = np.vstack([y[s]] + [pairs[est][1][s] for est in moved])
         for k, g, vals in _kind_values(alpha, kinds, bx, by, grids):
             w = grids[g].time_weights(kinds[k].measure_kind)
-            for est in estimates:
+            for e, est in enumerate(estimates):
                 diff = vals[:rows]
                 if est != "growth":
                     m = moved.index(est) + 1
                     diff = diff - vals[m * rows : (m + 1) * rows]
-                norms[k][g][est].append(_row_norms(diff, w))
+                norms[k, g, e, s] = _row_norms(diff, w)
+    balls = ball_measures(alpha, x, y)
     sep = _distances(x, y)
+    ratio = norms * balls
+    ok = np.ones((len(estimates), len(x)), dtype=bool)
     # |x - x'| and |y - y'|: the unperturbed point of each estimate and its perturbation
     shifts = {"smooth_x": (x, xp), "smooth_y": (y, yp)}
-    dps = {est: _distances(*shifts[est]) for est in moved}
-    out = [[{} for _ in grids] for _ in kinds]
-    for k, g in np.ndindex(len(kinds), len(grids)):
-        for est in estimates:
-            col = np.concatenate(norms[k][g][est])
-            if est == "growth":
-                out[k][g][est] = EstimateColumns(col, col * balls, np.ones(col.shape, dtype=bool))
-            else:
-                dp = dps[est]
-                out[k][g][est] = EstimateColumns(col, col * balls * sep / dp, sep > 2.0 * dp)
-    return out
+    for e, est in enumerate(estimates):
+        if est != "growth":
+            dp = _distances(*shifts[est])
+            ratio[:, :, e] = ratio[:, :, e] * sep / dp
+            ok[e] = sep > 2.0 * dp
+    return ScanColumns(balls, norms, ratio, ok)
 
 
 def _q_forms(x, y, s):

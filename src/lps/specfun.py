@@ -64,30 +64,35 @@ class QuadratureRule:
             raise ValueError("weights must be positive")
 
 
-def _series_start(nu: float) -> float:
-    """First term i_nu(0) = 1 / (2^nu Gamma(nu+1)) of the ascending series."""
-    return math.exp(-nu * math.log(2.0) - gammaln(nu + 1.0))
+def _log_series_start(nu: float) -> float:
+    """log i_nu(0) = -log(2^nu Gamma(nu+1)), of the first term of the ascending series."""
+    return -nu * math.log(2.0) - gammaln(nu + 1.0)
 
 
-def _bessel_series_pair(nu: float, z: np.ndarray) -> np.ndarray:
+def _bessel_series_pair(nu: float, z: np.ndarray):
     """Ascending series of i_nu and i_(nu+1) at 1-d z, summed side by side.
 
     i_nu(z) = 2^-nu sum_m (z^2/4)^m / (m! Gamma(m+nu+1)); row 0 of the
     result is i_nu, row 1 is i_(nu+1).  The sums stop once every term falls
     below 1e-18 of its sum, far below half an ulp: past that point further
     terms no longer change a sum, so the result does not depend on which
-    other arguments share the call.
+    other arguments share the call.  Returns the sums and the log of their
+    scale: log i_nu(0) where i_(nu+1)(0) underflows (nu above 148.9), else 0.
     """
     orders = np.array([[nu], [nu + 1.0]])
     w = z * z / 4.0
-    term = np.repeat([[_series_start(nu)], [_series_start(nu + 1.0)]], w.size, axis=1)
+    log_scale = 0.0
+    start = [[math.exp(_log_series_start(nu))], [math.exp(_log_series_start(nu + 1.0))]]
+    if start[1][0] < _TINY:  # i_(nu+1)(0) underflows: both series relative to i_nu(0)
+        log_scale, start = _log_series_start(nu), [[1.0], [0.5 / (nu + 1.0)]]
+    term = np.repeat(start, w.size, axis=1)
     acc = term.copy()
     for m in range(_SERIES_TERMS):
         term = term * w / ((m + 1.0) * (m + orders + 1.0))
         acc += term
         if np.all(term <= 1e-18 * acc):
             break
-    return acc
+    return acc, log_scale
 
 
 def _hankel_sum(nu: float, z: np.ndarray) -> np.ndarray:
@@ -134,8 +139,8 @@ def log_bessel_mantissa_ratio(nu: float, z):
         lo = hi
         if np.any(band):
             zb = z[band]
-            mant, mant1 = _bessel_series_pair(nu, zb)
-            logm[band] = np.log(mant) - zb
+            (mant, mant1), log_scale = _bessel_series_pair(nu, zb)
+            logm[band] = np.log(mant) + log_scale - zb
             ratio[band] = mant1 / mant
     large = (z >= BESSEL_SERIES_CUTOFF) & (z < BESSEL_HANKEL_CUTOFF)
     if np.any(large):

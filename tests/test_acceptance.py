@@ -14,7 +14,6 @@ import pytest
 from lps.basis import Expansion, PLAIN, differentiated, eigenvalue, ell
 from lps.czcheck import (
     ESTIMATES,
-    ball_measures,
     counterexample_profile,
     lemma_suite,
     random_expansion,
@@ -185,12 +184,11 @@ def test_07_cz_scans_all_ten_kinds():
         x, y = sample_pairs(d, count, 707)
         xp = sample_perturbed(x, y, 708)
         yp = sample_perturbed(y, x, 709)
-        balls = ball_measures(alpha, x, y)
-        for kind, scans in zip(kinds, scan(alpha, kinds, x, y, xp, yp, balls, [grid, fine])):
-            for which in ESTIMATES:
+        res = scan(alpha, kinds, x, y, xp, yp, [grid, fine])
+        for k, kind in enumerate(kinds):
+            for e, which in enumerate(ESTIMATES):
                 maxes = []
-                for cols in scans:
-                    ratios = cols[which].ratio
+                for ratios in res.ratio[k, :, e]:
                     if not np.all(np.isfinite(ratios)):
                         all_ok = False
                     maxes.append(float(ratios.max()))

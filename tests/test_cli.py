@@ -70,20 +70,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             cfg.validate()
 
-    def test_thread_env_override(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        cfg = RunConfig(alpha=(0.0,), task="basis", threads="2")
-        assert cfg.thread_count() == 2
-        monkeypatch.setenv("LPS_THREADS", "5")
-        assert cfg.thread_count() == 5
-
     def test_threads_clamped_to_cores(self, monkeypatch):
         # thread_count only computes the number; no thread is started here
-        monkeypatch.delenv("LPS_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert RunConfig(alpha=(0.0,), task="basis", threads="64").thread_count() == 4
         assert RunConfig(alpha=(0.0,), task="basis", threads="3").thread_count() == 3
-        monkeypatch.setenv("LPS_THREADS", "100000")
         assert RunConfig(alpha=(0.0,), task="basis").thread_count() == 4
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert RunConfig(alpha=(0.0,), task="basis").thread_count() == 1
@@ -218,6 +209,44 @@ class TestReproducibility:
             assert main(["czscan", "--config", short_cfg, "--out", reused, "--no-timestamp"]) == 0
             assert os.path.getsize(reused) < long_size
             assert open(reused, "rb").read() == open(fresh, "rb").read()
+
+    def test_failed_serialisation_keeps_report(self, tmp_path, monkeypatch):
+        # the text is built before the file is opened, so a row that JSON
+        # cannot encode leaves the report at --out as it was
+        def runner(cfg, alpha, report):
+            report.add(cell=object())
+            return 0.0, None, True
+
+        monkeypatch.setitem(cli.TASKS, "basis", (runner, ["cell"]))
+        out = tmp_path / "r.jsonl"
+        old = b'{"header": "task=basis"}\n{"cell": "an older row"}\n'
+        out.write_bytes(old)
+        path = write_config(tmp_path, "alpha = 0.0\nformat = jsonl\n")
+        with pytest.raises(TypeError):
+            main(["basis", "--config", path, "--out", str(out)])
+        assert out.read_bytes() == old
+
+    def test_nan_ratio_fails_but_is_never_worst(self, tmp_path, monkeypatch, capsys):
+        # the worst record is the first strict maximum in (kind, estimate,
+        # pair) order; a NaN ratio is reported and fails the finiteness check
+        scan = cli.czcheck.scan
+
+        def with_nan(*args):
+            res = scan(*args)
+            res.ratio[0, 0, 0, 0] = np.nan
+            res.ratio[0, 0, 0, 2:] = 7.0
+            return res
+
+        monkeypatch.setattr(cli.czcheck, "scan", with_nan)
+        path = write_config(tmp_path, "alpha = 0.0\nseed = 9\ncount = 4\nkind = dT\n"
+                            "estimate = growth\nzeta_order = 4\nzeta_levels = 6\n")
+        out = str(tmp_path / "r.csv")
+        assert main(["czscan", "--config", path, "--out", out, "--no-timestamp"]) == 1
+        rows = [r.split(",") for r in open(out).read().splitlines()[2:]]
+        assert [r[7] for r in rows] == ["nan", rows[1][7], "7", "7"]
+        captured = capsys.readouterr()
+        assert "worst=7.000e+00" in captured.out
+        assert f"(np.float64({float(rows[2][2][1:-1])!r}),), " in captured.err
 
     def test_report_to_device(self, tmp_path):
         # a device cannot be cut to length; writing to it must still work

@@ -10,7 +10,6 @@ from lps.czcheck import (
     ESTIMATES,
     _log_weight_integral,
     _time_integral,
-    ball_measures,
     counterexample_profile,
     lemma_suite,
     random_expansion,
@@ -27,11 +26,10 @@ _ELEMENT_3 = np.arange(_X.size).reshape(_X.shape) == 3
 
 
 def scan_one(alpha, kind, estimate, x, y, pert=None, grid=GRID):
-    """Columns of one estimate; pert is x' for smooth_x and y' for smooth_y."""
+    """Scan of one kind, grid and estimate; pert is x' for smooth_x and y' for smooth_y."""
     xp = pert if estimate == "smooth_x" else None
     yp = pert if estimate == "smooth_y" else None
-    return scan(alpha, [kind], x, y, xp, yp, ball_measures(alpha, x, y), [grid],
-                (estimate,))[0][0][estimate]
+    return scan(alpha, [kind], x, y, xp, yp, [grid], (estimate,))
 
 
 class TestSamplers:
@@ -96,9 +94,10 @@ class TestSamplers:
 class TestScans:
     def test_growth_ratios_finite_and_stable(self):
         x, y = sample_pairs(1, 60, 11)
-        ratios = scan_one(0.0, KernelKind("dT"), "growth", x, y).ratio
+        ratios = scan_one(0.0, KernelKind("dT"), "growth", x, y).ratio[0, 0, 0]
         assert np.all(np.isfinite(ratios))
-        refined = scan_one(0.0, KernelKind("dT"), "growth", x, y, grid=GRID.refined()).ratio
+        refined = scan_one(0.0, KernelKind("dT"), "growth", x, y,
+                           grid=GRID.refined()).ratio[0, 0, 0]
         drift = abs(ratios.max() - refined.max()) / ratios.max()
         assert drift < 0.05
 
@@ -108,23 +107,22 @@ class TestScans:
         for eps in (1e-1, 1e-2, 1e-3):
             x = np.array([[1.0]])
             y = np.array([[1.0 + eps]])
-            ratios.append(scan_one(0.0, KernelKind("dT"), "growth", x, y).ratio[0])
+            ratios.append(scan_one(0.0, KernelKind("dT"), "growth", x, y).ratio[0, 0, 0, 0])
         assert np.all(np.isfinite(ratios))
         assert max(ratios) <= 5.0 * min(ratios)
 
     def test_degenerate_pair_rejected(self):
         x = np.array([[1.0]])
-        # the kernel rejects the pair before the ball measures are read
+        # the kernel rejects the pair before any ball measure is computed
         with pytest.raises(SingularPairError):
-            scan(0.0, [KernelKind("dT")], x, x.copy(), None, None, np.ones(1), [GRID],
-                 ("growth",))
+            scan(0.0, [KernelKind("dT")], x, x.copy(), None, None, [GRID], ("growth",))
 
     def test_smoothness_reports(self):
         x, y = sample_pairs(1, 50, 13)
-        cols = scan_one(0.0, KernelKind("hT", i=1), "smooth_x", x, y, sample_perturbed(x, y, 14))
-        assert len(cols.ratio) == 50
-        assert np.all(cols.constraint_ok)
-        assert np.all(np.isfinite(cols.ratio))
+        res = scan_one(0.0, KernelKind("hT", i=1), "smooth_x", x, y, sample_perturbed(x, y, 14))
+        assert res.ratio.shape == (1, 1, 1, 50)
+        assert np.all(res.constraint_ok[0])
+        assert np.all(np.isfinite(res.ratio[0, 0, 0]))
 
     def test_zero_difference_gives_zero_norm(self):
         from lps.kernels import kernel_values
@@ -139,8 +137,8 @@ class TestScans:
         # statistically indistinguishable ratio populations
         x, y = sample_pairs(1, 80, 17)
         xp, yp = sample_perturbed(x, y, 18), sample_perturbed(y, x, 18)
-        cols = scan(0.0, [KernelKind("dT")], x, y, xp, yp, ball_measures(0.0, x, y), [GRID])[0][0]
-        rx, ry = cols["smooth_x"].ratio, cols["smooth_y"].ratio
+        res = scan(0.0, [KernelKind("dT")], x, y, xp, yp, [GRID])
+        rx, ry = (res.ratio[0, 0, ESTIMATES.index(est)] for est in ("smooth_x", "smooth_y"))
         mx = np.median(rx)
         my = np.median(ry)
         assert mx == pytest.approx(my, rel=1.0)  # same order of magnitude
@@ -148,8 +146,8 @@ class TestScans:
 
     def test_poisson_kind_scan(self):
         x, y = sample_pairs(2, 20, 19)
-        cols = scan_one((0.0, -0.5), KernelKind("hPmod", i=2, j=1), "growth", x, y)
-        assert np.all(np.isfinite(cols.ratio))
+        res = scan_one((0.0, -0.5), KernelKind("hPmod", i=2, j=1), "growth", x, y)
+        assert np.all(np.isfinite(res.ratio[0, 0, 0]))
 
     @pytest.mark.parametrize("alpha", [(-0.5,), (0.0, -0.5)], ids=["d1", "d2"])
     @pytest.mark.parametrize("ngrids", [1, 2])
@@ -159,23 +157,25 @@ class TestScans:
         d = len(alpha)
         x, y = sample_pairs(d, 70, 31)
         xp, yp = sample_perturbed(x, y, 32), sample_perturbed(y, x, 33)
-        balls = ball_measures(alpha, x, y)
         grid = ZetaGrid(order=4, levels_zero=12, levels_one=12)
         grids = [grid, grid.refined()][:ngrids]
         kinds = default_kinds(d)
-        joint = scan(alpha, kinds, x, y, xp, yp, balls, grids)
-        assert len(joint) == len(kinds) and all(len(per) == ngrids for per in joint)
+        joint = scan(alpha, kinds, x, y, xp, yp, grids)
+        assert joint.ratio.shape == (len(kinds), ngrids, len(ESTIMATES), 70)
         for k, kind in enumerate(kinds):
             for g, one_grid in enumerate(grids):
-                alone = scan(alpha, [kind], x, y, xp, yp, balls, [one_grid])[0][0]
-                for est in ESTIMATES:
-                    for got, want in zip(joint[k][g][est], alone[est]):
-                        assert np.array_equal(got, want), (kind.tag, g, est)
+                alone = scan(alpha, [kind], x, y, xp, yp, [one_grid])
+                assert np.array_equal(joint.ball_measure, alone.ball_measure)
+                assert np.array_equal(joint.constraint_ok, alone.constraint_ok)
+                for e, est in enumerate(ESTIMATES):
+                    for field in ("kernel_norm", "ratio"):
+                        got, want = getattr(joint, field)[k, g, e], getattr(alone, field)[0, 0, e]
+                        assert np.array_equal(got, want), (kind.tag, g, est, field)
             # and the growth norms are those of the kind's own kernel entries
             vals = kernel_values(alpha, kind, x, y, grids[0])
             w = grids[0].time_weights(kind.measure_kind)
             norms = np.sqrt(np.array([np.dot(row, w) for row in vals * vals]))
-            assert np.array_equal(joint[k][0]["growth"].kernel_norm, norms), kind.tag
+            assert np.array_equal(joint.kernel_norm[k, 0, 0], norms), kind.tag
 
     def test_smoothness_ratio_bounded_as_perturbation_shrinks(self):
         # difference quotient stays bounded: |x - x'| in {1e-2, 1e-3, 1e-4}
@@ -184,9 +184,9 @@ class TestScans:
         ratios = []
         for eps in (1e-2, 1e-3, 1e-4):
             xp = np.array([[1.0 + eps]])
-            cols = scan_one(0.0, KernelKind("dT"), "smooth_x", x, y, xp)
-            assert cols.constraint_ok[0]
-            ratios.append(cols.ratio[0])
+            res = scan_one(0.0, KernelKind("dT"), "smooth_x", x, y, xp)
+            assert res.constraint_ok[0, 0]
+            ratios.append(res.ratio[0, 0, 0, 0])
         assert np.all(np.isfinite(ratios))
         assert max(ratios) <= 2.0 * min(ratios)
 

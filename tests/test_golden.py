@@ -2,6 +2,7 @@
 
 The values were recorded from `lps <task> --config <file> --seed 7
 --no-timestamp`; each report is the same under one and two BLAS threads.
+The jsonl cases pin the JSON-lines serialisation of the czscan columns.
 Poisson kinds stay out of the czscan cases: their subordination matmul sums
 in the order OpenBLAS's threading picks, which moves the 17th digit.
 """
@@ -53,6 +54,16 @@ CASES = {
         "alpha = 0, -0.5\nkind = hTmod\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
         "9f35e976a31ddda09d8ac71582128aa6bd94e5aba951091cb28d0a18571e991f"),
+    "czscan-d2-hTmodStar-jsonl": (
+        "czscan",
+        "alpha = 0, -0.5\nkind = hTmodStar\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nformat = jsonl\n",
+        "b224062b0d47caaf3463bafc0bf33226b645ac40a96f6e03ecba3ce956edd100"),
+    "czscan-d1-dT-jsonl": (
+        "czscan",
+        "alpha = -0.5\nkind = dT\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nformat = jsonl\n",
+        "fe12666c566cddc6cd6c793905a2b0bc1b7df9a8c6ea7f9624014b163cfce94d"),
 }
 
 

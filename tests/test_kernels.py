@@ -157,20 +157,23 @@ class TestHeatKernel:
             z = x * y / s
             want = float(s ** (-1 - a) * mpmath.exp(-(x * x + y * y) / (2 * mpmath.tanh(2 * t)))
                          * mpmath.besseli(a, z) * z ** (-a))
-        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_large_order_against_mpmath(self):
-        # the Bessel product underflows at order 150; the value was once a silent 0.0
-        a, t, x, y = 150.0, 0.05, 3.0, 3.1
-        got = heat_kernel_closed((a,), t, [x], [y])
-        with mpmath.workdps(40):
-            a, t, x, y = (mpmath.mpf(v) for v in (a, t, x, y))
-            s = mpmath.sinh(2 * t)
-            z = x * y / s
-            want = float(s ** (-1 - a) * mpmath.exp(-(x * x + y * y) / (2 * mpmath.tanh(2 * t)))
-                         * mpmath.besseli(a, z) * z ** (-a))
-        assert want > 1e-300
-        assert got == pytest.approx(want, rel=1e-9)
+        # the Bessel product underflows at these orders, with x y / sinh 2t in
+        # the ive regime (93) and in the series regime (10 and 19); the value
+        # was once a silent 0.0
+        for a, x, y in ((150.0, 3.0, 3.1), (160.0, 1.0, 1.0), (220.0, 1.2, 1.6)):
+            t = 0.05
+            got = heat_kernel_closed((a,), t, [x], [y])
+            with mpmath.workdps(40):
+                a, t, x, y = (mpmath.mpf(v) for v in (a, t, x, y))
+                s = mpmath.sinh(2 * t)
+                z = x * y / s
+                want = float(s ** (-1 - a) * mpmath.besseli(a, z) * z ** (-a)
+                             * mpmath.exp(-(x * x + y * y) / (2 * mpmath.tanh(2 * t))))
+            assert want > 1e-300
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_nan_exponent_raises(self):
         # a failed evaluation must not pass for an underflow

@@ -150,18 +150,21 @@ class TestBesselMantissaRatio:
 
     @pytest.mark.parametrize("nu", [150.0, 200.0, 250.5])
     def test_large_orders_against_mpmath(self, nu):
-        # in the ive regime z^-nu e^-z I_nu(z) lies below the smallest double
-        # here; its log was once -inf
-        zs = np.array([20.0, 20.1, 50.0, 300.0, 1e4])
+        # z^-nu e^-z I_nu(z) lies below the smallest double here, in the ive
+        # regime (z >= 20) and in the series regime, where i_(nu+1)(0)
+        # underflows from nu of about 149; its log was once -inf in both
+        zs = np.array([0.0, 1e-3, 0.7, 9.98, 19.9, 20.0, 20.1, 50.0, 300.0, 1e4])
         logm, ratio = log_bessel_mantissa_ratio(nu, zs)
-        for z, lm, r in zip(zs, logm, ratio):
+        assert logm[0] == pytest.approx(-nu * math.log(2.0) - gammaln(nu + 1.0), rel=1e-15)
+        assert ratio[0] == pytest.approx(0.5 / (nu + 1.0), rel=1e-15, abs=0.0)
+        for z, lm, r in zip(zs[1:], logm[1:], ratio[1:]):
             with mpmath.workdps(60):
                 z = mpmath.mpf(float(z))
                 i_nu = mpmath.besseli(nu, z)
                 want_lm = float(mpmath.log(i_nu) - nu * mpmath.log(z) - z)
                 want_r = float(mpmath.besseli(nu + 1, z) / (z * i_nu))
-            assert lm == pytest.approx(want_lm, rel=1e-13)
-            assert r == pytest.approx(want_r, rel=1e-12)
+            assert lm == pytest.approx(want_lm, rel=1e-13, abs=0.0)
+            assert r == pytest.approx(want_r, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("nu", [-0.5, 3.5, 60.0])
     def test_ive_regime_keeps_its_bits(self, nu):
