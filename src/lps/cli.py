@@ -428,7 +428,11 @@ def run(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     runner, columns = TASKS[cfg.task]
     report = Report(columns)
-    worst, worst_row, ok = runner(cfg, alpha, report)
+    try:
+        worst, worst_row, ok = runner(cfg, alpha, report)
+    except FloatingPointError as exc:  # an evaluation that failed, as a NaN exponent
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - t0
     out = cfg.out or f"lps_{cfg.task}.{ 'csv' if cfg.format == 'csv' else 'jsonl' }"
     header = [

@@ -41,6 +41,12 @@ _SERIES_BANDS = (1.0, 4.0, 10.0, BESSEL_SERIES_CUTOFF)
 BESSEL_HANKEL_CUTOFF = 2.0**30 - 1.0
 _HANKEL_TERMS = 20
 _TINY = np.finfo(float).tiny
+# at orders -1/2 and 1/2 the Bessel factor is elementary; below this argument
+# the ratio (coth z - 1/z)/z cancels and its continued fraction takes over,
+# whose truncation at this depth is below 1e-24 relative at the switch
+_HALF_CF_SWITCH = 2.0
+_HALF_CF_DEPTH = 14
+_LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 
 
 @dataclass(frozen=True)
@@ -69,30 +75,58 @@ def _log_series_start(nu: float) -> float:
     return -nu * math.log(2.0) - gammaln(nu + 1.0)
 
 
-def _bessel_series_pair(nu: float, z: np.ndarray):
-    """Ascending series of i_nu and i_(nu+1) at 1-d z, summed side by side.
+def _bessel_series_pair(nu: float, z: np.ndarray) -> np.ndarray:
+    """Ascending series of i_nu and i_(nu+1) at 1-d z, summed side by side
+    relative to i_nu(0), whose log is _log_series_start(nu).
 
     i_nu(z) = 2^-nu sum_m (z^2/4)^m / (m! Gamma(m+nu+1)); row 0 of the
-    result is i_nu, row 1 is i_(nu+1).  The sums stop once every term falls
-    below 1e-18 of its sum, far below half an ulp: past that point further
-    terms no longer change a sum, so the result does not depend on which
-    other arguments share the call.  Returns the sums and the log of their
-    scale: log i_nu(0) where i_(nu+1)(0) underflows (nu above 148.9), else 0.
+    result is i_nu / i_nu(0), row 1 is i_(nu+1) / i_nu(0), which starts at
+    1/(2 nu + 2).  The sums stop once every term falls below 1e-18 of its
+    sum, far below half an ulp: past that point further terms no longer
+    change a sum, so the result does not depend on which other arguments
+    share the call.  A series that has not stopped within _SERIES_TERMS
+    terms raises.
     """
     orders = np.array([[nu], [nu + 1.0]])
     w = z * z / 4.0
-    log_scale = 0.0
-    start = [[math.exp(_log_series_start(nu))], [math.exp(_log_series_start(nu + 1.0))]]
-    if start[1][0] < _TINY:  # i_(nu+1)(0) underflows: both series relative to i_nu(0)
-        log_scale, start = _log_series_start(nu), [[1.0], [0.5 / (nu + 1.0)]]
-    term = np.repeat(start, w.size, axis=1)
+    term = np.repeat([[1.0], [0.5 / (nu + 1.0)]], w.size, axis=1)
     acc = term.copy()
     for m in range(_SERIES_TERMS):
         term = term * w / ((m + 1.0) * (m + orders + 1.0))
         acc += term
         if np.all(term <= 1e-18 * acc):
-            break
-    return acc, log_scale
+            return acc
+    raise FloatingPointError(f"power series of the Bessel factor of order {nu} did not converge "
+                             f"in {_SERIES_TERMS} terms at arguments up to {z.max():.6g}")
+
+
+def _half_order_pair(nu: float, z: np.ndarray):
+    """log(e^-z i_nu(z)) and i_(nu+1)/i_nu at nu = -1/2 or 1/2 and 1-d z, in closed form.
+
+    i_(-1/2)(z) = sqrt(2/pi) cosh z and i_(1/2)(z) = sqrt(2/pi) sinh(z) / z
+    (DLMF 10.39.1), so the ratios are tanh(z)/z and (coth z - 1/z)/z, with
+    limits 1 and 1/3 at z = 0.  Below _HALF_CF_SWITCH the second comes from
+    1/(3 + z^2/(5 + z^2/(7 + ...))), which has only positive terms.
+    """
+    nonzero = z != 0  # NaN stays NaN
+    with np.errstate(over="ignore"):  # -2z is -inf only where e^-2z is 0 anyway
+        damp = np.exp(-2.0 * z) if nu < 0 else -np.expm1(-2.0 * z)
+    if nu < 0:
+        logm = np.log1p(damp) + (_LOG_SQRT_2_OVER_PI - math.log(2.0))
+        return logm, np.divide(np.tanh(z), z, out=np.ones(z.shape), where=nonzero)
+    # (1 - e^-2z)/(2z) as half of (1 - e^-2z)/z, which stays finite where 2z overflows
+    mant = 0.5 * np.divide(damp, z, out=np.full(z.shape, 2.0), where=nonzero)
+    logm = np.log(mant) + _LOG_SQRT_2_OVER_PI
+    ratio = np.empty(z.shape)
+    near = z < _HALF_CF_SWITCH
+    w = z[near] ** 2
+    cf = np.full(w.shape, 2.0 * _HALF_CF_DEPTH + 1.0)
+    for k in range(_HALF_CF_DEPTH - 1, 0, -1):
+        cf = (2.0 * k + 1.0) + w / cf
+    ratio[near] = 1.0 / cf
+    zf = z[~near]
+    ratio[~near] = (1.0 / np.tanh(zf) - 1.0 / zf) / zf
+    return logm, ratio
 
 
 def _hankel_sum(nu: float, z: np.ndarray) -> np.ndarray:
@@ -119,11 +153,15 @@ def log_bessel_mantissa_ratio(nu: float, z):
     The log-mantissa is the exponentially damped part of the Bessel factor,
     for consumers that absorb the e^z growth into a Gaussian exponent.  The
     ratio is the log-derivative of i_nu over z: positive, smooth,
-    1/(2 nu + 2) at z = 0 and ~ 1/z at infinity.  Below the cutoff both come
-    from the power series, summed per band of z so that small arguments do
+    1/(2 nu + 2) at z = 0 and ~ 1/z at infinity.
+
+    At nu = -1/2 and 1/2 both are elementary and come in closed form at
+    every z.  At other orders they come from the power series below
+    BESSEL_SERIES_CUTOFF, summed per band of z so that small arguments do
     not wait for the slowest terms; above it from the exponentially scaled
     ive, and from BESSEL_HANKEL_CUTOFF on, where ive fails, from the Hankel
-    expansion.
+    expansion.  Where ive(nu + 1) leaves the normal range (large orders) the
+    series serves those arguments too, and raises if it does not converge.
     Arrays of any shape are accepted; a scalar z gives two floats.
     """
     if nu <= -1:
@@ -131,34 +169,46 @@ def log_bessel_mantissa_ratio(nu: float, z):
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ValueError("argument must be >= 0")
+    pair = _half_order_pair if nu in (-0.5, 0.5) else _general_order_pair
+    logm, ratio = pair(nu, z.ravel())
+    if z.ndim == 0:
+        return float(logm[0]), float(ratio[0])
+    return logm.reshape(z.shape), ratio.reshape(z.shape)
+
+
+def _general_order_pair(nu: float, z: np.ndarray):
+    """log_bessel_mantissa_ratio at 1-d z by regimes: series, ive and Hankel."""
     logm = np.empty(z.shape)
     ratio = np.empty(z.shape)
-    lo = 0.0
-    for hi in _SERIES_BANDS:
-        band = (z >= lo) & (z < hi)
-        lo = hi
-        if np.any(band):
-            zb = z[band]
-            (mant, mant1), log_scale = _bessel_series_pair(nu, zb)
-            logm[band] = np.log(mant) + log_scale - zb
-            ratio[band] = mant1 / mant
     large = (z >= BESSEL_SERIES_CUTOFF) & (z < BESSEL_HANKEL_CUTOFF)
+    deep = np.zeros(z.shape, dtype=bool)
     if np.any(large):
         zl = z[large]
-        scaled = ive(nu, zl)
+        scaled, scaled1 = ive(nu, zl), ive(nu + 1.0, zl)
+        # ive leaves the normal range from nu of about 290 at z = 20: there the
+        # series serves, and large keeps only the entries ive serves
+        keep = scaled1 >= _TINY
+        deep[large] = ~keep
+        large[large] = keep
+        zl, scaled, scaled1 = zl[keep], scaled[keep], scaled1[keep]
         mant = scaled * zl ** (-nu)
         # at large orders the product leaves the normal range: there the logs are added
         logm[large] = np.where(mant < _TINY, np.log(scaled) - nu * np.log(zl),
                                np.log(np.maximum(mant, _TINY)))
-        ratio[large] = ive(nu + 1.0, zl) / (zl * scaled)
+        ratio[large] = scaled1 / (zl * scaled)
+    edges = (0.0,) + _SERIES_BANDS
+    for band in [(z >= lo) & (z < hi) for lo, hi in zip(edges, edges[1:])] + [deep]:
+        if np.any(band):
+            zb = z[band]
+            mant, mant1 = _bessel_series_pair(nu, zb)
+            logm[band] = np.log(mant) + _log_series_start(nu) - zb
+            ratio[band] = mant1 / mant
     huge = ~(z < BESSEL_HANKEL_CUTOFF)  # NaN lands here too: every entry is written
     if np.any(huge):
         zh = z[huge]
         hankel = _hankel_sum(nu, zh)
         logm[huge] = np.log(hankel) - 0.5 * np.log(2.0 * math.pi * zh) - nu * np.log(zh)
         ratio[huge] = _hankel_sum(nu + 1.0, zh) / (zh * hankel)
-    if z.ndim == 0:
-        return float(logm), float(ratio)
     return logm, ratio
 
 

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from lps import cli
+from lps import cli, specfun
 from lps.cli import ConfigError, RunConfig, build_config, main, parse_config
 
 
@@ -183,6 +183,27 @@ class TestExitCodes:
         assert len(rows) == 100
         ratios = [float(r.split(",")[7]) for r in rows]
         assert all(np.isfinite(ratios))
+
+    def test_half_integer_scan_stays_in_closed_form(self, tmp_path, monkeypatch):
+        # at alpha = -1/2 every base has order -1/2 or 1/2: no series, no ive
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Bessel regime off the closed forms was reached")
+
+        monkeypatch.setattr(specfun, "ive", refuse)
+        monkeypatch.setattr(specfun, "_bessel_series_pair", refuse)
+        path = write_config(tmp_path, "alpha = -0.5\nseed = 3\ncount = 8\nkind = all\n"
+                            "zeta_order = 6\nzeta_levels = 12\nthreads = 1\n")
+        out = str(tmp_path / "scan.csv")
+        assert main(["czscan", "--config", path, "--out", out, "--no-timestamp"]) == 0
+
+    def test_failed_evaluation_exits_1_without_report(self, tmp_path, capsys):
+        # at this type index the Bessel series does not converge where ive underflows
+        path = write_config(tmp_path, "alpha = 1000\nseed = 3\ncount = 6\nkind = dT\n"
+                            "zeta_order = 6\nzeta_levels = 12\nthreads = 1\n")
+        out = tmp_path / "scan.csv"
+        assert main(["czscan", "--config", path, "--out", str(out)]) == 1
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReproducibility:

@@ -26,44 +26,44 @@ CASES = {
         "czscan",
         "alpha = 0, -0.5\nkind = hTmodStar\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "cef059ef5437a9a68ad3a3163b2bcc55d3f2f240e52ee0e90adb70ce6863598b"),
+        "fd86d524d09ca16fba717a2b750f7a89d6c261d4312955c3753689f1a2efb97c"),
     "czscan-d1-dT": (
         "czscan",
         "alpha = -0.5\nkind = dT\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "9a4eb80935e873f21d3e9c126dbca486d744e50270e516cf9c5d5b5b14ba7f2c"),
+        "faf216d9d95677dc035ff4c70c7221643eb56f4a40bb63c925b9639f9ad09f31"),
     # the multi-grid path: refine scans a second grid, and the report keeps
     # the first grid's bytes
     "czscan-d1-dT-refine": (
         "czscan",
         "alpha = -0.5\nkind = dT\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nrefine = true\n",
-        "9a4eb80935e873f21d3e9c126dbca486d744e50270e516cf9c5d5b5b14ba7f2c"),
+        "faf216d9d95677dc035ff4c70c7221643eb56f4a40bb63c925b9639f9ad09f31"),
     "czscan-d1-hT": (
         "czscan",
         "alpha = -0.5\nkind = hT\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "0cde1f583f2a9f547f8016a6b7f5602882518bc13a2e6cccbbec382320107e94"),
+        "8fd202459f1b4dc74a3cf501152ade84ff55e1e3e932c46cd7396ab4757cb546"),
     "czscan-d1-dTmod": (
         "czscan",
         "alpha = -0.5\nkind = dTmod\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "8ae7e987418cb28c08891b0efc8619b25e0dacdc79ee686ad1c080f9ed126c96"),
+        "19768e1241c7ffe1e4c90d04b65b2f94e0607ca1af0e90a4c4c6e7c9dfb2245d"),
     "czscan-d2-hTmod": (
         "czscan",
         "alpha = 0, -0.5\nkind = hTmod\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "9f35e976a31ddda09d8ac71582128aa6bd94e5aba951091cb28d0a18571e991f"),
+        "7d01557984844f42a70bc44054a75683ff67d1720e5d4330683e699e73f9b232"),
     "czscan-d2-hTmodStar-jsonl": (
         "czscan",
         "alpha = 0, -0.5\nkind = hTmodStar\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nformat = jsonl\n",
-        "b224062b0d47caaf3463bafc0bf33226b645ac40a96f6e03ecba3ce956edd100"),
+        "bc0122c3a2ec6e7a4db3e393b7b8a00d468c3315587b23ab2b5b687bad84d41e"),
     "czscan-d1-dT-jsonl": (
         "czscan",
         "alpha = -0.5\nkind = dT\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nformat = jsonl\n",
-        "fe12666c566cddc6cd6c793905a2b0bc1b7df9a8c6ea7f9624014b163cfce94d"),
+        "3d0888df38471790102815d56cf5c53d768460f7a6238770f19bc849783b6fab"),
 }
 
 

@@ -166,9 +166,43 @@ class TestBesselMantissaRatio:
             assert lm == pytest.approx(want_lm, rel=1e-13, abs=0.0)
             assert r == pytest.approx(want_r, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("nu", [-0.5, 3.5, 60.0])
+    @pytest.mark.parametrize("nu", [145.0, 148.0])
+    def test_series_ratio_relative_to_value_at_zero(self, nu):
+        # both series are summed relative to i_nu(0); from two starting terms
+        # rounded on their own the ratio was off by 2.7e-14 and 9.5e-14 here
+        zs = np.linspace(0.0, 19.9, 41)
+        _, ratio = log_bessel_mantissa_ratio(nu, zs)
+        for z, r in zip(zs[1:], ratio[1:]):
+            with mpmath.workdps(60):
+                z = mpmath.mpf(float(z))
+                want = float(mpmath.besseli(nu + 1, z) / (z * mpmath.besseli(nu, z)))
+            assert r == pytest.approx(want, rel=2e-15, abs=0.0)
+        assert ratio[0] == 0.5 / (nu + 1.0)
+
+    @pytest.mark.parametrize("nu,z", [(320.0, 20.5), (290.0, 20.0)])
+    def test_ive_underflow_takes_the_series(self, nu, z):
+        # scipy's ive underflows to 0 at (nu, z), which gave (-inf, nan); the
+        # second argument still takes ive, with the values it has alone
+        assert ive(nu, z) == 0.0 and ive(nu + 1.0, 1000.0) > 1e-300
+        logm, ratio = log_bessel_mantissa_ratio(nu, np.array([z, 1000.0]))
+        assert (logm[1], ratio[1]) == log_bessel_mantissa_ratio(nu, 1000.0)
+        with mpmath.workdps(60):
+            z = mpmath.mpf(z)
+            i_nu = mpmath.besseli(nu, z)
+            want_lm = float(mpmath.log(i_nu) - nu * mpmath.log(z) - z)
+            want_r = float(mpmath.besseli(nu + 1, z) / (z * i_nu))
+        assert logm[0] == pytest.approx(want_lm, rel=1e-15, abs=0.0)
+        assert ratio[0] == pytest.approx(want_r, rel=2e-15, abs=0.0)
+
+    def test_series_that_does_not_converge_raises(self):
+        # ive underflows at this order, and the series needs far more terms
+        with pytest.raises(FloatingPointError, match="did not converge"):
+            log_bessel_mantissa_ratio(3000.0, 3000.0)
+
+    @pytest.mark.parametrize("nu", [0.3, 3.5, 60.0])
     def test_ive_regime_keeps_its_bits(self, nu):
-        # the log of the product, unchanged wherever it stays a normal double
+        # the log of the product, unchanged wherever it stays a normal double;
+        # orders -1/2 and 1/2 take closed forms and no longer reach ive
         zs = np.array([20.0, 37.5, 400.0, 3000.0])
         logm, _ = log_bessel_mantissa_ratio(nu, zs)
         assert np.array_equal(logm, np.log(ive(nu, zs) * zs ** (-nu)))
@@ -196,6 +230,32 @@ class TestBesselMantissaRatio:
             log_bessel_mantissa_ratio(-1.0, 1.0)
         with pytest.raises(ValueError):
             log_bessel_mantissa_ratio(0.0, [1.0, -1.0])
+
+
+class TestHalfOrderClosedForms:
+    """nu = -1/2 and 1/2: elementary forms at every z, against mpmath."""
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.5])
+    def test_against_mpmath(self, nu):
+        # both sides of the continued-fraction switch and of the other orders'
+        # switches to ive and to the Hankel expansion, and log-uniform draws
+        edges = [2.0, 20.0, 2.0**30 - 1.0]
+        sides = [np.nextafter(e, 0.0) for e in edges] + edges + [np.nextafter(e, np.inf) for e in edges]
+        logu = np.exp(np.random.default_rng(13).uniform(math.log(1e-8), math.log(5e9), 300))
+        zs = np.concatenate([[0.0, 1e-300], sides, logu])
+        logm, ratio = log_bessel_mantissa_ratio(nu, zs)
+        for z, lm, r in zip(zs, logm, ratio):
+            with mpmath.workdps(60):
+                if z == 0.0:  # the limits: log i_nu(0) and 1/(2 nu + 2)
+                    want_lm = float(-nu * mpmath.log(2) - mpmath.loggamma(nu + 1))
+                    want_r = 1.0 / (2.0 * nu + 2.0)
+                else:
+                    zm = mpmath.mpf(float(z))
+                    i_nu = mpmath.besseli(nu, zm)
+                    want_lm = float(mpmath.log(i_nu) - nu * mpmath.log(zm) - zm)
+                    want_r = float(mpmath.besseli(nu + 1, zm) / (zm * i_nu))
+            assert abs(lm - want_lm) <= 1e-15 * max(1.0, abs(want_lm)), z
+            assert abs(r - want_r) <= 1e-15 * want_r, z
 
 
 class TestQuadrature:
