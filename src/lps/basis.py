@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .measure import AlphaParam, as_alpha
-from .specfun import gauss_laguerre_rule, tensor_rule
+from .specfun import QuadratureRule, gauss_laguerre_rule, tensor_rule
 
 __all__ = [
     "BasisFamily",
@@ -216,14 +216,10 @@ def _quad_grid(alpha: AlphaParam, order: int):
     integral f d mu_alpha ~= sum w * f(points) for f with Gaussian decay.
     Both arrays are read-only: every caller with equal arguments shares them.
     """
-    xs, ws = [], []
-    for a in alpha.components:
-        rule = gauss_laguerre_rule(order, a)
-        xs.append(np.sqrt(rule.nodes))
-        with np.errstate(divide="ignore"):
-            logw = np.where(rule.weights > 0, np.log(rule.weights), -np.inf)
-        ws.append(0.5 * np.exp(logw + rule.nodes))
-    pts, w = tensor_rule(xs, ws)
+    with np.errstate(over="ignore"):  # an overflowing weight is inf, which QuadratureRule rejects
+        rules = [QuadratureRule(np.sqrt(u.nodes), 0.5 * np.exp(np.log(u.weights) + u.nodes))
+                 for u in (gauss_laguerre_rule(order, a) for a in alpha.components)]
+    pts, w = tensor_rule([r.nodes for r in rules], [r.weights for r in rules])
     pts.flags.writeable = False
     w.flags.writeable = False
     return pts, w

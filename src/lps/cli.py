@@ -8,9 +8,10 @@ Tasks: basis, kernel, gfun, verify, czscan, lemmas.  The config file is flat
 ``key = value`` text mirroring RunConfig; unknown keys are errors (exit 2).
 Reports are CSV or JSON-lines with floats at 17 significant digits, so a
 seeded run reproduces byte-identically (the timestamp header line can be
-suppressed).  Exit status 0 means every assertion of the task passed; 1 means
-a numerical assertion failed (the worst record is echoed); 2 means the
-configuration was invalid.
+suppressed).  Every row of a report carries a score and a pass flag.  Exit
+status 0 means every row passed; 1 means a row failed (the first failing row
+is echoed) or an evaluation failed (no report); 2 means the configuration
+was invalid.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import stat
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -42,7 +43,7 @@ from .kernels import (
     heat_kernel_spectral,
     subordination_u_rule,
 )
-from .measure import as_alpha
+from .measure import as_alpha, pi_alpha_rule
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -51,6 +52,9 @@ __all__ = ["RunConfig", "run", "main"]
 MAX_BALL_DIMENSION = 4
 # the kernel triple draws its points from the box clipped to this range
 KERNEL_BOX = (0.2, 4.0)
+# largest type index of kernel, verify and lemmas: the normalisation of Pi_(alpha + s), s <= 2
+# in the lemma fit, 1/(sqrt(pi) 2^a Gamma(a + 1/2)) leaves the normal doubles past a = 150.2
+MAX_PI_ALPHA = 148.0
 
 
 class ConfigError(Exception):
@@ -90,6 +94,9 @@ class RunConfig:
             raise ConfigError(
                 f"alpha: task {self.task!r} requires alpha in [-1/2, inf)^d, got {a.components}"
             )
+        if self.task in ("kernel", "verify", "lemmas") and max(a.components) > MAX_PI_ALPHA:
+            raise ConfigError(f"alpha: task {self.task!r} supports components <= "
+                              f"{MAX_PI_ALPHA:g}, got {a.components}; Pi_alpha underflows above")
         if self.task in ("czscan", "lemmas") and a.d > MAX_BALL_DIMENSION:
             raise ConfigError(
                 f"dimension: task {self.task!r} supports d <= {MAX_BALL_DIMENSION}, got {a.d}; "
@@ -126,6 +133,14 @@ class RunConfig:
             raise ConfigError(f"box_lo/box_hi: task {self.task!r} draws its points from "
                               f"{list(KERNEL_BOX)} within the box, and "
                               f"({self.box_lo}, {self.box_hi}) leaves no interval of it")
+        try:  # a Gauss rule that a double cannot hold is a bad order, not a failed check
+            if self.task in ("basis", "gfun", "verify"):
+                basis_mod._quad_grid(a, self.quad_order)
+            if self.task in ("kernel", "verify"):
+                pi_alpha_rule(a, self.quad_order)
+        except ValueError as exc:
+            raise ConfigError(f"quad_order: the Gauss rule of order {self.quad_order} for alpha "
+                              f"{a.components} is out of double range ({exc})") from exc
         return a
 
     def thread_count(self) -> int:
@@ -193,12 +208,9 @@ class Report:
         self.columns = list(columns)
         self.rows = []
 
-    def add(self, **kw):
-        self.rows.append([kw.get(c, "") for c in self.columns])
-
     def add_columns(self, **cols):
-        """One row per entry of the columns, one column given for each of the report's."""
-        self.rows.extend(zip(*(cols[c] for c in self.columns)))
+        """One row per entry of the given columns; a column not given is left empty."""
+        self.rows.extend(zip(*(cols.get(c, repeat("")) for c in self.columns)))
 
     def write(self, path: str, fmt: str, header_lines):
         # the whole text is built first, so a row that fails to serialise
@@ -222,52 +234,52 @@ class Report:
                 fh.truncate()
 
 
-def _task_basis(cfg: RunConfig, alpha, report: Report):
-    families = [PLAIN] + [differentiated(j) for j in range(1, alpha.d + 1)]
-    worst = 0.0
-    worst_row = None
+# the tolerance of each identity check; a row scores deviation / tolerance
+TOLERANCE = {"gram": 1e-9, "kernel_triple": 1e-7, "gfun": 1e-6, "subordination": 1e-10,
+             "riesz_identity": 1e-9, "counterexample_profile": 1e-7}
+
+
+def _gram_rows(cfg: RunConfig, alpha, report: Report):
+    """Upper-triangle Gram entries of the plain and differentiated systems against I."""
     pts, w = basis_mod._quad_grid(alpha, cfg.quad_order)
-    for fam in families:
+    devs = []
+    for fam in [PLAIN] + [differentiated(j) for j in range(1, alpha.d + 1)]:
         idx = basis_mod._family_indices(fam, alpha.d, cfg.cutoff)
         vals = ell_batch(alpha, fam.shifts, idx, pts)
-        gram = (vals * w) @ vals.T
-        dev = np.abs(gram - np.eye(len(idx)))
-        fam_name = "plain" if fam.is_plain else f"diff{fam.j}"
-        for a in range(len(idx)):
-            for b in range(a, len(idx)):
-                report.add(family=fam_name, k=idx[a], l=idx[b],
-                           gram=float(gram[a, b]), deviation=float(dev[a, b]))
-                if dev[a, b] > worst:
-                    worst = float(dev[a, b])
-                    worst_row = (fam_name, idx[a], idx[b], float(gram[a, b]))
-    return worst, worst_row, worst <= 1e-9
+        a, b = np.triu_indices(len(idx))
+        gram = ((vals * w) @ vals.T)[a, b]
+        devs.append(np.abs(gram - (a == b)))
+        report.add_columns(family=repeat("plain" if fam.is_plain else f"diff{fam.j}"),
+                           k=[idx[i] for i in a], l=[idx[i] for i in b],
+                           gram=gram.tolist(), deviation=devs[-1].tolist())
+    return np.concatenate(devs) / TOLERANCE["gram"]
 
 
-def _task_kernel(cfg: RunConfig, alpha, report: Report):
+def _kernel_rows(cfg: RunConfig, alpha, report: Report):
+    """Closed, Schlafli and spectral heat kernels at random (t, x, y)."""
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    worst_row = None
+    lo, hi = max(cfg.box_lo, KERNEL_BOX[0]), min(cfg.box_hi, KERNEL_BOX[1])
+    rows = []
     for _ in range(cfg.count):
         t = float(rng.uniform(0.1, 2.0))
-        lo, hi = max(cfg.box_lo, KERNEL_BOX[0]), min(cfg.box_hi, KERNEL_BOX[1])
-        x = rng.uniform(lo, hi, alpha.d)
-        y = rng.uniform(lo, hi, alpha.d)
-        closed = heat_kernel_closed(alpha, t, x, y)
-        schlafli = heat_kernel_schlafli(alpha, t, x, y, order=cfg.quad_order)
-        spectral = heat_kernel_spectral(alpha, t, x, y, cutoff=60)
-        dev = max(abs(schlafli - closed), abs(spectral - closed)) / closed
-        report.add(t=t, x=tuple(x), y=tuple(y), closed=closed,
-                   schlafli=schlafli, spectral=spectral, rel_dev=float(dev))
-        if dev > worst:
-            worst = float(dev)
-            worst_row = (t, tuple(x), tuple(y), closed)
-    return worst, worst_row, worst <= 1e-7
+        x, y = rng.uniform(lo, hi, alpha.d), rng.uniform(lo, hi, alpha.d)
+        rows.append((t, tuple(x), tuple(y), heat_kernel_closed(alpha, t, x, y),
+                     heat_kernel_schlafli(alpha, t, x, y, order=cfg.quad_order),
+                     heat_kernel_spectral(alpha, t, x, y, cutoff=60)))
+    t, x, y, closed, schlafli, spectral = zip(*rows)
+    c, s, sp = np.array(closed), np.array(schlafli), np.array(spectral)
+    # a closed form that underflows to 0 gives an inf or NaN deviation, which fails
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = np.maximum(np.abs(s - c), np.abs(sp - c)) / c
+    report.add_columns(t=t, x=x, y=y, closed=closed, schlafli=schlafli, spectral=spectral,
+                       rel_dev=dev.tolist())
+    return dev / TOLERANCE["kernel_triple"]
 
 
 def _gfun_rows(cfg: RunConfig, alpha, report: Report):
+    """Vertical isometries and the horizontal heat sum on random expansions."""
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    worst_row = None
+    rows = []
     for n in range(cfg.count):
         seed = int(rng.integers(0, 2**31))
         # the vertical square functions are the isometries
@@ -275,60 +287,45 @@ def _gfun_rows(cfg: RunConfig, alpha, report: Report):
             e = random_expansion(alpha, kind.input_family(), nmodes=8, max_level=cfg.cutoff,
                                  seed=seed)
             norm = gfun_l2_norm(kind, e, order=cfg.quad_order)
-            dev = abs(norm - 0.5 * e.l2_norm()) / (0.5 * e.l2_norm())
-            check = f"isometry_{kind.spec.gtag}"
-            report.add(check=check, sample=n, deviation=float(dev))
-            if dev > worst:
-                worst, worst_row = float(dev), (check, n)
+            rows.append((f"isometry_{kind.spec.gtag}", n,
+                         float(abs(norm - 0.5 * e.l2_norm()) / (0.5 * e.l2_norm()))))
         # horizontal: combined square sum against the spectral closed form
         e = random_expansion(alpha, PLAIN, nmodes=8, max_level=cfg.cutoff, seed=seed + 1)
         quad = sum(gfun_l2_norm(KernelKind("hT", i=i), e, order=cfg.quad_order) ** 2
                    for i in range(1, alpha.d + 1))
         exact = sum(gfun_l2_exact(KernelKind("hT", i=i), e) ** 2
                     for i in range(1, alpha.d + 1))
-        dev = abs(quad - exact) / max(exact, 1e-300)
-        report.add(check="horizontal_heat_sum", sample=n, deviation=float(dev))
-        if dev > worst:
-            worst, worst_row = float(dev), ("horizontal_heat_sum", n)
-    return worst, worst_row
+        rows.append(("horizontal_heat_sum", n, float(abs(quad - exact) / max(exact, 1e-300))))
+    check, sample, dev = zip(*rows)
+    report.add_columns(check=check, sample=sample, deviation=dev)
+    return np.array(dev) / TOLERANCE["gfun"]
 
 
-def _task_gfun(cfg: RunConfig, alpha, report: Report):
-    worst, worst_row = _gfun_rows(cfg, alpha, report)
-    return worst, worst_row, worst <= 1e-6
-
-
-def _task_verify(cfg: RunConfig, alpha, report: Report):
-    checks = []
-    worst, worst_row, ok = _task_kernel(cfg, alpha, report)
-    checks.append(("kernel_triple", worst, 1e-7, ok, worst_row))
-    w, wr = _gfun_rows(cfg, alpha, report)
-    checks.append(("gfun_identities", w, 1e-6, w <= 1e-6, wr))
-    # per-mode subordination identity
+def _spot_rows(cfg: RunConfig, alpha, report: Report):
+    """One row each: worst per-mode subordination error, Riesz identity, d = 1 profile."""
     u, uw = subordination_u_rule()
-    sub_worst = 0.0
-    for lam in range(1, 51):
-        for t in (0.1, 1.0, 5.0):
-            got = float(np.sum(uw * np.exp(-(t * t) * lam / (4.0 * u))))
-            sub_worst = max(sub_worst, abs(got - math.exp(-t * math.sqrt(lam))))
-    report.add(check="subordination", sample=0, deviation=sub_worst)
-    checks.append(("subordination", sub_worst, 1e-10, sub_worst <= 1e-10, None))
+    devs = {"subordination": float(np.max([
+        abs(float(np.sum(uw * np.exp(-(t * t) * lam / (4.0 * u)))) - math.exp(-t * math.sqrt(lam)))
+        for lam in range(1, 51) for t in (0.1, 1.0, 5.0)]))}
     rng = np.random.default_rng(cfg.seed)
     e = random_expansion(alpha, PLAIN, nmodes=10, max_level=cfg.cutoff,
                          seed=int(rng.integers(0, 2**31)))
     xg = np.exp(rng.uniform(math.log(0.2), math.log(4.0), (30, alpha.d)))
-    dev = riesz_identity_check(alpha, 1, e, (0.1, 0.5, 1.0, 2.0), xg)
-    report.add(check="riesz_identity", sample=0, deviation=dev)
-    checks.append(("riesz_identity", dev, 1e-9, dev <= 1e-9, None))
+    devs["riesz_identity"] = riesz_identity_check(alpha, 1, e, (0.1, 0.5, 1.0, 2.0), xg)
     if alpha.d == 1:
-        xs = np.linspace(0.1, 5.0, 60)
-        _, _, dev = czcheck.counterexample_profile(alpha.components[0], xs)
-        report.add(check="counterexample_profile", sample=0, deviation=dev)
-        checks.append(("counterexample_profile", dev, 1e-7, dev <= 1e-7, None))
-    bad = [c for c in checks if not c[3]]
-    worst = max(c[1] / c[2] for c in checks)  # scaled by each tolerance
-    wrow = bad[0] if bad else None
-    return worst, wrow, not bad
+        devs["counterexample_profile"] = czcheck.counterexample_profile(
+            alpha.components[0], np.linspace(0.1, 5.0, 60))[2]
+    report.add_columns(check=list(devs), sample=[0] * len(devs), deviation=list(devs.values()))
+    return np.array([dev / TOLERANCE[c] for c, dev in devs.items()])
+
+
+def _identities(*checks):
+    """A runner of identity checks, each of which adds its rows and returns their scores."""
+    def runner(cfg: RunConfig, alpha, report: Report):
+        score = np.concatenate([check(cfg, alpha, report) for check in checks])
+        return score, score <= 1.0
+
+    return runner
 
 
 def _kind_label(kind: KernelKind) -> str:
@@ -367,17 +364,11 @@ def _task_czscan(cfg: RunConfig, alpha, report: Report):
     res = czcheck.ScanColumns(*(np.concatenate(f, axis=-1) for f in zip(*parts)))
 
     ratio = res.ratio[:, 0]  # [kind, estimate, pair] on the reported grid
-    ok = bool(np.all(np.isfinite(ratio)))
-    if cfg.refine:
+    passed = np.isfinite(ratio)
+    if cfg.refine:  # and the maximum of its (kind, estimate) moves < 5% on the refined grid
         top = res.ratio.max(axis=-1)
         drift = np.abs(top[:, 1] - top[:, 0]) / np.maximum(top[:, 1], 1e-300)
-        ok = ok and bool(np.all(drift < 0.05))
-    # the first strict maximum above 0 in (kind, estimate, pair) order; NaN never wins
-    positive = np.where(ratio > 0, ratio, 0.0)
-    k, e, p = np.unravel_index(np.argmax(positive), ratio.shape)
-    worst_ratio = float(positive[k, e, p])
-    worst_row = (_kind_label(kinds[k]), estimates[e], tuple(x[p]), tuple(y[p]),
-                 worst_ratio) if worst_ratio > 0 else None
+        passed &= (drift < 0.05)[..., None]
 
     # cells of a pair are formatted once and shared by the rows of every kind
     xs, ys = [_fmt(r) for r in x], [_fmt(r) for r in y]
@@ -392,25 +383,27 @@ def _task_czscan(cfg: RunConfig, alpha, report: Report):
                                perturbed=pert[est], kernel_norm=res.kernel_norm[k, 0, e].tolist(),
                                ball_measure=balls, ratio=ratio[k, e].tolist(),
                                constraint_ok=res.constraint_ok[e].tolist())
-    return worst_ratio, worst_row, ok
+    return ratio.ravel(), passed.ravel()
 
 
 def _task_lemmas(cfg: RunConfig, alpha, report: Report):
-    results = lemma_suite(alpha, samples=cfg.count, seed=cfg.seed)
-    for r in results:
-        report.add(lemma=r.name, passed=r.passed, margin=r.margin,
-                   samples=r.samples, detail=r.detail)
-    worst = max(results, key=lambda r: r.margin)
-    return worst.margin, (worst.name, worst.margin), all(r.passed for r in results)
+    lemma, passed, margin, samples, detail = zip(*map(astuple, lemma_suite(
+        alpha, samples=cfg.count, seed=cfg.seed)))
+    report.add_columns(lemma=lemma, passed=passed, margin=margin, samples=samples, detail=detail)
+    return np.array(margin, dtype=float), np.array(passed)
 
 
-# every task: its runner and the columns of its report
+# every task: its runner and the columns of its report.  A runner adds its
+# rows with Report.add_columns and returns a score and a pass flag per row.
+# verify runs every identity check but basis's, whose rows have their own columns
 TASKS = {
-    "basis": (_task_basis, ["family", "k", "l", "gram", "deviation"]),
-    "kernel": (_task_kernel, ["t", "x", "y", "closed", "schlafli", "spectral", "rel_dev"]),
-    "gfun": (_task_gfun, ["check", "sample", "deviation"]),
-    "verify": (_task_verify, ["t", "x", "y", "closed", "schlafli", "spectral", "rel_dev",
-                              "check", "sample", "deviation"]),
+    "basis": (_identities(_gram_rows), ["family", "k", "l", "gram", "deviation"]),
+    "kernel": (_identities(_kernel_rows),
+               ["t", "x", "y", "closed", "schlafli", "spectral", "rel_dev"]),
+    "gfun": (_identities(_gfun_rows), ["check", "sample", "deviation"]),
+    "verify": (_identities(_kernel_rows, _gfun_rows, _spot_rows),
+               ["t", "x", "y", "closed", "schlafli", "spectral", "rel_dev",
+                "check", "sample", "deviation"]),
     "czscan": (_task_czscan, ["kind", "estimate", "x", "y", "perturbed", "kernel_norm",
                               "ball_measure", "ratio", "constraint_ok"]),
     "lemmas": (_task_lemmas, ["lemma", "passed", "margin", "samples", "detail"]),
@@ -429,7 +422,7 @@ def run(cfg: RunConfig) -> int:
     runner, columns = TASKS[cfg.task]
     report = Report(columns)
     try:
-        worst, worst_row, ok = runner(cfg, alpha, report)
+        score, passed = runner(cfg, alpha, report)
     except FloatingPointError as exc:  # an evaluation that failed, as a NaN exponent
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -441,12 +434,16 @@ def run(cfg: RunConfig) -> int:
     if cfg.timestamp:
         header.append(f"generated={time.strftime('%Y-%m-%dT%H:%M:%S')}")
     report.write(out, cfg.format, header)
-    print(
-        f"{cfg.task}: rows={len(report.rows)} worst={worst:.3e} "
-        f"wall={elapsed:.2f}s -> {out}"
-    )
-    if not ok:
-        print(f"FAILED: worst record {worst_row}", file=sys.stderr)
+    # the one verdict of every task: the largest score that is not NaN, and a
+    # failure unless every row passed, so a NaN row fails but is never worst
+    worst = np.max(score, where=~np.isnan(score), initial=0.0)
+    print(f"{cfg.task}: rows={len(report.rows)} worst={worst:.3e} wall={elapsed:.2f}s -> {out}")
+    failed = np.flatnonzero(~passed)
+    if failed.size:
+        cells = " ".join(f"{c}={_fmt(v)}" for c, v in zip(report.columns, report.rows[failed[0]])
+                         if v != "")
+        print(f"FAILED: {failed.size} of {len(report.rows)} rows, the first "
+              f"(row {failed[0] + 1}): {cells}", file=sys.stderr)
         return 1
     return 0
 

@@ -96,7 +96,11 @@ def _mu_interval(a: float, lo, hi):
     """1-d mu_a of (lo, hi) with lo clipped at 0; vectorized."""
     p = 2.0 * a + 2.0
     lo = np.maximum(lo, 0.0)
-    return (np.maximum(hi, 0.0) ** p - lo**p) / p
+    try:
+        with np.errstate(over="raise"):
+            return (np.maximum(hi, 0.0) ** p - lo**p) / p
+    except FloatingPointError as exc:  # the front end reports it as a failed evaluation
+        raise FloatingPointError(f"mu_a of (0, {np.max(hi):.6g}) overflows at a = {a:g}") from exc
 
 
 def _sliced_measure(a: tuple, center, radii: np.ndarray, order: int) -> np.ndarray:

@@ -64,10 +64,11 @@ class QuadratureRule:
             object.__setattr__(self, name, arr)
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
+        # written so that a NaN fails each check
+        if not (np.all(np.isfinite(self.nodes)) and np.all(np.diff(self.nodes) > 0)):
+            raise ValueError("nodes must be finite and strictly increasing")
+        if not np.all((self.weights > 0) & (self.weights < np.inf)):
+            raise ValueError("weights must be finite and positive")
 
 
 def _log_series_start(nu: float) -> float:
@@ -219,7 +220,9 @@ def gauss_laguerre_rule(n: int, a: float = 0.0) -> QuadratureRule:
         raise ValueError(f"order must be >= 1, got {n}")
     if a <= -1:
         raise ValueError(f"exponent must exceed -1, got {a}")
-    nodes, weights = roots_genlaguerre(n, a)
+    # from n of about 200 the weights underflow or come back NaN, which QuadratureRule rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes, weights = roots_genlaguerre(n, a)
     return QuadratureRule(nodes, weights)
 
 

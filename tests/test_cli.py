@@ -85,46 +85,62 @@ class TestValidation:
             cfg.thread_count()
 
 
+# each case: the task, its config text (seed and count are added) and the
+# text that the error message must contain
+INVALID_CONFIGS = {
+    "alpha_below_range": ("czscan", "alpha = -0.9\n", "-1/2"),
+    "alpha_nan": ("basis", "alpha = nan\n", "alpha"),
+    "quad_order_0": ("basis", "alpha = 0.0\nquad_order = 0\n", "quad_order"),
+    "cutoff_negative": ("basis", "alpha = 0.0\ncutoff = -1\n", "cutoff"),
+    "gfun_cutoff_0": ("gfun", "alpha = 0.0\ncutoff = 0\n", "cutoff"),
+    "verify_cutoff_0": ("verify", "alpha = 0.0\ncutoff = 0\n", "cutoff"),
+    "zeta_order_1": ("czscan", "alpha = 0.0\nzeta_order = 1\n", "zeta_order"),
+    "zeta_levels_1": ("czscan", "alpha = 0.0\nzeta_levels = 1\n", "zeta_levels"),
+    "box_hi_inf": ("czscan", "alpha = 0.0\nbox_hi = inf\n", "box_hi"),
+    # the mixed-derivative kinds need a second coordinate
+    "hTmod_d1": ("czscan", "alpha = 0.0\nkind = hTmod\n", "kind"),
+    "hPmod_d1": ("czscan", "alpha = 0.0\nkind = hPmod\n", "kind"),
+    # the positional task must not silently override a different config task
+    "task_contradicts_command": ("czscan", "alpha = 0.0\ntask = lemmas\n", "task"),
+    # a d = 5 ball measure takes 20-30 s, once per pair
+    "czscan_d5": ("czscan", "alpha = 0 0 0 0 0\n", "d = 5 ball takes 20-30 s"),
+    "lemmas_d5": ("lemmas", "alpha = 0 0 0 0 0\n", "d = 5 ball takes 20-30 s"),
+    # the kernel triple draws from the box clipped to [0.2, 4]
+    "kernel_box_below": ("kernel", "alpha = 0.0\nbox_lo = 0.05\nbox_hi = 0.1\n", "box_lo/box_hi"),
+    "kernel_box_above": ("kernel", "alpha = 0.0\nbox_lo = 5\nbox_hi = 9\n", "box_lo/box_hi"),
+    "verify_box_below": ("verify", "alpha = 0.0\nbox_lo = 0.05\nbox_hi = 0.1\n", "box_lo/box_hi"),
+    "verify_box_above": ("verify", "alpha = 0.0\nbox_lo = 5\nbox_hi = 9\n", "box_lo/box_hi"),
+    # a box meeting [0.2, 4] in one point would draw that point every time
+    "kernel_box_at_top": ("kernel", "alpha = 0.0\nbox_lo = 4\nbox_hi = 10\n", "box_lo/box_hi"),
+    "kernel_box_at_bottom": ("kernel", "alpha = 0.0\nbox_lo = 0.05\nbox_hi = 0.2\n",
+                             "box_lo/box_hi"),
+    # alpha fixes the dimension; there is no key for it
+    "dimension_key": ("basis", "alpha = 0.0\ndimension = 1\n", "unknown key 'dimension'"),
+    # Gauss-Laguerre rules past the double range: at 200 the weights
+    # underflow to 0, at 400 scipy returns NaN nodes and weights
+    "basis_quad_order_200": ("basis", "alpha = 0.0\nquad_order = 200\n", "quad_order"),
+    "basis_quad_order_400": ("basis", "alpha = 0.0\nquad_order = 400\n", "quad_order"),
+    "gfun_quad_order_400": ("gfun", "alpha = 0.0\nquad_order = 400\n", "quad_order"),
+    "verify_quad_order_200": ("verify", "alpha = 0.0\nquad_order = 200\n", "quad_order"),
+    "verify_quad_order_400": ("verify", "alpha = 0.0\nquad_order = 400\n", "quad_order"),
+    # the normalisation of Pi_alpha leaves the normal doubles past alpha = 150.2
+    # (the lemma fit shifts alpha by up to 2); Gamma(a + 1/2) overflows past 171
+    "kernel_alpha_200": ("kernel", "alpha = 200\n", "alpha: task 'kernel' supports components"),
+    "verify_alpha_200": ("verify", "alpha = 200\n", "alpha: task 'verify' supports components"),
+    "lemmas_alpha_160": ("lemmas", "alpha = 160\n", "alpha: task 'lemmas' supports components"),
+    "lemmas_alpha_170": ("lemmas", "alpha = 170\n", "alpha: task 'lemmas' supports components"),
+}
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize("task,text,field", [
-        ("czscan", "alpha = -0.9\n", "-1/2"),
-        ("basis", "alpha = nan\n", "alpha"),
-        ("basis", "alpha = 0.0\nquad_order = 0\n", "quad_order"),
-        ("basis", "alpha = 0.0\ncutoff = -1\n", "cutoff"),
-        ("gfun", "alpha = 0.0\ncutoff = 0\n", "cutoff"),
-        ("verify", "alpha = 0.0\ncutoff = 0\n", "cutoff"),
-        ("czscan", "alpha = 0.0\nzeta_order = 1\n", "zeta_order"),
-        ("czscan", "alpha = 0.0\nzeta_levels = 1\n", "zeta_levels"),
-        ("czscan", "alpha = 0.0\nbox_hi = inf\n", "box_hi"),
-        # the mixed-derivative kinds need a second coordinate
-        ("czscan", "alpha = 0.0\nkind = hTmod\n", "kind"),
-        ("czscan", "alpha = 0.0\nkind = hPmod\n", "kind"),
-        # the positional task must not silently override a different config task
-        ("czscan", "alpha = 0.0\ntask = lemmas\n", "task"),
-        # a d = 5 ball measure takes 20-30 s, once per pair
-        ("czscan", "alpha = 0 0 0 0 0\n", "d = 5 ball takes 20-30 s"),
-        ("lemmas", "alpha = 0 0 0 0 0\n", "d = 5 ball takes 20-30 s"),
-        # the kernel triple draws from the box clipped to [0.2, 4]
-        ("kernel", "alpha = 0.0\nbox_lo = 0.05\nbox_hi = 0.1\n", "box_lo/box_hi"),
-        ("kernel", "alpha = 0.0\nbox_lo = 5\nbox_hi = 9\n", "box_lo/box_hi"),
-        ("verify", "alpha = 0.0\nbox_lo = 0.05\nbox_hi = 0.1\n", "box_lo/box_hi"),
-        ("verify", "alpha = 0.0\nbox_lo = 5\nbox_hi = 9\n", "box_lo/box_hi"),
-        # a box meeting [0.2, 4] in one point would draw that point every time
-        ("kernel", "alpha = 0.0\nbox_lo = 4\nbox_hi = 10\n", "box_lo/box_hi"),
-        ("kernel", "alpha = 0.0\nbox_lo = 0.05\nbox_hi = 0.2\n", "box_lo/box_hi"),
-        # alpha fixes the dimension; there is no key for it
-        ("basis", "alpha = 0.0\ndimension = 1\n", "unknown key 'dimension'"),
-    ], ids=["alpha_below_range", "alpha_nan", "quad_order_0", "cutoff_negative",
-            "gfun_cutoff_0", "verify_cutoff_0", "zeta_order_1", "zeta_levels_1",
-            "box_hi_inf", "hTmod_d1", "hPmod_d1", "task_contradicts_command",
-            "czscan_d5", "lemmas_d5", "kernel_box_below", "kernel_box_above",
-            "verify_box_below", "verify_box_above", "kernel_box_at_top",
-            "kernel_box_at_bottom", "dimension_key"])
+    @pytest.mark.parametrize("task,text,field", list(INVALID_CONFIGS.values()),
+                             ids=list(INVALID_CONFIGS))
     def test_invalid_config_exits_2(self, tmp_path, capsys, task, text, field):
         path = write_config(tmp_path, text + "seed = 1\ncount = 3\n")
         code = main([task, "--config", path, "--out", str(tmp_path / "r.csv")])
         assert code == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("task", list(cli.TASKS))
     def test_negative_seed_exits_2(self, tmp_path, capsys, task):
@@ -206,6 +222,115 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    def test_underflowing_kernel_fails_its_rows(self, tmp_path, capsys):
+        # at this type index the closed heat kernel underflows to 0, so the
+        # relative deviation is undefined: the rows are reported and fail
+        path = write_config(tmp_path, "alpha = 100\nseed = 1\ncount = 3\n")
+        out = tmp_path / "r.csv"
+        assert main(["kernel", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert " closed=0 " in err and "rel_dev=nan" in err
+        assert out.exists()
+
+    def test_overflowing_ball_measure_exits_1_without_report(self, tmp_path, capsys):
+        # mu_alpha of (0, 15) is about 15^322 at alpha = 160, past the double range
+        path = write_config(tmp_path, "alpha = 160\nseed = 1\ncount = 3\nkind = dT\n"
+                            "zeta_order = 4\nzeta_levels = 6\n")
+        out = tmp_path / "r.csv"
+        assert main(["czscan", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mu_a of (0, ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def _poison_call(monkeypatch, owner, name, nth, poison):
+    """Replace the result of the nth call of owner.name by poison(result)."""
+    original = getattr(owner, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        out = original(*args, **kwargs)
+        return poison(out) if len(calls) == nth else out
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def _nan_rows(out):
+    vals = np.array(out, dtype=float)
+    vals[1] = np.nan
+    return vals
+
+
+def _identity_score(row):
+    if row.get("rel_dev"):
+        return float(row["rel_dev"]) / cli.TOLERANCE["kernel_triple"]
+    if "family" in row:
+        return float(row["deviation"]) / cli.TOLERANCE["gram"]
+    return float(row["deviation"]) / cli.TOLERANCE.get(row["check"], cli.TOLERANCE["gfun"])
+
+
+# each case: the task, its config, the numerical call made to return NaN (owner,
+# name, which call, poison) and the score of a report row
+NAN_CASES = {
+    "basis": ("basis", "alpha = 0.3\ncutoff = 3\nquad_order = 32\n",
+              (cli, "ell_batch", 1, _nan_rows), _identity_score),
+    "kernel": ("kernel", "alpha = 0.0\nseed = 9\ncount = 3\nquad_order = 32\n",
+               (cli, "heat_kernel_spectral", 2, lambda v: np.nan), _identity_score),
+    "gfun": ("gfun", "alpha = 0.0\nseed = 9\ncount = 2\ncutoff = 4\nquad_order = 32\n",
+             (cli, "gfun_l2_norm", 2, lambda v: np.nan), _identity_score),
+    "verify": ("verify", "alpha = 0.0\nseed = 9\ncount = 2\ncutoff = 4\nquad_order = 32\n",
+               (cli, "gfun_l2_norm", 3, lambda v: np.nan), _identity_score),
+    "lemmas": ("lemmas", "alpha = 0.0\nseed = 9\ncount = 200\n",
+               (cli.czcheck, "_time_integral", 2, lambda v: np.full_like(v, np.nan)),
+               lambda row: float(row["margin"])),
+}
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("case", list(NAN_CASES))
+    def test_nan_score_fails_but_is_never_worst(self, tmp_path, monkeypatch, capsys, case):
+        # the czscan case is test_nan_ratio_fails_but_is_never_worst
+        task, text, (owner, name, nth, poison), score = NAN_CASES[case]
+        _poison_call(monkeypatch, owner, name, nth, poison)
+        out = tmp_path / "r.csv"
+        code = main([task, "--config", write_config(tmp_path, text), "--out", str(out),
+                     "--no-timestamp"])
+        assert code == 1
+        lines = out.read_text().splitlines()[1:]
+        rows = [dict(zip(lines[0].split(","), r.split(","))) for r in lines[1:]]
+        scores = [score(r) for r in rows]
+        nan_rows = [i for i, v in enumerate(scores) if np.isnan(v)]
+        assert nan_rows
+        captured = capsys.readouterr()
+        worst = max(v for v in scores if not np.isnan(v))
+        assert f" worst={worst:.3e} " in captured.out
+        # every other row passes, so the first NaN row is the one echoed
+        assert all(v <= 1.0 for i, v in enumerate(scores) if i not in nan_rows)
+        first = nan_rows[0]
+        echoed = " ".join(f"{c}={v}" for c, v in rows[first].items() if v != "")
+        assert captured.err == (f"FAILED: {len(nan_rows)} of {len(rows)} rows, the first "
+                                f"(row {first + 1}): {echoed}\n")
+
+    # inputs that have ended in tracebacks, and every config of the exit-2 cases
+    # in one dimension, each run for every task
+    EDGE_CONFIGS = ["alpha = 0\nquad_order = 200\n", "alpha = 0\nquad_order = 400\n",
+                    "alpha = 100\n", "alpha = 160\n", "alpha = 170\n", "alpha = 200\n",
+                    "alpha = 1000\n"] + [text for _, text, _ in INVALID_CONFIGS.values()
+                                           if "0 0 0 0 0" not in text]
+
+    def test_no_traceback_sweep(self, tmp_path, capsys):
+        base = ("seed = 1\ncount = 3\ncutoff = 3\nzeta_order = 4\nzeta_levels = 6\n"
+                "threads = 1\n")
+        out = str(tmp_path / "r.csv")
+        for n, text in enumerate(self.EDGE_CONFIGS):
+            path = write_config(tmp_path, base + text, f"edge{n}.cfg")
+            for task in cli.TASKS:
+                assert main([task, "--config", path, "--out", out]) in (0, 1, 2), (task, text)
+        capsys.readouterr()
+
+
 class TestReproducibility:
     def test_byte_identical_reports(self, tmp_path):
         path = write_config(tmp_path, "alpha = 0.0\nseed = 9\ncount = 4\nkind = hT\nzeta_order = 6\nzeta_levels = 12\n")
@@ -235,8 +360,8 @@ class TestReproducibility:
         # the text is built before the file is opened, so a row that JSON
         # cannot encode leaves the report at --out as it was
         def runner(cfg, alpha, report):
-            report.add(cell=object())
-            return 0.0, None, True
+            report.add_columns(cell=[object()])
+            return np.zeros(1), np.ones(1, bool)
 
         monkeypatch.setitem(cli.TASKS, "basis", (runner, ["cell"]))
         out = tmp_path / "r.jsonl"
@@ -248,8 +373,8 @@ class TestReproducibility:
         assert out.read_bytes() == old
 
     def test_nan_ratio_fails_but_is_never_worst(self, tmp_path, monkeypatch, capsys):
-        # the worst record is the first strict maximum in (kind, estimate,
-        # pair) order; a NaN ratio is reported and fails the finiteness check
+        # worst= is the largest ratio that is not NaN; a NaN ratio is reported,
+        # fails the finiteness check and is the failing row echoed
         scan = cli.czcheck.scan
 
         def with_nan(*args):
@@ -267,7 +392,9 @@ class TestReproducibility:
         assert [r[7] for r in rows] == ["nan", rows[1][7], "7", "7"]
         captured = capsys.readouterr()
         assert "worst=7.000e+00" in captured.out
-        assert f"(np.float64({float(rows[2][2][1:-1])!r}),), " in captured.err
+        assert (f"FAILED: 1 of 4 rows, the first (row 1): kind=dT estimate=growth "
+                f"x={rows[0][2]} y={rows[0][3]} ") in captured.err
+        assert " ratio=nan " in captured.err
 
     def test_report_to_device(self, tmp_path):
         # a device cannot be cut to length; writing to it must still work

@@ -387,6 +387,24 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             QuadratureRule([0.5, 1.0], [1.0, -1.0])
 
+    @pytest.mark.parametrize("nodes,weights", [
+        ([0.5, np.nan], [1.0, 1.0]),
+        ([np.nan, 0.5], [1.0, 1.0]),
+        ([0.5, np.inf], [1.0, 1.0]),
+        ([0.5, 1.0], [1.0, np.nan]),
+        ([0.5, 1.0], [np.inf, 1.0]),
+    ], ids=["nan_last_node", "nan_first_node", "inf_node", "nan_weight", "inf_weight"])
+    def test_non_finite_rule_is_rejected(self, nodes, weights):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureRule(nodes, weights)
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_laguerre_order_past_double_range(self, n):
+        # at 200 the smallest weights underflow to 0; at 400 scipy returns NaN
+        # nodes and weights, which the old "<= 0" checks let through
+        with pytest.raises(ValueError, match="finite"):
+            gauss_laguerre_rule(n, 0.0)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
