@@ -42,7 +42,7 @@ from .kernels import (
     kernel_values,
     poisson_kernel,
 )
-from .measure import AlphaParam, as_alpha, mu_ball, mu_box, pi_alpha_integrate
+from .measure import AlphaParam, as_alpha, as_points, mu_ball, mu_box, pi_alpha_integrate
 from .specfun import (
     QuadratureRule,
     gauss_jacobi_rule,

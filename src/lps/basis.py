@@ -13,13 +13,14 @@ second-order operator they generate acts diagonally with eigenvalue
 expansions give bit-meaningful identities.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
-from .measure import AlphaParam, as_alpha
+from .measure import AlphaParam, as_alpha, as_points
 from .specfun import QuadratureRule, gauss_laguerre_rule, tensor_rule
 
 __all__ = [
@@ -73,7 +74,10 @@ def differentiated(j: int) -> BasisFamily:
 def _as_multi_index(k, d: int) -> tuple:
     if np.isscalar(k):
         k = (k,)
-    k = tuple(int(v) for v in k)
+    ints = tuple(int(v) for v in k if math.isfinite(v))
+    if ints != tuple(k):
+        raise ValueError(f"multi-index entries must be integers, got {tuple(k)}")
+    k = ints
     if len(k) != d:
         raise ValueError(f"multi-index must have {d} entries, got {k}")
     if any(v < 0 for v in k):
@@ -137,27 +141,10 @@ def _ell_table_1d(a: float, kmax: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_points(alpha: AlphaParam, x):
-    """x as an (n, d) array of points, and whether it was a single point.
-
-    A single point has d coordinates; in d = 1 a 1-d array (or a scalar)
-    lists points.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    single = x.shape == (alpha.d,)
-    if x.ndim == 1 and alpha.d == 1:
-        x = x[:, None]
-    elif single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != alpha.d:
-        raise ValueError(f"points must form an (n, {alpha.d}) array")
-    return x, single
-
-
 def ell_table(alpha, kmax: int, x) -> list:
     """Per-coordinate tables [d arrays of shape (kmax+1, npoints)] at points x."""
     alpha = as_alpha(alpha)
-    x, _ = _as_points(alpha, x)
+    x, _ = as_points(alpha.d, x)
     return [_ell_table_1d(a, kmax, x[:, i]) for i, a in enumerate(alpha.components)]
 
 
@@ -172,7 +159,7 @@ def ell_batch(alpha, shifts: tuple, indices, x) -> np.ndarray:
     times the prefactor prod_c x_c.
     """
     alpha = as_alpha(alpha)
-    pts, _ = _as_points(alpha, x)
+    pts, _ = as_points(alpha.d, x)
     shifted = alpha
     for c in shifts:
         shifted = shifted.shifted(c)
@@ -203,7 +190,7 @@ def ell(alpha, k, x):
     x may be a single point (d coordinates) or an (n, d) array of points.
     """
     alpha = as_alpha(alpha)
-    pts, single = _as_points(alpha, x)
+    pts, single = as_points(alpha.d, x)
     val = ell_batch(alpha, (), [k], pts)[0]
     return float(val[0]) if single else val
 
@@ -250,7 +237,7 @@ def analyze(alpha, family: BasisFamily, f, cutoff: int, order: int = 64) -> Expa
 
 def synthesize(e: Expansion, x):
     """Pointwise value sum_k c_k b_k(x); x is one point or an (n, d) array."""
-    pts, single = _as_points(e.alpha, x)
+    pts, single = as_points(e.alpha.d, x)
     out = np.zeros(pts.shape[0])
     for c, v in zip(e.coeffs.values(), ell_batch(e.alpha, e.family.shifts, list(e.coeffs), pts)):
         out += c * v

@@ -18,8 +18,9 @@ drive the ζ-grid quadrature route used for cross-checking.
 
 import numpy as np
 
-from .basis import Expansion, _as_points, _quad_grid, eigenvalue, ell_batch
+from .basis import Expansion, _quad_grid, eigenvalue, ell_batch
 from .kernels import KernelKind, ZetaGrid
+from .measure import as_points
 
 __all__ = [
     "gfun_exact",
@@ -73,7 +74,7 @@ def _amplitudes(kind: KernelKind, e: Expansion, pts: np.ndarray):
 def gfun_exact(kind: KernelKind, e: Expansion, x):
     """Pointwise value of the square function, by the closed double sum."""
     _check_input(kind, e)
-    pts, single = _as_points(e.alpha, x)
+    pts, single = as_points(e.alpha.d, x)
     if not e.coeffs:
         return 0.0 if single else np.zeros(pts.shape[0])
     nus, amp = _amplitudes(kind, e, pts)
@@ -88,7 +89,7 @@ def gfun_quadrature(kind: KernelKind, e: Expansion, x, grid: ZetaGrid | None = N
     """Same value through the ζ-grid time quadrature; cross-check route."""
     _check_input(kind, e)
     grid = grid or ZetaGrid()
-    pts, single = _as_points(e.alpha, x)
+    pts, single = as_points(e.alpha.d, x)
     w = grid.time_weights(kind.measure_kind)
     if not e.coeffs:
         return 0.0 if single else np.zeros(pts.shape[0])

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .basis import PLAIN, BasisFamily, differentiated, ell_table
-from .measure import AlphaParam, as_alpha, pi_alpha_integrate
+from .measure import AlphaParam, as_alpha, as_points, pi_alpha_integrate
 from .specfun import composite_legendre_rule, log_bessel_mantissa_ratio
 
 __all__ = [
@@ -264,17 +264,11 @@ def default_kinds(d: int) -> list:
             for tag, spec in KIND_TABLE.items() if spec.min_d <= d]
 
 
-def _pair_array(p, d: int) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if p.ndim == 1:
-        if d == 1 and p.shape != (1,):
-            p = p[:, None]
-        else:
-            p = p[None, :]
-    if p.ndim != 2 or p.shape[1] != d:
-        raise ValueError(f"points must have {d} coordinates")
-    if not np.all(np.isfinite(p) & (p > 0)):
-        raise ValueError("points must be finite and lie in the open positive orthant")
+def _orthant_points(d: int, p) -> np.ndarray:
+    """as_points of points that must lie in the open positive orthant."""
+    p, _ = as_points(d, p)
+    if not (p > 0).all():
+        raise ValueError("points must lie in the open positive orthant")
     return p
 
 
@@ -292,43 +286,29 @@ def _live_entries(acomp: np.ndarray, logg: np.ndarray):
     return logg + top > LOG_FLOOR - 1.0
 
 
-def _exp_floor(logg: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """factor * exp(logg) with exact zeros where the exponential underflows.
-
-    A NaN exponent means a failed evaluation, not an underflow, and raises.
-    """
-    if np.isnan(logg).any():
-        raise FloatingPointError("heat kernel exponent is NaN")
-    factor = np.broadcast_to(factor, logg.shape)
-    out = np.zeros_like(logg)
-    mask = logg > LOG_FLOOR
-    with np.errstate(under="ignore"):
-        out[mask] = factor[mask] * np.exp(logg[mask])
-    return out
-
-
 class _HeatParts(NamedTuple):
     """What every kind's heat entry of one base reads, as (P, T) for pairs (P, d) at times (T,)."""
 
     x: np.ndarray
     y: np.ndarray
-    zeta: np.ndarray
-    eta: np.ndarray
     acomp: np.ndarray  # components of the base, alpha or alpha + e_j
     inv_s: np.ndarray  # 1 / sinh 2t
     coth2t: np.ndarray
     sx: np.ndarray  # |x|^2, (P, 1)
     sy: np.ndarray
     z: np.ndarray  # x_i y_i / sinh 2t, (P, d, T)
-    logg: np.ndarray  # log G_t of the base, -inf where it underflows
+    g: np.ndarray  # G_t of the base, exactly 0 where it underflows
+    e2t: np.ndarray  # e^(-2t), (T,)
     ratio: np.ndarray  # ratio[i] = i_(a_i+1)(z_i) / i_(a_i)(z_i), (d, P, T)
 
 
 def _heat_parts(base: AlphaParam, x: np.ndarray, y: np.ndarray, zeta, eta) -> _HeatParts:
     """The kind-independent parts of G_t of the type index base.
 
-    Entries that underflow anyway skip the Bessel factors: their log G_t is
-    -inf and their ratios 0.
+    Entries that underflow anyway skip the Bessel factors: their G_t and
+    their ratios are 0.  G_t is exactly 0 wherever log G_t lies below
+    LOG_FLOOR; a NaN log G_t means a failed evaluation, not an underflow,
+    and raises.
     """
     acomp = base.array()
     inv_s = 0.5 * (1.0 + zeta) * eta / zeta  # 1 / sinh 2t
@@ -350,21 +330,23 @@ def _heat_parts(base: AlphaParam, x: np.ndarray, y: np.ndarray, zeta, eta) -> _H
         part = part + logm
     logg = np.full_like(logg, -np.inf)
     logg[live] = part
-    return _HeatParts(x, y, zeta, eta, acomp, inv_s, coth2t, sx, sy, z, logg, ratio)
+    if np.isnan(logg).any():
+        raise FloatingPointError("heat kernel exponent is NaN")
+    g = np.exp(logg, out=np.zeros_like(logg), where=logg > LOG_FLOOR)
+    e2t = eta / (1.0 + zeta)
+    return _HeatParts(x, y, acomp, inv_s, coth2t, sx, sy, z, g, e2t, ratio)
 
 
-def _heat_entry(alpha: AlphaParam, kind: KernelKind | None, parts: _HeatParts) -> np.ndarray:
-    """G_t (kind None) or the heat entry of kind, from the parts of its base.
+def _heat_entry(alpha: AlphaParam, kind: KernelKind, parts: _HeatParts) -> np.ndarray:
+    """The heat entry of kind, from the parts of its base.
 
     A Poisson kind gives the heat entry it is subordinated from, which reads
     only its derivative, its modification and its coordinates.
     """
-    x, y, zeta, eta, acomp, inv_s, coth2t, sx, sy, z, logg, ratio = parts
-    spec = None if kind is None else kind.spec
-    if spec is None:
-        factor = 1.0
-    elif spec.deriv == "d":
-        zr = np.zeros_like(logg)
+    x, y, acomp, inv_s, coth2t, sx, sy, z, g, e2t, ratio = parts
+    spec = kind.spec
+    if spec.deriv == "d":
+        zr = np.zeros_like(g)
         for i in range(len(acomp)):
             zi = z[:, i, :]
             zr += zi * zi * ratio[i]
@@ -389,10 +371,12 @@ def _heat_entry(alpha: AlphaParam, kind: KernelKind | None, parts: _HeatParts) -
                 - xc * xc * yc * yc * ratio[c - 1] * inv_s**2
             )
 
-    vals = _exp_floor(logg, factor)
-    if spec is None or not spec.modified:
+    # the factor enters only where G_t > 0: an infinite factor times an
+    # underflowed 0 stays 0
+    with np.errstate(under="ignore"):
+        vals = np.multiply(factor, g, out=np.zeros_like(g), where=g > 0)
+    if not spec.modified:
         return vals
-    e2t = eta / (1.0 + zeta)
     if spec.deriv == "hStar":
         return vals * e2t * y[:, kind.j - 1][:, None]
     return vals * e2t * (x[:, kind.j - 1] * y[:, kind.j - 1])[:, None]
@@ -451,8 +435,8 @@ def _kind_values(alpha, kinds, x, y, grids):
         raise ValueError("kernel entries require alpha in [-1/2, inf)^d")
     for kind in kinds:
         kind.check_dimension(alpha.d)
-    x = _pair_array(x, alpha.d)
-    y = _pair_array(y, alpha.d)
+    x = _orthant_points(alpha.d, x)
+    y = _orthant_points(alpha.d, y)
     if x.shape != y.shape:
         raise ValueError("x and y batches must have matching shapes")
     if np.any(np.all(x == y, axis=1)):
@@ -494,12 +478,12 @@ def _check_time(t):
         raise ValueError(f"t must be finite and positive, got {t}")
 
 
-def _point(p, d: int) -> np.ndarray:
-    """One point of the open orthant as a (1, d) array."""
-    p = _pair_array(p, d)
-    if p.shape[0] != 1:
-        raise ValueError(f"expected one point with {d} coordinates, got {p.shape[0]}")
-    return p
+def _one_pair(d: int, x, y):
+    """x and y as (1, d) arrays, one point of the open orthant each."""
+    x, y = _orthant_points(d, x), _orthant_points(d, y)
+    if x.shape[0] != 1 or y.shape[0] != 1:
+        raise ValueError(f"expected one point each for x and y, with {d} coordinates")
+    return x, y
 
 
 def _heat_values_at_times(alpha: AlphaParam, t, x, y, j: int | None) -> np.ndarray:
@@ -509,18 +493,17 @@ def _heat_values_at_times(alpha: AlphaParam, t, x, y, j: int | None) -> np.ndarr
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     base = alpha if j is None else alpha.shifted(j)
-    vals = _heat_entry(base, None, _heat_parts(base, x, y, np.tanh(t), _eta_of_t(t)))[0]
-    if j is not None:
-        vals = vals * np.exp(-2.0 * t) * x[0, j - 1] * y[0, j - 1]
-    return vals
+    parts = _heat_parts(base, x, y, np.tanh(t), _eta_of_t(t))
+    if j is None:
+        return parts.g[0]
+    return parts.g[0] * parts.e2t * x[0, j - 1] * y[0, j - 1]
 
 
 def heat_kernel_closed(alpha, t: float, x, y, j: int | None = None) -> float:
     """Heat kernel G_t(x, y) (or its modified variant for coordinate j) in closed form."""
     alpha = as_alpha(alpha)
     _check_time(t)
-    x = _point(x, alpha.d)
-    y = _point(y, alpha.d)
+    x, y = _one_pair(alpha.d, x, y)
     return float(_heat_values_at_times(alpha, t, x, y, j)[0])
 
 
@@ -530,8 +513,7 @@ def heat_kernel_spectral(alpha, t: float, x, y, cutoff: int) -> float:
     _check_time(t)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    x = _point(x, alpha.d)
-    y = _point(y, alpha.d)
+    x, y = _one_pair(alpha.d, x, y)
     tx = ell_table(alpha, cutoff, x)
     ty = ell_table(alpha, cutoff, y)
     level = None
@@ -552,8 +534,7 @@ def heat_kernel_schlafli(alpha, t: float, x, y, order: int = 64) -> float:
     if not alpha.cz_eligible:
         raise ValueError("the integral representation requires alpha in [-1/2, inf)^d")
     _check_time(t)
-    x = _point(x, alpha.d)[0]
-    y = _point(y, alpha.d)[0]
+    x, y = (p[0] for p in _one_pair(alpha.d, x, y))
     zeta = math.tanh(t)
     sq = float(np.dot(x, x) + np.dot(y, y))
     xy = x * y
@@ -579,11 +560,7 @@ def subordination_u_rule():
     on each panel: 24 levels graded toward v = 0, then panels doubling in
     width up to v = 14, where e^(-v^2) is below 1e-85.
     """
-    edges = [0.5**m for m in range(24, -1, -1)]
-    hi = 1.0
-    while hi < 14.0:
-        edges.append(min(2.0 * hi, 14.0))
-        hi *= 2.0
+    edges = np.r_[0.5 ** np.arange(24, -1, -1), 2.0, 4.0, 8.0, 14.0]
     v, w = (a.ravel() for a in composite_legendre_rule(edges, 20))
     u, w = v * v, 2.0 * np.exp(-v * v) * w / math.sqrt(math.pi)
     u.flags.writeable = w.flags.writeable = False  # shared by every caller
@@ -594,8 +571,7 @@ def poisson_kernel(alpha, t: float, x, y, j: int | None = None) -> float:
     """Poisson kernel (or its modified variant for coordinate j) by subordination."""
     alpha = as_alpha(alpha)
     _check_time(t)
-    x = _point(x, alpha.d)
-    y = _point(y, alpha.d)
+    x, y = _one_pair(alpha.d, x, y)
     u, w = subordination_u_rule()
     tau = t * t / (4.0 * u)
     return float(np.sum(w * _heat_values_at_times(alpha, tau, x, y, j)))

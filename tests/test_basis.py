@@ -167,6 +167,18 @@ class TestExpansion:
         with pytest.raises(ValueError, match="exceeds the dimension"):
             Expansion((0.0,), differentiated(2), {(1,): 1.0})
 
+    @pytest.mark.parametrize("k", [2.9, (1.5,), math.nan, math.inf])
+    def test_rejects_non_integral_index(self, k):
+        # int() would truncate 2.9 to mode 2 and 1.5 to mode 1
+        with pytest.raises(ValueError, match="integers"):
+            ell(0.3, k, [0.5])
+        with pytest.raises(ValueError, match="integers"):
+            Expansion(0.3, PLAIN, {k: 1.0})
+
+    def test_integral_floats_name_their_mode(self):
+        assert Expansion(0.3, PLAIN, {(2.0,): 1.0}).coeffs == {(2,): 1.0}
+        assert ell(0.3, np.float64(2.0), [0.5]) == ell(0.3, 2, [0.5])
+
 
 class TestAnalyzeSynthesize:
     def test_indicator_recovery(self):

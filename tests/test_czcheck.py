@@ -258,6 +258,21 @@ class TestLemmaSuite:
         assert all(r.passed for n, r in rows.items()
                    if n not in ("time_singularity_integral", "log_weight_integral"))
 
+    def test_nan_ball_fails_the_fit(self, monkeypatch):
+        # a NaN ball measure in a pair that is not the first must not be
+        # dropped by the maxima of the fitted constant
+        from lps import czcheck
+
+        def nan_balls(alpha, x, y):
+            balls = np.array([czcheck.mu_ball(alpha, c, 1.0) for c in x])
+            balls[5] = math.nan
+            return balls
+
+        monkeypatch.setattr(czcheck, "ball_measures", nan_balls)
+        rows = {r.name: r for r in lemma_suite((0.0, -0.5), samples=100, seed=23)}
+        assert not rows["q_integral_vs_ball_measure"].passed
+        assert math.isnan(rows["q_integral_vs_ball_measure"].margin)
+
     def test_balls_and_rules_built_once(self, monkeypatch):
         # 40 pairs, one ball each; one Pi_alpha rule per (delta, kappa, order)
         from lps import czcheck

@@ -17,7 +17,7 @@ from lps.kernels import (
     poisson_kernel,
     subordination_u_rule,
 )
-from lps.measure import as_alpha
+from lps.measure import as_alpha, as_points
 from lps.specfun import gauss_laguerre_rule
 
 SMALL_GRID = ZetaGrid(order=6, levels_zero=8, levels_one=8)
@@ -50,8 +50,8 @@ def kernel_entry_fd(alpha, kind: KernelKind, x, y, grid: ZetaGrid) -> np.ndarray
     """
     alpha = as_alpha(alpha)
     kind.check_dimension(alpha.d)
-    x = kernels_mod._point(x, alpha.d)[0]
-    y = kernels_mod._point(y, alpha.d)[0]
+    x = as_points(alpha.d, x)[0][0]
+    y = as_points(alpha.d, y)[0][0]
     if np.all(x == y):
         raise SingularPairError("kernel entries are undefined on the diagonal x = y")
     spec = kind.spec
@@ -175,10 +175,25 @@ class TestHeatKernel:
             assert want > 1e-300
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
-    def test_nan_exponent_raises(self):
+    def test_nan_exponent_raises(self, monkeypatch):
         # a failed evaluation must not pass for an underflow
+        def nan_mantissa(a, z):
+            return np.full(z.shape, math.nan), np.zeros(z.shape)
+
+        monkeypatch.setattr(kernels_mod, "log_bessel_mantissa_ratio", nan_mantissa)
+        x, y = np.array([[1.0]]), np.array([[2.0]])
         with pytest.raises(FloatingPointError, match="NaN"):
-            kernels_mod._exp_floor(np.array([0.0, math.nan, -800.0]), 1.0)
+            kernels_mod._heat_parts(as_alpha(0.0), x, y, SMALL_GRID.zeta, SMALL_GRID.eta)
+
+    def test_infinite_factor_keeps_underflowed_zero(self):
+        # the factor enters only where G_t > 0, so inf * 0 gives no NaN
+        x, y = np.array([[0.3]]), np.array([[30.0]])
+        parts = kernels_mod._heat_parts(as_alpha(0.0), x, y, SMALL_GRID.zeta, SMALL_GRID.eta)
+        assert np.any(parts.g == 0.0) and np.any(parts.g > 0.0)
+        parts = parts._replace(ratio=np.full_like(parts.ratio, math.inf))
+        vals = kernels_mod._heat_entry(as_alpha(0.0), KernelKind("hT", i=1), parts)
+        assert np.all(vals[parts.g == 0.0] == 0.0)
+        assert np.all(np.isinf(vals[parts.g > 0.0]))
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
