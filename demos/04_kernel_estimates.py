@@ -27,7 +27,7 @@ grid = ZetaGrid(order=8, levels_zero=30, levels_one=30)
 # one kernel entry: the time profile of the heat-kernel time derivative
 dT = KernelKind("dT")
 profile = kernel_values(0.0, dT, [1.0], [1.5], grid)[0]
-norm = np.sqrt(profile**2 @ grid.time_weights(dT.measure_kind))
+norm = grid.norms(profile, dT.time_power)
 print(f"dT entry at (1.0, 1.5): L^2(t dt) norm = {norm:.6f}")
 
 # one pair sample and its perturbations serve every scan; a scan's ratios are

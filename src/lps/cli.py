@@ -343,8 +343,12 @@ def _task_czscan(cfg: RunConfig, alpha, report: Report):
     estimates = czcheck.ESTIMATES if cfg.estimate == "all" else (cfg.estimate,)
     nthreads = cfg.thread_count()
     x, y = czcheck.sample_pairs(alpha.d, cfg.count, cfg.seed, cfg.box_lo, cfg.box_hi)
-    xp = czcheck.sample_perturbed(x, y, cfg.seed + 1)
-    yp = czcheck.sample_perturbed(y, x, cfg.seed + 2)
+    try:
+        xp = czcheck.sample_perturbed(x, y, cfg.seed + 1)
+        yp = czcheck.sample_perturbed(y, x, cfg.seed + 2)
+    except ValueError as exc:  # the box is too wide or too narrow for the doubles
+        raise ConfigError(f"box_lo/box_hi: ({cfg.box_lo}, {cfg.box_hi}) gives a pair with "
+                          f"no usable perturbed point: {exc}") from exc
     # a worker gets at least one block of pairs: smaller spans pad the Poisson
     # matmul with zero rows, and two workers on short spans lose more to the
     # GIL than they gain
@@ -415,14 +419,13 @@ def run(cfg: RunConfig) -> int:
     try:
         alpha = cfg.validate()
         cfg.thread_count()
-    except ConfigError as exc:
+        t0 = time.perf_counter()
+        runner, columns = TASKS[cfg.task]
+        report = Report(columns)
+        score, passed = runner(cfg, alpha, report)
+    except ConfigError as exc:  # bad input, found before the run or by it
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    t0 = time.perf_counter()
-    runner, columns = TASKS[cfg.task]
-    report = Report(columns)
-    try:
-        score, passed = runner(cfg, alpha, report)
     except FloatingPointError as exc:  # an evaluation that failed, as a NaN exponent
         print(f"error: {exc}", file=sys.stderr)
         return 1

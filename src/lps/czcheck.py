@@ -91,7 +91,8 @@ def sample_perturbed(x: np.ndarray, y: np.ndarray, seed: int):
     """
     rng = np.random.default_rng(seed)
     count, d = x.shape
-    sep = np.linalg.norm(x - y, axis=1)
+    with np.errstate(over="ignore"):  # a separation that overflows is rejected below
+        sep = np.linalg.norm(x - y, axis=1)
     frac = rng.uniform(0.05, 0.95, count)
     radius = 0.5 * sep * frac
     bad = np.flatnonzero(~(np.isfinite(radius) & (radius > 0)))
@@ -115,13 +116,6 @@ def sample_perturbed(x: np.ndarray, y: np.ndarray, seed: int):
                              "perturbed point all left the open orthant or rounded outside "
                              "0 < |x - x'| < |x - y|/2")
     return xp
-
-
-def _row_norms(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # per-row dot products: summation order, and hence the report bytes,
-    # stay independent of how the pairs were batched
-    sq = vals * vals
-    return np.sqrt(np.array([np.dot(row, weights) for row in sq]))
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,13 +158,12 @@ def scan(alpha, kinds, x, y, xp, yp, grids, estimates=ESTIMATES) -> ScanColumns:
         bx = np.vstack([x[s]] + [pairs[est][0][s] for est in moved])
         by = np.vstack([y[s]] + [pairs[est][1][s] for est in moved])
         for k, g, vals in _kind_values(alpha, kinds, bx, by, grids):
-            w = grids[g].time_weights(kinds[k].measure_kind)
             for e, est in enumerate(estimates):
                 diff = vals[:rows]
                 if est != "growth":
                     m = moved.index(est) + 1
                     diff = diff - vals[m * rows : (m + 1) * rows]
-                norms[k, g, e, s] = _row_norms(diff, w)
+                norms[k, g, e, s] = grids[g].norms(diff, kinds[k].time_power)
     balls = ball_measures(alpha, x, y)
     sep = _distances(x, y)
     ratio = norms * balls
@@ -249,17 +242,22 @@ def _log_weight_integral(c: float, q: np.ndarray, grid: ZetaGrid) -> np.ndarray:
     return (2.0 * grid.t * grid.zeta ** (-3.0) * np.exp(-c * q[:, None] / grid.zeta)) @ grid.wz
 
 
+# entries of a (pairs, points, d) block of the lemma fit, which bounds its
+# memory where Pi's tensor rule has millions of points (d = 4 at order 48)
+_FIT_BLOCK_ENTRIES = 1 << 22
+
+
 def _fit_lem4(alpha, delta, kappa, order: int, x, y, balls) -> float:
     """Largest (x+y)^(2 delta) int q_+^expo dPi_(alpha+delta+kappa) times mu_alpha of the ball."""
     shifted = as_alpha([a + (dl + kp) for a, dl, kp in zip(alpha.components, delta, kappa)])
     expo = -(alpha.d + alpha.total + float(np.sum(delta)))
     pts, w = pi_alpha_rule(shifted, order)
-    vals = np.empty(x.shape[0])
-    for p in range(x.shape[0]):
-        xy = (x[p] + y[p]) ** (2.0 * np.asarray(delta))
-        qp, _ = _q_forms(x[p][None, :], y[p][None, :], pts)
-        vals[p] = float(np.prod(xy)) * float(np.sum(w * qp**expo)) * balls[p]
-    return float(np.max(vals))  # a NaN stays
+    xy = np.prod((x + y) ** (2.0 * np.asarray(delta)), axis=1)
+    step = max(1, _FIT_BLOCK_ENTRIES // pts.size)
+    sums = np.concatenate([
+        np.sum(w * _q_forms(x[s, None], y[s, None], pts)[0] ** expo, axis=1)
+        for s in (slice(i, i + step) for i in range(0, len(x), step))])
+    return float(np.max(xy * sums * balls))  # a NaN stays
 
 
 def lemma_suite(alpha, samples: int = 100000, seed: int = 99) -> list:
@@ -381,8 +379,5 @@ def counterexample_profile(a: float, x_grid):
     lm = ell(alpha, (0,), pts - h)
     dstar = -(lp - lm) / (2.0 * h) + (x - (2.0 * a + 1.0) / x) * l0
     grid = ZetaGrid()
-    w = grid.time_weights("dt")
-    decay = np.exp(-lam0 * grid.t)
-    tnorm = math.sqrt(float(np.sum(w * decay * decay)))
-    quad = np.abs(dstar) * tnorm
+    quad = np.abs(dstar) * float(grid.norms(np.exp(-lam0 * grid.t), 1))
     return closed, quad, float(np.max(np.abs(closed - quad)))

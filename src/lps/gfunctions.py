@@ -78,8 +78,7 @@ def gfun_exact(kind: KernelKind, e: Expansion, x):
     if not e.coeffs:
         return 0.0 if single else np.zeros(pts.shape[0])
     nus, amp = _amplitudes(kind, e, pts)
-    power = 1 if kind.measure_kind == "dt" else 2
-    denom = (nus[:, None] + nus[None, :]) ** power
+    denom = (nus[:, None] + nus[None, :]) ** kind.time_power
     sq = np.einsum("mp,mn,np->p", amp, 1.0 / denom, amp)
     out = np.sqrt(np.maximum(sq, 0.0))
     return float(out[0]) if single else out
@@ -90,13 +89,11 @@ def gfun_quadrature(kind: KernelKind, e: Expansion, x, grid: ZetaGrid | None = N
     _check_input(kind, e)
     grid = grid or ZetaGrid()
     pts, single = as_points(e.alpha.d, x)
-    w = grid.time_weights(kind.measure_kind)
     if not e.coeffs:
         return 0.0 if single else np.zeros(pts.shape[0])
     nus, amp = _amplitudes(kind, e, pts)
     decay = np.exp(-np.outer(nus, grid.t))
-    integrand = amp.T @ decay  # (npts, T)
-    out = np.sqrt(np.maximum(integrand**2 @ w, 0.0))
+    out = grid.norms(amp.T @ decay, kind.time_power)  # one norm per point
     return float(out[0]) if single else out
 
 
@@ -114,8 +111,6 @@ def gfun_l2_exact(kind: KernelKind, e: Expansion) -> float:
     if not e.coeffs:
         return 0.0
     nus, mults, _, _ = _modes(kind, e)
-    if kind.measure_kind == "dt":
-        weights = 1.0 / (2.0 * nus)
-    else:
-        weights = 1.0 / (4.0 * nus * nus)
+    # int_0^inf e^(-2 nu t) t^(p-1) dt
+    weights = 1.0 / (2.0 * nus) ** kind.time_power
     return float(np.sqrt(np.sum(mults**2 * weights)))

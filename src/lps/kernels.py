@@ -118,13 +118,16 @@ class ZetaGrid:
     def n(self) -> int:
         return self.zeta.size
 
-    def time_weights(self, measure_kind: str) -> np.ndarray:
-        """Quadrature weights for int f(t) dt (or t dt) pulled back to zeta."""
-        if measure_kind == "dt":
-            return self.wz * self.jacobian
-        if measure_kind == "t_dt":
-            return self.wz * self.t * self.jacobian
-        raise ValueError(f"unknown measure kind {measure_kind!r}")
+    def norms(self, values, power: int) -> np.ndarray:
+        """Norms in L^2((0, inf), t^(power-1) dt) of profiles on this grid, one per row.
+
+        One dot per row: the summation order, and hence the report bytes,
+        stay independent of how the rows were batched.
+        """
+        w = self.wz * self.t ** (power - 1) * self.jacobian
+        sq = values * values
+        return np.sqrt(np.array([np.dot(row, w) for row in sq.reshape(-1, self.n)])
+                       ).reshape(sq.shape[:-1])
 
     def refined(self) -> "ZetaGrid":
         """The same panels with twice the nodes per panel."""
@@ -173,9 +176,10 @@ class KindSpec:
         return self.deriv == "h"
 
     @property
-    def measure_kind(self) -> str:
-        # space-derivative heat kinds live in L^2(dt), every other kind in L^2(t dt)
-        return "dt" if self.semigroup == "T" and self.deriv != "d" else "t_dt"
+    def time_power(self) -> int:
+        # the kernel takes values in L^2(t^(p-1) dt): p = 1 for the
+        # space-derivative heat kinds, p = 2 for every other kind
+        return 1 if self.semigroup == "T" and self.deriv != "d" else 2
 
     @property
     def min_d(self) -> int:
@@ -229,8 +233,8 @@ class KernelKind:
         return KIND_TABLE[self.tag]
 
     @property
-    def measure_kind(self) -> str:
-        return self.spec.measure_kind
+    def time_power(self) -> int:
+        return self.spec.time_power
 
     @property
     def is_poisson(self) -> bool:

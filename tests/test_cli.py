@@ -212,6 +212,19 @@ class TestExitCodes:
         out = str(tmp_path / "scan.csv")
         assert main(["czscan", "--config", path, "--out", out, "--no-timestamp"]) == 0
 
+    # boxes that pass validation but give a pair with no usable perturbed
+    # point: its separation overflows, underflows, or every draw rounds back to x
+    @pytest.mark.parametrize("box", ["box_hi = 1e200\n", "box_lo = 1e-200\nbox_hi = 1e-199\n",
+                                     "box_lo = 1\nbox_hi = 1.0000000000000002\n"],
+                             ids=["overflow", "underflow", "rounding"])
+    def test_box_without_perturbed_points_exits_2(self, tmp_path, capsys, box):
+        path = write_config(tmp_path, "alpha = 0.3\nseed = 3\ncount = 5\n" + box)
+        out = tmp_path / "scan.csv"
+        assert main(["czscan", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: box_lo/box_hi: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_failed_evaluation_exits_1_without_report(self, tmp_path, capsys):
         # at this type index the Bessel series does not converge where ive underflows
         path = write_config(tmp_path, "alpha = 1000\nseed = 3\ncount = 6\nkind = dT\n"

@@ -173,7 +173,8 @@ class TestScans:
                         assert np.array_equal(got, want), (kind.tag, g, est, field)
             # and the growth norms are those of the kind's own kernel entries
             vals = kernel_values(alpha, kind, x, y, grids[0])
-            w = grids[0].time_weights(kind.measure_kind)
+            g = grids[0]
+            w = g.wz * g.t ** (kind.time_power - 1) * g.jacobian
             norms = np.sqrt(np.array([np.dot(row, w) for row in vals * vals]))
             assert np.array_equal(joint.kernel_norm[k, 0, 0], norms), kind.tag
 
@@ -272,6 +273,16 @@ class TestLemmaSuite:
         rows = {r.name: r for r in lemma_suite((0.0, -0.5), samples=100, seed=23)}
         assert not rows["q_integral_vs_ball_measure"].passed
         assert math.isnan(rows["q_integral_vs_ball_measure"].margin)
+
+    @pytest.mark.parametrize("alpha", [(0.0, -0.5), (0.2, 0.7)])
+    def test_fit_keeps_its_bits_in_blocks(self, monkeypatch, alpha):
+        # the fit takes its pairs in blocks only to bound memory; a pair's
+        # value is the same whether its block holds one pair or all 40
+        from lps import czcheck
+
+        whole = lemma_suite(alpha, samples=100, seed=23)[-1]
+        monkeypatch.setattr(czcheck, "_FIT_BLOCK_ENTRIES", 1)
+        assert lemma_suite(alpha, samples=100, seed=23)[-1] == whole
 
     def test_balls_and_rules_built_once(self, monkeypatch):
         # 40 pairs, one ball each; one Pi_alpha rule per (delta, kappa, order)

@@ -85,11 +85,6 @@ def kernel_entry_fd(alpha, kind: KernelKind, x, y, grid: ZetaGrid) -> np.ndarray
     return vals
 
 
-def time_norm(grid: ZetaGrid, measure_kind: str, values) -> float:
-    """L^2(dt) or L^2(t dt) norm of values sampled on grid.t."""
-    return math.sqrt(np.sum(grid.time_weights(measure_kind) * values**2))
-
-
 class TestHeatKernel:
     def test_symmetry(self):
         a = (0.7, -0.5)
@@ -401,14 +396,15 @@ def all_ten_kinds():
 
 class TestKernelKind:
     def test_measure_assignment(self):
-        # space-derivative heat kinds live in L^2(dt), everything else in L^2(t dt)
-        assert KernelKind("hT", i=1).measure_kind == "dt"
-        assert KernelKind("hTmod", i=2, j=1).measure_kind == "dt"
-        assert KernelKind("hTmodStar", j=1).measure_kind == "dt"
+        # space-derivative heat kinds live in L^2(dt) (p = 1), everything else
+        # in L^2(t dt) (p = 2)
+        assert KernelKind("hT", i=1).time_power == 1
+        assert KernelKind("hTmod", i=2, j=1).time_power == 1
+        assert KernelKind("hTmodStar", j=1).time_power == 1
         for kind in (KernelKind("dT"), KernelKind("dP"), KernelKind("hP", i=1),
                      KernelKind("dTmod", j=1), KernelKind("dPmod", j=1),
                      KernelKind("hPmod", i=2, j=1), KernelKind("hPmodStar", j=1)):
-            assert kind.measure_kind == "t_dt"
+            assert kind.time_power == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -497,10 +493,10 @@ class TestKernelEntry:
 
     def test_profile_measure_kinds(self):
         # one pair gives one profile on the grid, normed in its kind's measure
-        for kind, measure in ((KernelKind("hT", i=1), "dt"), (KernelKind("dP"), "t_dt")):
+        for kind, power in ((KernelKind("hT", i=1), 1), (KernelKind("dP"), 2)):
             values = kernel_values(0.0, kind, [1.0], [2.0], SMALL_GRID)
             assert values.shape == (1, SMALL_GRID.n)
-            assert kind.measure_kind == measure
+            assert kind.time_power == power
 
     def test_equal_grids_share_subordination_matrix(self):
         kernels_mod._subordination_matrix.cache_clear()
@@ -598,20 +594,33 @@ class TestKernelAssociation:
 
 
 class TestBnorm:
+    """ZetaGrid.norms of e^(-ct), whose square is int_0^inf e^(-2ct) t^(p-1) dt = (p-1)!/(2c)^p."""
+
     def test_zero_profile(self):
         g = ZetaGrid(order=4, levels_zero=4, levels_one=4)
-        assert time_norm(g, "t_dt", np.zeros(g.n)) == 0.0
+        assert g.norms(np.zeros(g.n), 2) == 0.0
 
     @pytest.mark.parametrize("c", [0.7, 2.0, 5.0])
     def test_exponential_t_dt(self, c):
         g = ZetaGrid()
-        assert time_norm(g, "t_dt", np.exp(-c * g.t)) == pytest.approx(1.0 / (2.0 * c), rel=1e-9)
+        assert g.norms(np.exp(-c * g.t), 2) == pytest.approx(1.0 / (2.0 * c), rel=1e-9)
 
     @pytest.mark.parametrize("c", [0.7, 2.0, 5.0])
     def test_exponential_dt(self, c):
         g = ZetaGrid()
-        assert time_norm(g, "dt", np.exp(-c * g.t)) == pytest.approx(
-            1.0 / math.sqrt(2.0 * c), rel=1e-9)
+        assert g.norms(np.exp(-c * g.t), 1) == pytest.approx(1.0 / math.sqrt(2.0 * c), rel=1e-9)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_batch_norms_are_row_norms(self, power):
+        # a row's norm keeps its bits whatever batch it is taken in
+        g = ZetaGrid(order=8, levels_zero=30, levels_one=30)
+        rows = np.random.default_rng(5).normal(size=(7, g.n)) * np.exp(-g.t)
+        batch = g.norms(rows, power)
+        assert batch.shape == (7,)
+        for p in range(7):
+            assert batch[p] == g.norms(rows[p], power)
+            assert batch[p] == g.norms(rows[p:p + 1], power)[0]
+        assert np.array_equal(g.norms(rows.reshape(7, 1, g.n), power), batch[:, None])
 
 
 class TestGridStability:
@@ -636,8 +645,6 @@ class TestGridStability:
         for kind in all_ten_kinds():
             x = np.array([[1.0, 0.8]])
             y = np.array([[1.2, 1.1]])  # separation 0.36
-            n1 = float(np.sqrt(kernel_values((0.0, -0.5), kind, x, y, g1) ** 2
-                               @ g1.time_weights(kind.measure_kind))[0])
-            n2 = float(np.sqrt(kernel_values((0.0, -0.5), kind, x, y, g2) ** 2
-                               @ g2.time_weights(kind.measure_kind))[0])
+            n1 = g1.norms(kernel_values((0.0, -0.5), kind, x, y, g1), kind.time_power)[0]
+            n2 = g2.norms(kernel_values((0.0, -0.5), kind, x, y, g2), kind.time_power)[0]
             assert abs(n1 - n2) <= 1e-6 * n2
