@@ -350,8 +350,8 @@ def _task_czscan(cfg: RunConfig, alpha, report: Report):
         raise ConfigError(f"box_lo/box_hi: ({cfg.box_lo}, {cfg.box_hi}) gives a pair with "
                           f"no usable perturbed point: {exc}") from exc
     # a worker gets at least one block of pairs: smaller spans pad the Poisson
-    # matmul with zero rows, and two workers on short spans lose more to the
-    # GIL than they gain
+    # Gram product with zero rows, and two workers on short spans lose more to
+    # the GIL than they gain
     step = math.ceil(cfg.count / max(1, min(nthreads, cfg.count // PAIR_BLOCK)))
     spans = [slice(s, s + step) for s in range(0, cfg.count, step)]
 

@@ -135,8 +135,10 @@ def scan(alpha, kinds, x, y, xp, yp, grids, estimates=ESTIMATES) -> ScanColumns:
     growth is ||K(x,y)|| * mu_alpha(B(x, |x-y|)); smooth_x (smooth_y)
     norms K(x,y) - K(x',y) (K(x,y) - K(x,y')), with the profiles subtracted
     nodewise on the shared zeta grid, and multiplies in the inverted factor
-    |x-y|/|x-x'|, flagging the half-distance constraint |x-y| > 2|x-x'|.
-    xp and yp are the perturbed points (None when their estimate is not
+    |x-y|/|x-x'|, flagging the half-distance constraint |x-y| > 2|x-x'|.  A
+    Poisson kind is normed from its Gram rows, whose difference is that of
+    the profiles: its norms are in closed form in time and the same on every
+    grid.  xp and yp are the perturbed points (None when their estimate is not
     requested).  The pairs are taken PAIR_BLOCK at a time, with (x, y),
     (x', y) and (x, y') stacked into one batch, so each base's heat parts
     serve every kind and point set of a block; each kind's values are
@@ -163,7 +165,10 @@ def scan(alpha, kinds, x, y, xp, yp, grids, estimates=ESTIMATES) -> ScanColumns:
                 if est != "growth":
                     m = moved.index(est) + 1
                     diff = diff - vals[m * rows : (m + 1) * rows]
-                norms[k, g, e, s] = grids[g].norms(diff, kinds[k].time_power)
+                if kinds[k].is_poisson:  # Gram rows: a norm is the row's length
+                    norms[k, g, e, s] = np.sqrt([np.dot(row, row) for row in diff])
+                else:
+                    norms[k, g, e, s] = grids[g].norms(diff, kinds[k].time_power)
     balls = ball_measures(alpha, x, y)
     sep = _distances(x, y)
     ratio = norms * balls

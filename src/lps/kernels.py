@@ -25,8 +25,17 @@ u-integral is transposed to the time side: with tau = t^2/4u,
     dP/dt (x,y)   = pi^(-1/2) int tau^(-1/2) exp(-t^2/4tau) dG/dtau (x,y) dtau,
     delta P (x,y) = t/(2 sqrt(pi)) int tau^(-3/2) exp(-t^2/4tau) delta G (x,y) dtau,
 
-so every Poisson entry is a fixed matrix (independent of x, y) applied to the
-matching heat entry sampled on an inner tau grid.
+so a Poisson profile is a fixed matrix (independent of x, y) applied to the
+matching heat entry h sampled on an inner tau grid with weights W.  Its time
+integral has a closed form: the squared L^2(t dt) norm is h^T W M W h with,
+in u = log tau,
+
+    M = (1/pi) sech((u - u')/2)                      for d/dt,
+    M = (tau tau')^(-1/2) (1/2pi) sech^2((u - u')/2)  for the space derivatives,
+
+and the u-kernel is factored once as L L^T by pivoted Cholesky, so the norm
+is the length of the row h F with F = W L (times tau^(-1/2)).  The CZ scan
+norms Poisson kinds that way and never forms their profiles.
 """
 
 import math
@@ -57,9 +66,10 @@ __all__ = [
 ]
 
 LOG_FLOOR = -700.0  # below this, exp underflows; the value is exactly 0 in doubles
-# pairs per Poisson matmul block, per block of czcheck.scan and, at least, per
-# czscan worker span: zero-padded fixed-shape matmul blocks keep the BLAS
-# summation order, and hence the report bytes, independent of the batching
+# pairs per block of czcheck.scan, rows per zero-padded block of the Poisson
+# Gram product and, at least, pairs per czscan worker span: fixed-shape
+# products keep the BLAS summation order, and hence the report bytes,
+# independent of the batching
 PAIR_BLOCK = 32
 
 
@@ -103,16 +113,6 @@ class ZetaGrid:
         self.jacobian = 1.0 / ((1.0 + self.zeta) * self.eta)
         for arr in (self.zeta, self.eta, self.wz, self.t, self.jacobian):
             arr.flags.writeable = False
-
-    def _key(self) -> tuple:
-        return (self.order, self.levels_zero, self.levels_one)
-
-    # a grid is fixed by its parameters, so equal grids share cached matrices
-    def __eq__(self, other):
-        return isinstance(other, ZetaGrid) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -393,46 +393,100 @@ def _default_inner_grid() -> ZetaGrid:
     return ZetaGrid(order=12, levels_zero=40, levels_one=60)
 
 
-@lru_cache(maxsize=64)
 def _subordination_matrix(outer: ZetaGrid, inner: ZetaGrid, time_derivative: bool) -> np.ndarray:
-    """Matrix taking heat values on the inner tau grid to Poisson values."""
+    """Matrix taking heat values on the inner tau grid to Poisson values on outer."""
     t = outer.t[:, None]
     tau = inner.t[None, :]
     w = (inner.wz * inner.jacobian)[None, :]
     with np.errstate(under="ignore"):
         damp = np.exp(-(t * t) / (4.0 * tau))
     if time_derivative:
-        mat = w * damp / (math.sqrt(math.pi) * np.sqrt(tau))
-    else:
-        mat = w * damp * t / (2.0 * math.sqrt(math.pi) * tau**1.5)
-    mat.flags.writeable = False  # shared by every caller with equal grids
-    return mat
+        return w * damp / (math.sqrt(math.pi) * np.sqrt(tau))
+    return w * damp * t / (2.0 * math.sqrt(math.pi) * tau**1.5)
 
 
-def _subordinate(heat: np.ndarray, outer: ZetaGrid, inner: ZetaGrid,
-                 time_derivative: bool) -> np.ndarray:
-    """Poisson values on outer from heat values on inner, PAIR_BLOCK rows at a time."""
-    mat = _subordination_matrix(outer, inner, time_derivative).T
-    n = heat.shape[0]
-    out = np.empty((n, outer.n))
-    for start in range(0, n, PAIR_BLOCK):
+# inner nodes per term of the Gram product, four panels of the inner grid.  One
+# product over all 1200 nodes rounded about 40% of its entries differently
+# under one and two OpenBLAS threads (OpenBLAS 0.3.31, Haswell kernels), and
+# products over up to 300 nodes rounded alike; the chunks' terms are added in order
+_GRAM_CHUNK = 48
+
+
+@lru_cache(maxsize=2)
+def _gram_factor(time_derivative: bool) -> np.ndarray:
+    """F with ||P||^2 = ||h F||^2 for the Poisson entry P subordinated from heat values h.
+
+    The u-kernel of the module docstring is factored by pivoted Cholesky
+    (Harbrecht, Peters & Schneider 2012), stopping where every remaining
+    diagonal entry is below 1e-16 of its constant diagonal; the inner
+    weights, and tau^(-1/2) for the space derivatives, are folded into the
+    rows.  The factor is built in np.longdouble (80-bit on x86): in doubles, its
+    rounding reaches about 1e-13 of the kernel and the norms of cancelling
+    rows (smoothness differences) by as much, where the extended build keeps
+    them within about 2e-14.  F is returned read-only as
+    (inner.n / _GRAM_CHUNK, _GRAM_CHUNK, rank).
+    """
+    inner = _default_inner_grid()
+    # the u-kernel in tau, which needs no cosh: (2/pi) sqrt(tau tau') / (tau + tau')
+    # for d/dt and (2/pi) tau tau' / (tau + tau')^2 for the space derivatives
+    tau = inner.t.astype(np.longdouble)
+    num, power = (np.sqrt(tau), 1) if time_derivative else (tau, 2)
+
+    def column(i):
+        return (2.0 / math.pi) * num * num[i] / (tau + tau[i]) ** power
+
+    top = column(0)[0]
+    diag = np.full(inner.n, top)
+    cols = np.zeros((inner.n, inner.n), dtype=np.longdouble)  # row tails stay untouched pages
+    rank, i = 0, 0  # the diagonal is constant: any node is the first pivot
+    while diag[i] > 1e-16 * top:
+        # the pivot's column of the remaining kernel; numpy's own long double
+        # dot, with no BLAS threads, sums in one order
+        col = column(i) - np.dot(cols[:, :rank], cols[i, :rank])
+        cols[:, rank] = col / np.sqrt(diag[i])
+        diag -= cols[:, rank] ** 2
+        diag[i] = 0.0  # exact at a pivot, so rounding cannot pick it again
+        rank += 1
+        i = int(np.argmax(diag))
+    scale = inner.wz * inner.jacobian
+    if not time_derivative:
+        scale = scale / np.sqrt(inner.t)
+    f = (cols[:, :rank].astype(float) * scale[:, None]).reshape(-1, _GRAM_CHUNK, rank)
+    f.flags.writeable = False  # shared by every scan of the process
+    return f
+
+
+def _gram_rows(heat: np.ndarray, time_derivative: bool) -> np.ndarray:
+    """h F for heat values h on the inner grid: each row's length is its Poisson norm.
+
+    The rows are taken PAIR_BLOCK at a time, zero-padded, as one batched
+    product over the node chunks of F whose terms are summed in chunk order.
+    """
+    f = _gram_factor(time_derivative)
+    chunks, chunk, rank = f.shape
+    out = np.empty((heat.shape[0], rank))
+    for start in range(0, heat.shape[0], PAIR_BLOCK):
         block = heat[start : start + PAIR_BLOCK]
         rows = block.shape[0]
         if rows < PAIR_BLOCK:
             block = np.vstack([block, np.zeros((PAIR_BLOCK - rows, heat.shape[1]))])
-        out[start : start + rows] = (block @ mat)[:rows]
+        terms = np.matmul(block.reshape(PAIR_BLOCK, chunks, chunk).transpose(1, 0, 2), f)
+        out[start : start + rows] = terms.sum(axis=0)[:rows]
     return out
 
 
 def _kind_values(alpha, kinds, x, y, grids):
-    """Yield (k, g, values): the entries of kinds[k] on grids[g], shape (npairs, grids[g].n).
+    """Yield (k, g, values): what scan norms of kinds[k] on grids[g], one row per pair.
 
-    x and y are (npairs, d) arrays of off-diagonal point pairs.  The kinds
-    are grouped by base, alpha or alpha + e_j, and one base's heat parts are
-    held at a time: the parts on each outer grid serve its heat kinds, and
-    the parts on the inner grid serve its Poisson kinds, whose heat entries
-    are subordinated to every outer grid.  Each kind's values are yielded as
-    soon as they exist, so a caller can reduce them before the next is made.
+    x and y are (npairs, d) arrays of off-diagonal point pairs.  A heat
+    kind's values are its entries on grids[g], of shape (npairs, grids[g].n).
+    A Poisson kind's are its Gram rows (see _gram_rows), of shape
+    (npairs, rank): they do not depend on the grid and are yielded for every
+    one.  The kinds are grouped by base, alpha or alpha + e_j, and one
+    base's heat parts are held at a time: the parts on each grid serve its
+    heat kinds, and the parts on the inner grid its Poisson kinds.  Each
+    kind's values are yielded as soon as they exist, so a caller can reduce
+    them before the next is made.
     """
     alpha = as_alpha(alpha)
     if not alpha.cz_eligible:
@@ -462,19 +516,26 @@ def _kind_values(alpha, kinds, x, y, grids):
         if poisson:
             parts = _heat_parts(base, x, y, inner.zeta, inner.eta)
             for k in poisson:
-                entry = _heat_entry(alpha, kinds[k], parts)
-                for g, grid in enumerate(grids):
-                    yield k, g, _subordinate(entry, grid, inner, kinds[k].spec.deriv == "d")
+                rows = _gram_rows(_heat_entry(alpha, kinds[k], parts), kinds[k].spec.deriv == "d")
+                for g in range(len(grids)):
+                    yield k, g, rows
             del parts
 
 
 def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid) -> np.ndarray:
     """Batched kernel entries: values of shape (npairs, grid.n).
 
-    x and y are (npairs, d) arrays of off-diagonal point pairs.
+    x and y are (npairs, d) arrays of off-diagonal point pairs.  A Poisson
+    kind's profiles are the heat entries it is subordinated from, on the
+    inner grid, times the subordination matrix to grid.
     """
-    ((_, _, values),) = _kind_values(alpha, [kind], x, y, [grid])
-    return values
+    if not kind.is_poisson:
+        ((_, _, values),) = _kind_values(alpha, [kind], x, y, [grid])
+        return values
+    spec, inner = kind.spec, _default_inner_grid()
+    heat = KernelKind(KindSpec(spec.deriv, "T", spec.modified).tag, kind.i, kind.j)
+    ((_, _, values),) = _kind_values(alpha, [heat], x, y, [inner])
+    return values @ _subordination_matrix(grid, inner, spec.deriv == "d").T
 
 
 def _check_time(t):

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +443,26 @@ class TestReproducibility:
         assert main(["czscan", "--config", p1, "--out", o1, "--no-timestamp"]) == 0
         assert main(["czscan", "--config", p2, "--out", o2, "--no-timestamp"]) == 0
         assert open(o1).read() == open(o2).read()
+
+    def test_blas_threads_give_same_bytes(self, tmp_path):
+        # every kind is normed in a summation order that the BLAS thread count
+        # does not pick; the count is fixed when OpenBLAS loads, so each run
+        # is its own process
+        path = write_config(tmp_path, "alpha = -0.5\nkind = all\nestimate = all\ncount = 30\n"
+                            "zeta_order = 8\nzeta_levels = 30\nthreads = 1\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        reports = []
+        for n in ("1", "2"):
+            out = tmp_path / f"blas{n}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run([sys.executable, "-m", "lps.cli", "czscan", "--config", path,
+                                   "--seed", "4242", "--no-timestamp", "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0].count(b"\n") == 2 + 30 * 8 * 3  # header lines, then 8 kinds x 3 estimates
+        assert reports[0] == reports[1]
 
     def test_short_scan_starts_no_pool(self, tmp_path, monkeypatch):
         # fewer pairs than PAIR_BLOCK per worker: one span, run in the caller

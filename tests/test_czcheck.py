@@ -171,12 +171,40 @@ class TestScans:
                     for field in ("kernel_norm", "ratio"):
                         got, want = getattr(joint, field)[k, g, e], getattr(alone, field)[0, 0, e]
                         assert np.array_equal(got, want), (kind.tag, g, est, field)
-            # and the growth norms are those of the kind's own kernel entries
+            # and a heat kind's growth norms are those of its own kernel entries
+            # (Poisson norms: test_poisson_scan_matches_deep_reference)
+            if kind.is_poisson:
+                continue
             vals = kernel_values(alpha, kind, x, y, grids[0])
             g = grids[0]
             w = g.wz * g.t ** (kind.time_power - 1) * g.jacobian
             norms = np.sqrt(np.array([np.dot(row, w) for row in vals * vals]))
             assert np.array_equal(joint.kernel_norm[k, 0, 0], norms), kind.tag
+
+    @pytest.mark.parametrize("alpha", [(-0.5,), (0.0, -0.5)], ids=["d1", "d2"])
+    def test_poisson_scan_matches_deep_reference(self, alpha):
+        # a Poisson norm is in closed form in time: on any scan grid it is the
+        # norm of the kind's profiles on a deep outer grid, every estimate
+        d = len(alpha)
+        x, y = sample_pairs(d, 12, 41)
+        xp, yp = sample_perturbed(x, y, 42), sample_perturbed(y, x, 43)
+        kinds = [k for k in default_kinds(d) if k.is_poisson]
+        assert len(kinds) == 3 + d
+        grids = [GRID, GRID.refined()]
+        res = scan(alpha, kinds, x, y, xp, yp, grids)
+        deep = ZetaGrid(order=32, levels_zero=50, levels_one=50)
+        for k, kind in enumerate(kinds):
+            base = kernel_values(alpha, kind, x, y, deep)
+            moved = {"smooth_x": (xp, y), "smooth_y": (x, yp)}
+            for e, est in enumerate(ESTIMATES):
+                profiles = base
+                if est in moved:
+                    profiles = base - kernel_values(alpha, kind, *moved[est], deep)
+                want = deep.norms(profiles, kind.time_power)
+                for g in range(len(grids)):
+                    np.testing.assert_allclose(res.kernel_norm[k, g, e], want, rtol=1e-12,
+                                               atol=0, err_msg=f"{kind.tag} {est}")
+            assert np.array_equal(res.kernel_norm[k, 0], res.kernel_norm[k, 1]), kind.tag
 
     def test_smoothness_ratio_bounded_as_perturbation_shrinks(self):
         # difference quotient stays bounded: |x - x'| in {1e-2, 1e-3, 1e-4}

@@ -3,8 +3,6 @@
 The values were recorded from `lps <task> --config <file> --seed 7
 --no-timestamp`; each report is the same under one and two BLAS threads.
 The jsonl cases pin the JSON-lines serialisation of the czscan columns.
-Poisson kinds stay out of the czscan cases: their subordination matmul sums
-in the order OpenBLAS's threading picks, which moves the 17th digit.
 """
 
 import hashlib
@@ -54,6 +52,27 @@ CASES = {
         "alpha = 0, -0.5\nkind = hTmod\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
         "7d01557984844f42a70bc44054a75683ff67d1720e5d4330683e699e73f9b232"),
+    "czscan-d1-dP": (
+        "czscan",
+        "alpha = -0.5\nkind = dP\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
+        "9e98fc3f2a11294612ffc17eca55d9113fd7aa847b4359e15a4829e0f9799393"),
+    # a Poisson norm is the same on both grids of refine, so its drift is 0
+    "czscan-d1-dP-refine": (
+        "czscan",
+        "alpha = -0.5\nkind = dP\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nrefine = true\n",
+        "9e98fc3f2a11294612ffc17eca55d9113fd7aa847b4359e15a4829e0f9799393"),
+    "czscan-d1-hPmodStar": (
+        "czscan",
+        "alpha = -0.5\nkind = hPmodStar\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
+        "f63ba5f2c3a5b8ffaed0f750d0641603065d43eb4117f4c18a8b06020cfa0680"),
+    "czscan-d2-hPmod": (
+        "czscan",
+        "alpha = 0, -0.5\nkind = hPmod\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
+        "b9606dfb285a9e4a318703586c522bb53b6ca3cdcb8c4d01a39c5fbcc3f61acf"),
     "czscan-d2-hTmodStar-jsonl": (
         "czscan",
         "alpha = 0, -0.5\nkind = hTmodStar\nestimate = all\ncount = 12\n"

@@ -379,6 +379,87 @@ class TestPoisson:
         assert np.max(np.abs(deriv + np.sqrt(lam) * want)) <= 1e-11
 
 
+def gram_norms_squared(heat, time_derivative):
+    """||h F||^2 per row of heat values h on the inner grid."""
+    return np.sum(kernels_mod._gram_rows(heat, time_derivative) ** 2, axis=1)
+
+
+class TestGramForm:
+    """Poisson norms in closed form in time: ||P||^2 = h^T W M W h = ||h F||^2."""
+
+    @staticmethod
+    def _mixture_norms(lam, coeffs, time_derivative):
+        """Closed-form squared L^2(t dt) norms of sum_m c_m e^(-t sqrt(lam_m)) (times -sqrt(lam_m))."""
+        s = np.sqrt(lam)
+        gram = 1.0 / np.add.outer(s, s) ** 2
+        if time_derivative:
+            gram = gram * np.outer(s, s)
+        return np.einsum("pm,mn,pn->p", coeffs, gram, coeffs)
+
+    @pytest.mark.parametrize("time_derivative", [False, True], ids=["space", "time"])
+    def test_per_mode_closed_forms(self, time_derivative):
+        # heat entries sum_m c_m e^(-lam_m tau), or -sum_m c_m lam_m e^(-lam_m tau)
+        # for the time derivative, subordinate to sum_m c_m e^(-t sqrt(lam_m)),
+        # or its t-derivative
+        inner = kernels_mod._default_inner_grid()
+        lam = np.arange(1.0, 51.0)
+        modes = np.exp(-np.outer(lam, inner.t))
+        if time_derivative:
+            modes = -lam[:, None] * modes
+        coeffs = np.vstack([np.eye(lam.size),
+                            np.random.default_rng(3).normal(size=(20, lam.size))])
+        got = gram_norms_squared(coeffs @ modes, time_derivative)
+        want = self._mixture_norms(lam, coeffs, time_derivative)
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [(-0.5,), (0.0, -0.5)], ids=["d1", "d2"])
+    def test_low_rank_matches_dense_gram(self, alpha):
+        # h F F^T h^T against h^T W M W h with the dense closed-form M, on the
+        # entries of every heat kind (those the Poisson kinds are subordinated
+        # from) and their differences under a 0.1% perturbation of x
+        inner = kernels_mod._default_inner_grid()
+        u = np.log(inner.t)
+        half = 0.5 * np.subtract.outer(u, u)
+        w = inner.wz * inner.jacobian
+        dense = {True: 1.0 / (math.pi * np.cosh(half)),
+                 False: 0.5 / (math.pi * np.cosh(half) ** 2) / np.sqrt(np.outer(inner.t, inner.t))}
+        rng = np.random.default_rng(8)
+        x = np.exp(rng.uniform(math.log(0.05), math.log(10.0), (16, len(alpha))))
+        y = np.exp(rng.uniform(math.log(0.05), math.log(10.0), (16, len(alpha))))
+        xp = x * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, x.shape))
+        for kind in kernels_mod.default_kinds(len(alpha)):
+            if kind.is_poisson:
+                continue
+            heat = kernel_values(alpha, kind, x, y, inner)
+            heat = np.vstack([heat, heat - kernel_values(alpha, kind, xp, y, inner)])
+            for time_derivative in (True, False):
+                wh = heat * w
+                want = np.einsum("pm,mn,pn->p", wh, dense[time_derivative], wh)
+                got = gram_norms_squared(heat, time_derivative)
+                assert np.max(np.abs(np.sqrt(got) - np.sqrt(want)) / np.sqrt(want)) <= 1e-13, \
+                    (kind.tag, time_derivative)
+
+    def test_factor_rank_and_cache(self):
+        # the pivoted Cholesky keeps a small share of the inner nodes, once per process
+        inner = kernels_mod._default_inner_grid()
+        for time_derivative in (True, False):
+            f = kernels_mod._gram_factor(time_derivative)
+            chunks, chunk, rank = f.shape
+            assert chunks * chunk == inner.n and chunk % inner.order == 0
+            assert 100 <= rank <= 250
+            assert kernels_mod._gram_factor(time_derivative) is f
+
+    def test_rows_independent_of_batch(self):
+        # a row's Gram row keeps its bits whatever block and position it is taken in
+        inner = kernels_mod._default_inner_grid()
+        heat = np.random.default_rng(4).normal(size=(45, inner.n)) * np.exp(-inner.t)
+        rows = kernels_mod._gram_rows(heat, True)
+        assert rows.shape[0] == 45
+        for p in (0, 31, 32, 44):
+            assert np.array_equal(kernels_mod._gram_rows(heat[p:p + 1], True)[0], rows[p])
+        assert np.array_equal(kernels_mod._gram_rows(heat[13:], True), rows[13:])
+
+
 def all_ten_kinds():
     return [
         KernelKind("dT"),
@@ -498,19 +579,13 @@ class TestKernelEntry:
             assert values.shape == (1, SMALL_GRID.n)
             assert kind.time_power == power
 
-    def test_equal_grids_share_subordination_matrix(self):
-        kernels_mod._subordination_matrix.cache_clear()
-        g1 = ZetaGrid(order=5, levels_zero=6, levels_one=6)
-        g2 = ZetaGrid(order=5, levels_zero=6, levels_one=6)
-        assert g1 == g2 and hash(g1) == hash(g2) and g1 != g1.refined()
-        kind = KernelKind("dP")
-        v1 = kernel_values(0.0, kind, [[1.0]], [[2.0]], g1)
-        v2 = kernel_values(0.0, kind, [[1.0]], [[2.0]], g2)
-        assert np.array_equal(v1, v2)
-        info = kernels_mod._subordination_matrix.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        with pytest.raises(ValueError):
-            g1.t[0] = 1.0
+    def test_grid_and_gram_factor_read_only(self):
+        # arrays shared by every caller: the grid's nodes and the Gram factors
+        g = ZetaGrid(order=5, levels_zero=6, levels_one=6)
+        for arr in (g.zeta, g.eta, g.wz, g.t, g.jacobian,
+                    kernels_mod._gram_factor(True), kernels_mod._gram_factor(False)):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
 
     @staticmethod
     def _per_panel_grid(order, levels_zero, levels_one):
