@@ -127,6 +127,8 @@ def _ell_table_1d(a: float, kmax: int, xi: np.ndarray) -> np.ndarray:
 
     Runs the three-term recurrence directly in the normalized, Gaussian-damped
     form, so intermediate values stay O(1) even at large quadrature nodes.
+    Entry (m, i) depends only on a, m and xi[i], not on kmax, so _rule_table
+    builds tables once on a 1-d rule's nodes for every tensor grid of it.
     """
     u = xi * xi
     out = np.empty((kmax + 1,) + u.shape)
@@ -148,6 +150,38 @@ def ell_table(alpha, kmax: int, x) -> list:
     return [_ell_table_1d(a, kmax, x[:, i]) for i, a in enumerate(alpha.components)]
 
 
+def _ell_product(alpha: AlphaParam, shifts: tuple, indices, xs: list, table) -> np.ndarray:
+    """ell_batch's rows on the points that the broadcast of xs spans, flattened.
+
+    xs[c] holds the values of coordinate c, shaped to broadcast against the
+    others, and table(c, a, depth) gives l_m^a, m = 0..depth, at xs[c].ravel().
+    """
+    shifted = alpha
+    for c in shifts:
+        shifted = shifted.shifted(c)
+    down = np.array([_as_multi_index(k, alpha.d) for k in indices], dtype=np.intp)
+    down = down.reshape(-1, alpha.d)
+    for c in shifts:
+        down[:, c - 1] -= 1
+    live = np.all(down >= 0, axis=1)
+    shape = np.broadcast_shapes(*(x.shape for x in xs))
+    out = np.zeros((len(down), math.prod(shape)))
+    rows = down[live]
+    if len(rows) == 0:
+        return out
+    val = np.ones((len(rows),) + shape)
+    for c, a in enumerate(shifted.components):
+        sub = table(c, a, int(rows[:, c].max()))[rows[:, c]]
+        val *= sub.reshape((len(rows),) + xs[c].shape)
+    if shifts:
+        prefactor = xs[shifts[0] - 1]
+        for c in shifts[1:]:
+            prefactor = prefactor * xs[c - 1]
+        val *= prefactor
+    out[live] = val.reshape(len(rows), -1)
+    return out
+
+
 def ell_batch(alpha, shifts: tuple, indices, x) -> np.ndarray:
     """Matrix (len(indices), npoints) of prod_c x_c l_(k - sum_c e_c)^(alpha + sum_c e_c)(x).
 
@@ -160,28 +194,9 @@ def ell_batch(alpha, shifts: tuple, indices, x) -> np.ndarray:
     """
     alpha = as_alpha(alpha)
     pts, _ = as_points(alpha.d, x)
-    shifted = alpha
-    for c in shifts:
-        shifted = shifted.shifted(c)
-    down = np.array([_as_multi_index(k, alpha.d) for k in indices], dtype=np.intp)
-    down = down.reshape(-1, alpha.d)
-    for c in shifts:
-        down[:, c - 1] -= 1
-    live = np.all(down >= 0, axis=1)
-    out = np.zeros((len(down), pts.shape[0]))
-    rows = down[live]
-    if len(rows) == 0:
-        return out
-    val = np.ones((len(rows), pts.shape[0]))
-    for c, a in enumerate(shifted.components):
-        val *= _ell_table_1d(a, int(rows[:, c].max()), pts[:, c])[rows[:, c]]
-    if shifts:
-        prefactor = pts[:, shifts[0] - 1]
-        for c in shifts[1:]:
-            prefactor = prefactor * pts[:, c - 1]
-        val *= prefactor
-    out[live] = val
-    return out
+    xs = [pts[:, c] for c in range(alpha.d)]
+    return _ell_product(alpha, shifts, indices, xs,
+                        lambda c, a, depth: _ell_table_1d(a, depth, xs[c]))
 
 
 def ell(alpha, k, x):
@@ -195,21 +210,62 @@ def ell(alpha, k, x):
     return float(val[0]) if single else val
 
 
+@lru_cache(maxsize=16)
+def _quad_rule(a: float, order: int) -> QuadratureRule:
+    """1-d rule for x^(2a+1) e^(-x^2) dx from the u = x^2 Gauss-Laguerre rule.
+
+    Its weights absorb the e^u correction, so that they integrate functions
+    with Gaussian decay against the 1-d factor of d mu_alpha.
+    """
+    u = gauss_laguerre_rule(order, a)
+    with np.errstate(over="ignore"):  # an overflowing weight is inf, which QuadratureRule rejects
+        return QuadratureRule(np.sqrt(u.nodes), 0.5 * np.exp(np.log(u.weights) + u.nodes))
+
+
+def _quad_rules(alpha: AlphaParam, order: int) -> list:
+    """The per-coordinate factors of _quad_grid(alpha, order)."""
+    return [_quad_rule(a, order) for a in alpha.components]
+
+
 @lru_cache(maxsize=4)
 def _quad_grid(alpha: AlphaParam, order: int):
-    """Tensor quadrature for d mu_alpha built from u = x^2 Gauss-Laguerre rules.
+    """Tensor quadrature for d mu_alpha, the product of the rules _quad_rules gives.
 
-    Returns points (n^d, d) and weights absorbing the e^u correction, so that
-    integral f d mu_alpha ~= sum w * f(points) for f with Gaussian decay.
-    Both arrays are read-only: every caller with equal arguments shares them.
+    Returns points (n^d, d), the last coordinate varying fastest, and weights,
+    so that integral f d mu_alpha ~= sum w * f(points) for f with Gaussian
+    decay.  Both arrays are read-only: every caller with equal arguments
+    shares them.  _ell_grid evaluates the basis on these points.
     """
-    with np.errstate(over="ignore"):  # an overflowing weight is inf, which QuadratureRule rejects
-        rules = [QuadratureRule(np.sqrt(u.nodes), 0.5 * np.exp(np.log(u.weights) + u.nodes))
-                 for u in (gauss_laguerre_rule(order, a) for a in alpha.components)]
+    rules = _quad_rules(alpha, order)
     pts, w = tensor_rule([r.nodes for r in rules], [r.weights for r in rules])
     pts.flags.writeable = False
     w.flags.writeable = False
     return pts, w
+
+
+# one verify op in d = 2 reads up to 2 coordinates x 3 type indices x 9 depths
+# of tables; at order 64 and depth 8 an entry holds 4.6 kB
+@lru_cache(maxsize=64)
+def _rule_table(a: float, rule_a: float, order: int, depth: int) -> np.ndarray:
+    """Read-only _ell_table_1d(a, depth, .) on the nodes of _quad_rule(rule_a, order)."""
+    table = _ell_table_1d(a, depth, _quad_rule(rule_a, order).nodes)
+    table.flags.writeable = False
+    return table
+
+
+def _ell_grid(alpha, shifts: tuple, indices, order: int) -> np.ndarray:
+    """ell_batch(alpha, shifts, indices, _quad_grid(alpha, order)[0]), bit for bit.
+
+    Reads one cached table per coordinate and spreads it over the tensor grid
+    by broadcasting, instead of building tables on all n^d grid points.
+    """
+    alpha = as_alpha(alpha)
+    rules = _quad_rules(alpha, order)
+    xs = [r.nodes.reshape([-1 if i == c else 1 for i in range(alpha.d)])
+          for c, r in enumerate(rules)]
+    return _ell_product(
+        alpha, shifts, indices, xs,
+        lambda c, a, depth: _rule_table(a, alpha.components[c], order, depth))
 
 
 def _family_indices(family: BasisFamily, d: int, cutoff: int):

@@ -14,11 +14,16 @@ a_m(x) come from the kind: a per-mode multiplier (an eigenvalue factor for
 vertical kinds, a ladder factor -2 sqrt(k_c) for horizontal ones, c =
 kind.coord) and the output system kind.output_shifts.  The same amplitudes
 drive the ζ-grid quadrature route used for cross-checking.
+
+The L^2(d mu_alpha) norms integrate the squared values over the tensor
+Gauss-Laguerre grid of basis._quad_grid.  Their amplitudes read per-rule
+Laguerre tables that basis caches on the 1-d nodes, so a repeated norm on
+the same alpha and order builds no table.
 """
 
 import numpy as np
 
-from .basis import Expansion, _quad_grid, eigenvalue, ell_batch
+from .basis import Expansion, _ell_grid, _quad_grid, eigenvalue, ell_batch
 from .kernels import KernelKind, ZetaGrid
 from .measure import as_points
 
@@ -71,6 +76,13 @@ def _amplitudes(kind: KernelKind, e: Expansion, pts: np.ndarray):
     return nus, mults[:, None] * ell_batch(e.alpha, shifts, indices, pts)
 
 
+def _closed_values(kind: KernelKind, nus: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """The square function at each point of amp's columns, by the closed double sum."""
+    denom = (nus[:, None] + nus[None, :]) ** kind.time_power
+    sq = np.einsum("mp,mn,np->p", amp, 1.0 / denom, amp)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
 def gfun_exact(kind: KernelKind, e: Expansion, x):
     """Pointwise value of the square function, by the closed double sum."""
     _check_input(kind, e)
@@ -78,9 +90,7 @@ def gfun_exact(kind: KernelKind, e: Expansion, x):
     if not e.coeffs:
         return 0.0 if single else np.zeros(pts.shape[0])
     nus, amp = _amplitudes(kind, e, pts)
-    denom = (nus[:, None] + nus[None, :]) ** kind.time_power
-    sq = np.einsum("mp,mn,np->p", amp, 1.0 / denom, amp)
-    out = np.sqrt(np.maximum(sq, 0.0))
+    out = _closed_values(kind, nus, amp)
     return float(out[0]) if single else out
 
 
@@ -98,11 +108,16 @@ def gfun_quadrature(kind: KernelKind, e: Expansion, x, grid: ZetaGrid | None = N
 
 
 def gfun_l2_norm(kind: KernelKind, e: Expansion, order: int = 64) -> float:
-    """||g(f)||_{L^2(d mu_alpha)} by Gauss-Laguerre quadrature of gfun_exact^2."""
+    """||g(f)||_{L^2(d mu_alpha)} by Gauss-Laguerre quadrature of gfun_exact^2.
+
+    The amplitudes on the tensor grid come from the cached per-rule tables
+    of basis._ell_grid; they equal gfun_exact's at the grid points bit for bit.
+    """
     _check_input(kind, e)
-    pts, w = _quad_grid(e.alpha, order)
-    vals = gfun_exact(kind, e, pts)
-    return float(np.sqrt(np.sum(w * vals**2)))
+    _, w = _quad_grid(e.alpha, order)
+    nus, mults, indices, shifts = _modes(kind, e)
+    amp = mults[:, None] * _ell_grid(e.alpha, shifts, indices, order)
+    return float(np.sqrt(np.sum(w * _closed_values(kind, nus, amp) ** 2)))
 
 
 def gfun_l2_exact(kind: KernelKind, e: Expansion) -> float:

@@ -579,11 +579,11 @@ def heat_kernel_spectral(alpha, t: float, x, y, cutoff: int) -> float:
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     x, y = _one_pair(alpha.d, x, y)
-    tx = ell_table(alpha, cutoff, x)
-    ty = ell_table(alpha, cutoff, y)
+    # one table per coordinate on the pair: column 0 is x, column 1 is y
+    tables = ell_table(alpha, cutoff, np.vstack([x, y]))
     level = None
-    for i in range(alpha.d):
-        v = tx[i][:, 0] * ty[i][:, 0]
+    for table in tables:
+        v = table[:, 0] * table[:, 1]
         level = v if level is None else np.convolve(level, v)
     n = np.arange(cutoff + 1)
     lam = 4.0 * n + 2.0 * alpha.total + 2.0 * alpha.d

@@ -100,14 +100,17 @@ def per_index(alpha, shifts, k, pts):
     return pre * val if shifts else val
 
 
+ELL_BATCH_CASES = [
+    ((0.7,), ()), ((0.7,), (1,)), ((-0.5,), (1, 1)),
+    ((0.3, -0.5), ()), ((0.3, -0.5), (1,)), ((0.3, -0.5), (2,)),
+    ((0.3, -0.5), (1, 2)), ((0.3, -0.5), (2, 1)),
+    ((0.3, -0.5, 1.2), ()), ((0.3, -0.5, 1.2), (3,)), ((0.3, -0.5, 1.2), (1, 3)),
+    ((0.3, -0.5, 1.2), (3, 2)),
+]
+
+
 class TestEllBatch:
-    @pytest.mark.parametrize("alpha, shifts", [
-        ((0.7,), ()), ((0.7,), (1,)), ((-0.5,), (1, 1)),
-        ((0.3, -0.5), ()), ((0.3, -0.5), (1,)), ((0.3, -0.5), (2,)),
-        ((0.3, -0.5), (1, 2)), ((0.3, -0.5), (2, 1)),
-        ((0.3, -0.5, 1.2), ()), ((0.3, -0.5, 1.2), (3,)), ((0.3, -0.5, 1.2), (1, 3)),
-        ((0.3, -0.5, 1.2), (3, 2)),
-    ])
+    @pytest.mark.parametrize("alpha, shifts", ELL_BATCH_CASES)
     def test_matches_per_index_bit_for_bit(self, alpha, shifts):
         a = as_alpha(alpha)
         rng = np.random.default_rng(len(shifts) + a.d)
@@ -148,6 +151,43 @@ class TestQuadGrid:
         assert not pts.flags.writeable and not w.flags.writeable
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+
+class TestEllGrid:
+    @pytest.mark.parametrize("order", [5, 32, 64])
+    @pytest.mark.parametrize("alpha, shifts", ELL_BATCH_CASES)
+    def test_matches_ell_batch_on_the_grid_bit_for_bit(self, alpha, shifts, order):
+        a = as_alpha(alpha)
+        idx = basis._family_indices(PLAIN, a.d, 7 - a.d)
+        want = ell_batch(a, shifts, idx, basis._quad_grid(a, order)[0])
+        got = basis._ell_grid(a, shifts, idx, order)
+        assert got.shape == (len(idx), order**a.d)
+        assert np.array_equal(got, want)
+        # the rows of a null index are exact zeros
+        null = np.array([any(k[c - 1] < shifts.count(c) for c in shifts) for k in idx],
+                        dtype=bool)
+        assert null.any() == bool(shifts)
+        assert np.all(got[null] == 0.0)
+
+    def test_empty_indices(self):
+        a = as_alpha((0.3, -0.5))
+        assert basis._ell_grid(a, (1,), [], 7).shape == (0, 49)
+        assert basis._ell_grid(a, (), [], 7).shape == (0, 49)
+
+    def test_tables_cached_and_read_only(self):
+        a = as_alpha((0.3, -0.5))
+        basis._rule_table.cache_clear()
+        basis._ell_grid(a, (2,), [(1, 3), (2, 1)], 7)
+        assert basis._rule_table.cache_info().misses == 2
+        # a second call at the same depths reads the same two tables
+        basis._ell_grid(a, (2,), [(2, 3), (0, 1)], 7)
+        assert basis._rule_table.cache_info().misses == 2
+        table = basis._rule_table(0.3, 0.3, 7, 2)
+        assert table.shape == (3, 7)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        assert basis._rule_table(0.3, 0.3, 7, 2) is table
 
 
 class TestBasisEval:

@@ -152,6 +152,36 @@ class TestSharedTables:
         assert len(built) == 2
 
 
+class TestNormOnRuleTables:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=CASE_NUMBER_IDS)
+    def test_norm_is_quadrature_of_gfun_exact_bit_for_bit(self, kind):
+        # d = 1 and 2; the kinds of two distinct coordinates need d = 2
+        for d in range(kind.spec.min_d, 3):
+            # in d = 1 every coordinate of the kind is 1
+            kind_d = KernelKind(kind.tag, **{n: min(v, d) for n, v in _coords(kind).items()})
+            alpha = (0.3, -0.5)[:d]
+            e = random_expansion(alpha, kind_d.input_family(), nmodes=8, max_level=6,
+                                 seed=5 + d)
+            pts, w = basis._quad_grid(as_alpha(alpha), 32)
+            want = float(np.sqrt(np.sum(w * gfun_exact(kind_d, e, pts) ** 2)))
+            assert gfun_l2_norm(kind_d, e, order=32) == want
+
+    def test_warm_norm_builds_no_table(self, monkeypatch):
+        built = []
+        table_1d = basis._ell_table_1d
+
+        def counted(a, kmax, xi):
+            built.append(a)
+            return table_1d(a, kmax, xi)
+
+        kind = KernelKind("hT", i=2)
+        e = random_expansion((0.3, -0.5), PLAIN, nmodes=8, max_level=6, seed=9)
+        first = gfun_l2_norm(kind, e, order=40)
+        monkeypatch.setattr(basis, "_ell_table_1d", counted)
+        assert gfun_l2_norm(kind, e, order=40) == first
+        assert built == []
+
+
 class TestIsometry:
     @pytest.mark.parametrize("kind", [KernelKind("dT"), KernelKind("dP")], ids=_gtag)
     def test_plain_vertical_isometry(self, kind):
