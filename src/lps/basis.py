@@ -268,15 +268,16 @@ def _ell_grid(alpha, shifts: tuple, indices, order: int) -> np.ndarray:
         lambda c, a, depth: _rule_table(a, alpha.components[c], order, depth))
 
 
-def _family_indices(family: BasisFamily, d: int, cutoff: int):
-    """All admissible multi-indices with |k| <= cutoff."""
+@lru_cache(maxsize=16)
+def _family_indices(family: BasisFamily, d: int, cutoff: int) -> tuple:
+    """All admissible multi-indices with |k| <= cutoff, as one shared tuple."""
     idx = [()]
     for _ in range(d):
         idx = [k + (m,) for k in idx for m in range(cutoff + 1)]
     idx = [k for k in idx if sum(k) <= cutoff]
     if not family.is_plain:
         idx = [k for k in idx if k[family.j - 1] >= 1]
-    return idx
+    return tuple(idx)
 
 
 def analyze(alpha, family: BasisFamily, f, cutoff: int, order: int = 64) -> Expansion:

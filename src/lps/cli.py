@@ -37,10 +37,10 @@ from .kernels import (
     PAIR_BLOCK,
     KernelKind,
     ZetaGrid,
+    _heat_spectral,
     default_kinds,
     heat_kernel_closed,
     heat_kernel_schlafli,
-    heat_kernel_spectral,
     subordination_u_rule,
 )
 from .measure import as_alpha, pi_alpha_rule
@@ -259,20 +259,19 @@ def _kernel_rows(cfg: RunConfig, alpha, report: Report):
     """Closed, Schlafli and spectral heat kernels at random (t, x, y)."""
     rng = np.random.default_rng(cfg.seed)
     lo, hi = max(cfg.box_lo, KERNEL_BOX[0]), min(cfg.box_hi, KERNEL_BOX[1])
-    rows = []
-    for _ in range(cfg.count):
-        t = float(rng.uniform(0.1, 2.0))
-        x, y = rng.uniform(lo, hi, alpha.d), rng.uniform(lo, hi, alpha.d)
-        rows.append((t, tuple(x), tuple(y), heat_kernel_closed(alpha, t, x, y),
-                     heat_kernel_schlafli(alpha, t, x, y, order=cfg.quad_order),
-                     heat_kernel_spectral(alpha, t, x, y, cutoff=60)))
-    t, x, y, closed, schlafli, spectral = zip(*rows)
-    c, s, sp = np.array(closed), np.array(schlafli), np.array(spectral)
+    samples = [(float(rng.uniform(0.1, 2.0)), rng.uniform(lo, hi, alpha.d),
+                rng.uniform(lo, hi, alpha.d)) for _ in range(cfg.count)]
+    c = np.array([heat_kernel_closed(alpha, t, x, y) for t, x, y in samples])
+    s = np.array([heat_kernel_schlafli(alpha, t, x, y, order=cfg.quad_order)
+                  for t, x, y in samples])
+    t, x, y = (np.array(v) for v in zip(*samples))
+    # one call for every sample: the spectral route builds one table per coordinate
+    sp = _heat_spectral(alpha, t, x, y, cutoff=60)
     # a closed form that underflows to 0 gives an inf or NaN deviation, which fails
     with np.errstate(divide="ignore", invalid="ignore"):
         dev = np.maximum(np.abs(s - c), np.abs(sp - c)) / c
-    report.add_columns(t=t, x=x, y=y, closed=closed, schlafli=schlafli, spectral=spectral,
-                       rel_dev=dev.tolist())
+    report.add_columns(t=t.tolist(), x=x, y=y, closed=c.tolist(), schlafli=s.tolist(),
+                       spectral=sp.tolist(), rel_dev=dev.tolist())
     return dev / TOLERANCE["kernel_triple"]
 
 

@@ -15,6 +15,11 @@ vertical kinds, a ladder factor -2 sqrt(k_c) for horizontal ones, c =
 kind.coord) and the output system kind.output_shifts.  The same amplitudes
 drive the ζ-grid quadrature route used for cross-checking.
 
+The closed form and the norms share one contraction: with A the amplitude
+matrix (modes x points) and C = 1/(nu_m + nu_m')^p, the squared value at each
+point is the column sum of A * (C @ A), one matmul and one elementwise pass
+for all points.
+
 The L^2(d mu_alpha) norms integrate the squared values over the tensor
 Gauss-Laguerre grid of basis._quad_grid.  Their amplitudes read per-rule
 Laguerre tables that basis caches on the 1-d nodes, so a repeated norm on
@@ -79,7 +84,7 @@ def _amplitudes(kind: KernelKind, e: Expansion, pts: np.ndarray):
 def _closed_values(kind: KernelKind, nus: np.ndarray, amp: np.ndarray) -> np.ndarray:
     """The square function at each point of amp's columns, by the closed double sum."""
     denom = (nus[:, None] + nus[None, :]) ** kind.time_power
-    sq = np.einsum("mp,mn,np->p", amp, 1.0 / denom, amp)
+    sq = np.sum(amp * ((1.0 / denom) @ amp), axis=0)
     return np.sqrt(np.maximum(sq, 0.0))
 
 

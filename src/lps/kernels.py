@@ -579,15 +579,29 @@ def heat_kernel_spectral(alpha, t: float, x, y, cutoff: int) -> float:
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     x, y = _one_pair(alpha.d, x, y)
-    # one table per coordinate on the pair: column 0 is x, column 1 is y
+    return float(_heat_spectral(alpha, np.array([t]), x, y, cutoff)[0])
+
+
+def _heat_spectral(alpha: AlphaParam, t: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   cutoff: int) -> np.ndarray:
+    """heat_kernel_spectral at samples (t[s], x[s], y[s]): t (n,), x and y (n, d), checked.
+
+    One table per coordinate serves every sample: columns s and n + s are x[s]
+    and y[s].  Each sample then convolves its per-coordinate level products
+    and sums e^(-t lam) over the levels on its own, so a sample's value does
+    not depend on the others.
+    """
+    n = len(t)
     tables = ell_table(alpha, cutoff, np.vstack([x, y]))
-    level = None
-    for table in tables:
-        v = table[:, 0] * table[:, 1]
-        level = v if level is None else np.convolve(level, v)
-    n = np.arange(cutoff + 1)
-    lam = 4.0 * n + 2.0 * alpha.total + 2.0 * alpha.d
-    return float(np.sum(np.exp(-t * lam) * level[: cutoff + 1]))
+    lam = 4.0 * np.arange(cutoff + 1) + 2.0 * alpha.total + 2.0 * alpha.d
+    out = np.empty(n)
+    for s in range(n):
+        level = None
+        for table in tables:
+            v = table[:, s] * table[:, n + s]
+            level = v if level is None else np.convolve(level, v)
+        out[s] = np.sum(np.exp(-t[s] * lam) * level[: cutoff + 1])
+    return out
 
 
 def heat_kernel_schlafli(alpha, t: float, x, y, order: int = 64) -> float:

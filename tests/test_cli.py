@@ -293,7 +293,7 @@ NAN_CASES = {
     "basis": ("basis", "alpha = 0.3\ncutoff = 3\nquad_order = 32\n",
               (cli, "ell_batch", 1, _nan_rows), _identity_score),
     "kernel": ("kernel", "alpha = 0.0\nseed = 9\ncount = 3\nquad_order = 32\n",
-               (cli, "heat_kernel_spectral", 2, lambda v: np.nan), _identity_score),
+               (cli, "_heat_spectral", 1, _nan_rows), _identity_score),
     "gfun": ("gfun", "alpha = 0.0\nseed = 9\ncount = 2\ncutoff = 4\nquad_order = 32\n",
              (cli, "gfun_l2_norm", 2, lambda v: np.nan), _identity_score),
     "verify": ("verify", "alpha = 0.0\nseed = 9\ncount = 2\ncutoff = 4\nquad_order = 32\n",

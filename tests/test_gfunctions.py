@@ -6,7 +6,14 @@ import pytest
 from lps import basis
 from lps.basis import Expansion, PLAIN, differentiated, eigenvalue, ell
 from lps.czcheck import random_expansion
-from lps.gfunctions import gfun_exact, gfun_l2_exact, gfun_l2_norm, gfun_quadrature
+from lps.gfunctions import (
+    _closed_values,
+    _modes,
+    gfun_exact,
+    gfun_l2_exact,
+    gfun_l2_norm,
+    gfun_quadrature,
+)
 from lps.kernels import KernelKind, ZetaGrid
 from lps.measure import as_alpha
 
@@ -180,6 +187,66 @@ class TestNormOnRuleTables:
         monkeypatch.setattr(basis, "_ell_table_1d", counted)
         assert gfun_l2_norm(kind, e, order=40) == first
         assert built == []
+
+
+EPS = np.finfo(float).eps
+
+
+def _long_double_contraction(kind, nus, amp):
+    """sum_(m,n) a_m a_n / (nu_m + nu_n)^p in np.longdouble, and the same sum over |a|."""
+    nl, al = nus.astype(np.longdouble), amp.astype(np.longdouble)
+    inv = 1 / (nl[:, None] + nl[None, :]) ** kind.time_power
+    return (np.einsum("mp,mn,np->p", al, inv, al),
+            np.einsum("mp,mn,np->p", np.abs(al), inv, np.abs(al)))
+
+
+class TestContraction:
+    KINDS = [KernelKind("dT"), KernelKind("hT", i=1)]  # time powers 2 and 1
+
+    @pytest.mark.parametrize("kind", KINDS, ids=_gtag)
+    def test_against_long_double(self, kind):
+        assert {k.time_power for k in self.KINDS} == {1, 2}
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            # eigenvalue-like heat rates, or their square roots for Poisson ones
+            nus = 4.0 * np.sort(rng.choice(30, 8, replace=False)) + 2.6
+            nus = np.sqrt(nus) if seed % 2 else nus
+            # nonnegative amplitudes: no cancellation, so the value itself is the scale
+            amp = rng.uniform(0.0, 1.0, (8, 500))
+            want = np.sqrt(_long_double_contraction(kind, nus, amp)[0])
+            got = _closed_values(kind, nus, amp)
+            assert np.max(np.abs(got - want) / want) <= 2 * EPS
+            # signed amplitudes: the error is bounded by the sum over |a|
+            amp = rng.normal(size=(8, 500))
+            want, scale = _long_double_contraction(kind, nus, amp)
+            got = _closed_values(kind, nus, amp).astype(np.longdouble) ** 2
+            assert np.max(np.abs(got - want) / scale) <= 4 * EPS
+
+    def test_norm_within_one_eps_of_long_double(self):
+        # the L^2 norm sums many values, so its rounding averages out
+        alpha = as_alpha((0.0, -0.5))
+        _, w = basis._quad_grid(alpha, 64)
+        for kind in (KernelKind("dT"), KernelKind("dP"), KernelKind("dTmod", j=1),
+                     KernelKind("dPmod", j=1), KernelKind("hT", i=1), KernelKind("hT", i=2)):
+            for seed in range(10):
+                e = random_expansion(alpha, kind.input_family(), nmodes=8, max_level=8,
+                                     seed=seed)
+                nus, mults, indices, shifts = _modes(kind, e)
+                amp = mults[:, None] * basis._ell_grid(alpha, shifts, indices, 64)
+                sq, _ = _long_double_contraction(kind, nus, amp)
+                want = np.sqrt(np.sum(w * np.maximum(sq, 0)))
+                got = gfun_l2_norm(kind, e, order=64)
+                assert abs(got - want) <= EPS * want
+
+    def test_nan_amplitude_gives_nan(self):
+        rng = np.random.default_rng(3)
+        nus = np.array([2.6, 6.6, 10.6])
+        amp = rng.normal(size=(3, 6))
+        amp[1, 4] = np.nan
+        for kind in self.KINDS:
+            got = _closed_values(kind, nus, amp)
+            assert np.isnan(got[4])
+            assert np.all(np.isfinite(np.delete(got, 4)))
 
 
 class TestIsometry:

@@ -13,9 +13,14 @@ from lps.cli import main
 
 CASES = {
     "gfun": ("gfun", "alpha = 0.3, -0.5\ncount = 4\ncutoff = 5\nquad_order = 32\n",
-             "7e3927aad48701107c42de61c96793b4bfdcf7ffea0cc45ca3bd5d90549da701"),
+             "4d166df81736c5376412e5f040efbab4cdb84d5d8fc46a466965ef0db58ff4dc"),
     "verify": ("verify", "alpha = 0, -0.5\ncount = 4\ncutoff = 5\nquad_order = 32\nbox_hi = 2\n",
-               "d14465c27187a49fa34aebbb871547147581dd6bf3863e446739d7fda7382e0a"),
+               "2be771c433b0e95fe77a9edf24ff25cfe6101685ecca99af22391c64c0102ccf"),
+    # the heat-kernel triple alone: closed, Schlafli and spectral cells
+    "kernel": ("kernel", "alpha = 0, -0.5\ncount = 6\nbox_hi = 2\nquad_order = 32\n",
+               "63c5c2d00c05d775bfc79a0ebdeadf02821c6625dade6b2974675c25dd615a6b"),
+    "kernel-d1": ("kernel", "alpha = 0.3\ncount = 6\nbox_hi = 2\nquad_order = 32\n",
+                  "f76910ebec696b831a6864f70bf946437ffa4200f72ead7b76dde1f0b5a9b893"),
     "lemmas": ("lemmas", "alpha = 0, -0.5\ncount = 2000\n",
                "ab0ba84e7d98894f3db2b3eeb3497fe5fb796764254ab9c6f9b01efecd695b11"),
     "basis": ("basis", "alpha = 0.3, -0.5\ncutoff = 4\nquad_order = 24\n",

@@ -4,8 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from lps import basis
 from lps import kernels as kernels_mod
 from lps.basis import ell_table
+from lps.cli import main
 from lps.kernels import (
     KernelKind,
     SingularPairError,
@@ -204,6 +206,49 @@ class TestHeatKernel:
             ):
                 with pytest.raises(ValueError, match="t must be finite and positive"):
                     kernel()
+
+
+def _pair_spectral(alpha, t, x, y, cutoff):
+    """The spectral sum of one pair from tables built on that pair alone."""
+    level = None
+    for table in ell_table(alpha, cutoff, np.vstack([x, y])):
+        v = table[:, 0] * table[:, 1]
+        level = v if level is None else np.convolve(level, v)
+    lam = 4.0 * np.arange(cutoff + 1) + 2.0 * alpha.total + 2.0 * alpha.d
+    return float(np.sum(np.exp(-t * lam) * level[: cutoff + 1]))
+
+
+class TestBatchedSpectral:
+    @pytest.mark.parametrize("alpha", [(0.3,), (-0.5,), (0.0, -0.5), (0.3, 1.7),
+                                       (0.3, -0.5, 1.2), (0.5, 1.5, -0.5)])
+    @pytest.mark.parametrize("cutoff", [0, 1, 60])
+    def test_equals_per_sample_bit_for_bit(self, alpha, cutoff):
+        a = as_alpha(alpha)
+        rng = np.random.default_rng(17)
+        t = rng.uniform(0.1, 2.0, 7)
+        x, y = rng.uniform(0.2, 4.0, (2, 7, a.d))
+        got = kernels_mod._heat_spectral(a, t, x, y, cutoff)
+        want = [heat_kernel_spectral(alpha, ti, xi, yi, cutoff) for ti, xi, yi in zip(t, x, y)]
+        assert got.tolist() == want
+        assert want == [_pair_spectral(a, ti, xi, yi, cutoff) for ti, xi, yi in zip(t, x, y)]
+
+    @pytest.mark.parametrize("alpha", ["0.3", "0, -0.5", "0.3, -0.5, 1.2"])
+    def test_kernel_rows_build_one_table_per_coordinate(self, tmp_path, monkeypatch, alpha):
+        built = []
+        table_1d = basis._ell_table_1d
+
+        def counted(a, kmax, xi):
+            built.append(xi.shape)
+            return table_1d(a, kmax, xi)
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alpha = {alpha}\ncount = 5\nbox_hi = 2\nquad_order = 16\n")
+        monkeypatch.setattr(basis, "_ell_table_1d", counted)
+        code = main(["kernel", "--config", str(cfg), "--seed", "3", "--no-timestamp",
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 0
+        # columns 0-4 are the samples' x, columns 5-9 their y
+        assert built == [(10,)] * len(alpha.split(","))
 
 
 class TestSchlafli:
