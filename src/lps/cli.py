@@ -15,6 +15,8 @@ was invalid.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -37,9 +39,9 @@ from .kernels import (
     PAIR_BLOCK,
     KernelKind,
     ZetaGrid,
+    _heat_closed,
     _heat_spectral,
     default_kinds,
-    heat_kernel_closed,
     heat_kernel_schlafli,
     subordination_u_rule,
 )
@@ -193,16 +195,18 @@ def parse_config(path: str) -> dict:
     return values
 
 
-def _fmt(v) -> str:
+def _fmt(v):
+    """A report cell as written: floats at 17 significant digits, points as "(x1 x2 ...)",
+    other values (strings, ints, bools) as they are."""
     if isinstance(v, float):
         return format(v, ".17g")
     if isinstance(v, (tuple, list, np.ndarray)):
         return "(" + " ".join(format(float(c), ".17g") for c in v) + ")"
-    return str(v)
+    return v
 
 
 class Report:
-    """Row-oriented report with a fixed column order."""
+    """Row-oriented report with a fixed column order, each cell formatted once as it is added."""
 
     def __init__(self, columns):
         self.columns = list(columns)
@@ -210,20 +214,21 @@ class Report:
 
     def add_columns(self, **cols):
         """One row per entry of the given columns; a column not given is left empty."""
-        self.rows.extend(zip(*(cols.get(c, repeat("")) for c in self.columns)))
+        self.rows.extend(zip(*(map(_fmt, cols[c]) if c in cols else repeat("")
+                               for c in self.columns)))
 
     def write(self, path: str, fmt: str, header_lines):
         # the whole text is built first, so a row that fails to serialise
         # leaves an existing report as it was
-        if fmt == "csv":
-            lines = [f"# {line}" for line in header_lines] + [",".join(self.columns)]
-            lines += [",".join(map(_fmt, row)) for row in self.rows]
+        buf = io.StringIO()
+        if fmt == "csv":  # RFC 4180 quoting: a cell holding a comma or a quote is quoted
+            buf.writelines(f"# {line}\n" for line in header_lines)
+            csv.writer(buf, lineterminator="\n").writerows([self.columns] + self.rows)
         else:
-            lines = [json.dumps({"header": line}) for line in header_lines]
-            lines += [json.dumps({c: (_fmt(v) if isinstance(v, (float, tuple, list, np.ndarray))
-                                      else v) for c, v in zip(self.columns, row)})
-                      for row in self.rows]
-        text = "\n".join(lines) + "\n"
+            records = [{"header": line} for line in header_lines]
+            records += [dict(zip(self.columns, row)) for row in self.rows]
+            buf.writelines(json.dumps(r) + "\n" for r in records)
+        text = buf.getvalue()
         # overwritten in place, then cut to length: opening with O_TRUNC
         # empties an existing file, and ext4 then flushes it on close, which
         # cost about 1 ms per short report with stalls of up to 10 ms
@@ -261,11 +266,12 @@ def _kernel_rows(cfg: RunConfig, alpha, report: Report):
     lo, hi = max(cfg.box_lo, KERNEL_BOX[0]), min(cfg.box_hi, KERNEL_BOX[1])
     samples = [(float(rng.uniform(0.1, 2.0)), rng.uniform(lo, hi, alpha.d),
                 rng.uniform(lo, hi, alpha.d)) for _ in range(cfg.count)]
-    c = np.array([heat_kernel_closed(alpha, t, x, y) for t, x, y in samples])
     s = np.array([heat_kernel_schlafli(alpha, t, x, y, order=cfg.quad_order)
                   for t, x, y in samples])
     t, x, y = (np.array(v) for v in zip(*samples))
-    # one call for every sample: the spectral route builds one table per coordinate
+    # one call per route for every sample, each at its own time; the spectral
+    # route builds one table per coordinate
+    c = _heat_closed(alpha, t[:, None], x, y, None)[:, 0]
     sp = _heat_spectral(alpha, t, x, y, cutoff=60)
     # a closed form that underflows to 0 gives an inf or NaN deviation, which fails
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -442,7 +448,7 @@ def run(cfg: RunConfig) -> int:
     print(f"{cfg.task}: rows={len(report.rows)} worst={worst:.3e} wall={elapsed:.2f}s -> {out}")
     failed = np.flatnonzero(~passed)
     if failed.size:
-        cells = " ".join(f"{c}={_fmt(v)}" for c, v in zip(report.columns, report.rows[failed[0]])
+        cells = " ".join(f"{c}={v}" for c, v in zip(report.columns, report.rows[failed[0]])
                          if v != "")
         print(f"FAILED: {failed.size} of {len(report.rows)} rows, the first "
               f"(row {failed[0] + 1}): {cells}", file=sys.stderr)

@@ -291,23 +291,25 @@ def _live_entries(acomp: np.ndarray, logg: np.ndarray):
 
 
 class _HeatParts(NamedTuple):
-    """What every kind's heat entry of one base reads, as (P, T) for pairs (P, d) at times (T,)."""
+    """What every kind's heat entry of one base reads, as (P, T) for pairs (P, d)
+    at times (T,), shared by every pair, or (P, T), one row per pair."""
 
     x: np.ndarray
     y: np.ndarray
     acomp: np.ndarray  # components of the base, alpha or alpha + e_j
-    inv_s: np.ndarray  # 1 / sinh 2t
+    inv_s: np.ndarray  # 1 / sinh 2t, shaped as the times
     coth2t: np.ndarray
     sx: np.ndarray  # |x|^2, (P, 1)
     sy: np.ndarray
     z: np.ndarray  # x_i y_i / sinh 2t, (P, d, T)
     g: np.ndarray  # G_t of the base, exactly 0 where it underflows
-    e2t: np.ndarray  # e^(-2t), (T,)
+    e2t: np.ndarray  # e^(-2t), shaped as the times
     ratio: np.ndarray  # ratio[i] = i_(a_i+1)(z_i) / i_(a_i)(z_i), (d, P, T)
 
 
 def _heat_parts(base: AlphaParam, x: np.ndarray, y: np.ndarray, zeta, eta) -> _HeatParts:
-    """The kind-independent parts of G_t of the type index base.
+    """The kind-independent parts of G_t of the type index base: the one
+    evaluation of the closed form, at times zeta, eta of shape (T,) or (P, T).
 
     Entries that underflow anyway skip the Bessel factors: their G_t and
     their ratios are 0.  G_t is exactly 0 wherever log G_t lies below
@@ -325,7 +327,7 @@ def _heat_parts(base: AlphaParam, x: np.ndarray, y: np.ndarray, zeta, eta) -> _H
         log_s = np.log(2.0 * zeta) - np.log1p(zeta) - np.log(eta)
     logg = core - (len(acomp) + acomp.sum()) * log_s
     # log G_t adds the Bessel mantissas
-    z = x[:, :, None] * y[:, :, None] * inv_s
+    z = x[:, :, None] * y[:, :, None] * inv_s[..., None, :]
     live = _live_entries(acomp, logg)
     ratio = np.zeros((len(acomp),) + logg.shape)
     part = logg[live]
@@ -538,47 +540,40 @@ def kernel_values(alpha, kind: KernelKind, x, y, grid: ZetaGrid) -> np.ndarray:
     return values @ _subordination_matrix(grid, inner, spec.deriv == "d").T
 
 
-def _check_time(t):
+def _one_sample(alpha, t: float, x, y):
+    """The checked arguments of a one-sample kernel call: alpha, and x and y as (1, d) arrays."""
+    alpha = as_alpha(alpha)
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be finite and positive, got {t}")
-
-
-def _one_pair(d: int, x, y):
-    """x and y as (1, d) arrays, one point of the open orthant each."""
-    x, y = _orthant_points(d, x), _orthant_points(d, y)
+    x, y = _orthant_points(alpha.d, x), _orthant_points(alpha.d, y)
     if x.shape[0] != 1 or y.shape[0] != 1:
-        raise ValueError(f"expected one point each for x and y, with {d} coordinates")
-    return x, y
+        raise ValueError(f"expected one point each for x and y, with {alpha.d} coordinates")
+    return alpha, x, y
 
 
-def _heat_values_at_times(alpha: AlphaParam, t, x, y, j: int | None) -> np.ndarray:
-    """G_t(x, y), or the modified kernel of coordinate j, for one pair at an array of times.
+def _heat_closed(alpha: AlphaParam, t, x: np.ndarray, y: np.ndarray, j: int | None) -> np.ndarray:
+    """G_t(x, y), or the modified kernel e^(-2t) x_j y_j G_t^(alpha+e_j)(x, y) of coordinate j.
 
-    The modified kernel is e^(-2t) x_j y_j G_t^(alpha+e_j)(x, y).
+    Pairs x, y (P, d) at times t of shape (T,) or (P, T), checked; the values
+    are (P, T).  Each entry depends only on its own pair and time.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    base = alpha if j is None else alpha.shifted(j)
-    parts = _heat_parts(base, x, y, np.tanh(t), _eta_of_t(t))
+    parts = _heat_parts(alpha if j is None else alpha.shifted(j), x, y, np.tanh(t), _eta_of_t(t))
     if j is None:
-        return parts.g[0]
-    return parts.g[0] * parts.e2t * x[0, j - 1] * y[0, j - 1]
+        return parts.g
+    return parts.g * parts.e2t * x[:, j - 1, None] * y[:, j - 1, None]
 
 
 def heat_kernel_closed(alpha, t: float, x, y, j: int | None = None) -> float:
     """Heat kernel G_t(x, y) (or its modified variant for coordinate j) in closed form."""
-    alpha = as_alpha(alpha)
-    _check_time(t)
-    x, y = _one_pair(alpha.d, x, y)
-    return float(_heat_values_at_times(alpha, t, x, y, j)[0])
+    alpha, x, y = _one_sample(alpha, t, x, y)
+    return float(_heat_closed(alpha, np.array([[t]], dtype=float), x, y, j)[0, 0])
 
 
 def heat_kernel_spectral(alpha, t: float, x, y, cutoff: int) -> float:
     """Partial spectral sum of the heat kernel through levels |k| <= cutoff."""
-    alpha = as_alpha(alpha)
-    _check_time(t)
+    alpha, x, y = _one_sample(alpha, t, x, y)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    x, y = _one_pair(alpha.d, x, y)
     return float(_heat_spectral(alpha, np.array([t]), x, y, cutoff)[0])
 
 
@@ -609,11 +604,10 @@ def heat_kernel_schlafli(alpha, t: float, x, y, order: int = 64) -> float:
 
     Valid for alpha in [-1/2, inf)^d, the range of the representation.
     """
-    alpha = as_alpha(alpha)
+    alpha, x, y = _one_sample(alpha, t, x, y)
     if not alpha.cz_eligible:
         raise ValueError("the integral representation requires alpha in [-1/2, inf)^d")
-    _check_time(t)
-    x, y = (p[0] for p in _one_pair(alpha.d, x, y))
+    x, y = x[0], y[0]
     zeta = math.tanh(t)
     sq = float(np.dot(x, x) + np.dot(y, y))
     xy = x * y
@@ -648,10 +642,8 @@ def subordination_u_rule():
 
 def poisson_kernel(alpha, t: float, x, y, j: int | None = None) -> float:
     """Poisson kernel (or its modified variant for coordinate j) by subordination."""
-    alpha = as_alpha(alpha)
-    _check_time(t)
-    x, y = _one_pair(alpha.d, x, y)
+    alpha, x, y = _one_sample(alpha, t, x, y)
     u, w = subordination_u_rule()
     tau = t * t / (4.0 * u)
-    return float(np.sum(w * _heat_values_at_times(alpha, tau, x, y, j)))
+    return float(np.sum(w * _heat_closed(alpha, tau[None, :], x, y, j)[0]))
 

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -166,7 +167,7 @@ class TestExitCodes:
         assert code == 0
         lines = open(out).read().splitlines()
         assert lines[1].startswith("t,")  # header row after the info line
-        devs = [float(r.split(",")[-1]) for r in lines[2:] if r.split(",")[-1]]
+        devs = [float(r[-1]) for r in csv.reader(lines[2:]) if r[-1]]
         assert all(d <= 1e-6 for d in devs if d == d)
 
     def test_basis_task(self, tmp_path):
@@ -198,9 +199,10 @@ class TestExitCodes:
         )
         out = str(tmp_path / "growth.csv")
         assert main(["czscan", "--config", path, "--out", out, "--no-timestamp"]) == 0
-        rows = [r for r in open(out).read().splitlines() if not r.startswith("#")][1:]
+        rows = list(csv.reader(r for r in open(out).read().splitlines()
+                               if not r.startswith("#")))[1:]
         assert len(rows) == 100
-        ratios = [float(r.split(",")[7]) for r in rows]
+        ratios = [float(r[7]) for r in rows]
         assert all(np.isfinite(ratios))
 
     def test_half_integer_scan_stays_in_closed_form(self, tmp_path, monkeypatch):
@@ -298,6 +300,11 @@ NAN_CASES = {
              (cli, "gfun_l2_norm", 2, lambda v: np.nan), _identity_score),
     "verify": ("verify", "alpha = 0.0\nseed = 9\ncount = 2\ncutoff = 4\nquad_order = 32\n",
                (cli, "gfun_l2_norm", 3, lambda v: np.nan), _identity_score),
+    # a kernel-triple row of d >= 2 echoes its points as "(x1 x2)" cells
+    "kernel-d2": ("kernel", "alpha = 0, -0.5\nseed = 9\ncount = 3\nquad_order = 32\n",
+                  (cli, "_heat_spectral", 1, _nan_rows), _identity_score),
+    "verify-d2": ("verify", "alpha = 0, -0.5\nseed = 9\ncount = 3\ncutoff = 4\n"
+                  "quad_order = 32\n", (cli, "_heat_spectral", 1, _nan_rows), _identity_score),
     "lemmas": ("lemmas", "alpha = 0.0\nseed = 9\ncount = 200\n",
                (cli.czcheck, "_time_integral", 2, lambda v: np.full_like(v, np.nan)),
                lambda row: float(row["margin"])),
@@ -314,8 +321,7 @@ class TestVerdict:
         code = main([task, "--config", write_config(tmp_path, text), "--out", str(out),
                      "--no-timestamp"])
         assert code == 1
-        lines = out.read_text().splitlines()[1:]
-        rows = [dict(zip(lines[0].split(","), r.split(","))) for r in lines[1:]]
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
         scores = [score(r) for r in rows]
         nan_rows = [i for i, v in enumerate(scores) if np.isnan(v)]
         assert nan_rows
@@ -404,13 +410,30 @@ class TestReproducibility:
                             "estimate = growth\nzeta_order = 4\nzeta_levels = 6\n")
         out = str(tmp_path / "r.csv")
         assert main(["czscan", "--config", path, "--out", out, "--no-timestamp"]) == 1
-        rows = [r.split(",") for r in open(out).read().splitlines()[2:]]
+        rows = list(csv.reader(open(out).read().splitlines()[2:]))
         assert [r[7] for r in rows] == ["nan", rows[1][7], "7", "7"]
         captured = capsys.readouterr()
         assert "worst=7.000e+00" in captured.out
         assert (f"FAILED: 1 of 4 rows, the first (row 1): kind=dT estimate=growth "
                 f"x={rows[0][2]} y={rows[0][3]} ") in captured.err
         assert " ratio=nan " in captured.err
+
+    def test_csv_quotes_labels_with_commas(self, tmp_path):
+        # the d = 2 labels hTmod(j=1,i=2) and hPmod(j=1,i=2) hold a comma;
+        # quoted, every row reads back as 9 fields under the 9-column header
+        path = write_config(tmp_path, "alpha = 0, -0.5\nseed = 9\ncount = 2\nkind = all\n"
+                            "zeta_order = 4\nzeta_levels = 6\nthreads = 1\n")
+        out = tmp_path / "r.csv"
+        assert main(["czscan", "--config", path, "--out", str(out), "--no-timestamp"]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        columns = cli.TASKS["czscan"][1]
+        assert len(columns) == 9
+        # a field past the header would sit under the key None, a missing one have the value None
+        assert rows and all(list(r) == columns and None not in r.values() for r in rows)
+        labels = {cli._kind_label(k) for k in cli.default_kinds(2)}
+        assert "hTmod(j=1,i=2)" in labels and "hPmod(j=1,i=2)" in labels
+        assert {r["kind"] for r in rows} == labels
+        assert len(rows) == 2 * 3 * len(labels)
 
     def test_report_to_device(self, tmp_path):
         # a device cannot be cut to length; writing to it must still work

@@ -52,11 +52,12 @@ CASES = {
         "alpha = -0.5\nkind = dTmod\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
         "19768e1241c7ffe1e4c90d04b65b2f94e0607ca1af0e90a4c4c6e7c9dfb2245d"),
+    # the label hTmod(j=1,i=2) holds a comma, so its CSV cell is quoted
     "czscan-d2-hTmod": (
         "czscan",
         "alpha = 0, -0.5\nkind = hTmod\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "7d01557984844f42a70bc44054a75683ff67d1720e5d4330683e699e73f9b232"),
+        "c1e70c477f49a028f550f48c64e116e01c783a0dd36af26ab77d4c5193a91dd7"),
     "czscan-d1-dP": (
         "czscan",
         "alpha = -0.5\nkind = dP\nestimate = all\ncount = 12\n"
@@ -77,7 +78,7 @@ CASES = {
         "czscan",
         "alpha = 0, -0.5\nkind = hPmod\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "b9606dfb285a9e4a318703586c522bb53b6ca3cdcb8c4d01a39c5fbcc3f61acf"),
+        "fd8c4ed00a00a8fcd8ad523ed2698cd8482de51bc74cc226b58dced020f5d486"),
     "czscan-d2-hTmodStar-jsonl": (
         "czscan",
         "alpha = 0, -0.5\nkind = hTmodStar\nestimate = all\ncount = 12\n"

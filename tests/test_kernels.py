@@ -208,6 +208,36 @@ class TestHeatKernel:
                     kernel()
 
 
+class TestBatchedClosed:
+    @pytest.mark.parametrize("alpha", [(0.3,), (0.0, -0.5), (0.3, -0.5, 1.2), (20.0, 0.0)])
+    def test_per_pair_times_equal_per_sample_bit_for_bit(self, alpha):
+        a = as_alpha(alpha)
+        rng = np.random.default_rng(23)
+        n = 40
+        t = np.exp(rng.uniform(-6.0, 3.0, n))
+        x, y = rng.uniform(0.05, 8.0, (2, n, a.d))
+        underflows = False
+        for j in [None] + list(range(1, a.d + 1)):
+            got = kernels_mod._heat_closed(a, t[:, None], x, y, j)
+            assert got.shape == (n, 1)
+            want = [heat_kernel_closed(alpha, ti, xi, yi, j) for ti, xi, yi in zip(t, x, y)]
+            assert got[:, 0].tolist() == want
+            underflows |= 0.0 in want
+        assert underflows
+
+    @pytest.mark.parametrize("alpha", [(0.3,), (0.0, -0.5), (0.3, -0.5, 1.2), (20.0, 0.0)])
+    def test_shared_times_equal_tiled_times_bit_for_bit(self, alpha):
+        a = as_alpha(alpha)
+        rng = np.random.default_rng(29)
+        x, y = rng.uniform(0.05, 8.0, (2, 9, a.d))
+        zeta, eta = SMALL_GRID.zeta, SMALL_GRID.eta
+        shared = kernels_mod._heat_parts(a, x, y, zeta, eta)
+        tiled = kernels_mod._heat_parts(a, x, y, np.tile(zeta, (9, 1)), np.tile(eta, (9, 1)))
+        assert np.any(shared.g == 0.0) and np.any(shared.g > 0.0)
+        assert shared.g.tobytes() == tiled.g.tobytes()
+        assert shared.ratio.tobytes() == tiled.ratio.tobytes()
+
+
 def _pair_spectral(alpha, t, x, y, cutoff):
     """The spectral sum of one pair from tables built on that pair alone."""
     level = None
