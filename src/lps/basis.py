@@ -71,18 +71,33 @@ def differentiated(j: int) -> BasisFamily:
     return BasisFamily("differentiated", j)
 
 
+# the largest multi-index entry that fits the index arrays of _ell_product
+_MAX_ENTRY = int(np.iinfo(np.intp).max)
+
+
 def _as_multi_index(k, d: int) -> tuple:
-    if np.isscalar(k):
-        k = (k,)
-    ints = tuple(int(v) for v in k if math.isfinite(v))
-    if ints != tuple(k):
-        raise ValueError(f"multi-index entries must be integers, got {tuple(k)}")
-    k = ints
-    if len(k) != d:
-        raise ValueError(f"multi-index must have {d} entries, got {k}")
-    if any(v < 0 for v in k):
-        raise ValueError(f"multi-index entries must be nonnegative, got {k}")
-    return k
+    """k as a tuple of d nonnegative Python ints; any other k raises ValueError.
+
+    ell_batch and Expansion check their indices here, once; the private
+    evaluators behind them take checked indices.
+    """
+    if type(k) is tuple and len(k) == d and all(type(v) is int and 0 <= v <= _MAX_ENTRY
+                                                for v in k):
+        return k
+    try:
+        k = (k,) if np.isscalar(k) else tuple(k)
+        ints = tuple(int(v) for v in k)
+    except (TypeError, ValueError, OverflowError):  # a string, NaN, inf or non-sequence
+        ints = None
+    if ints is None or ints != k:
+        raise ValueError(f"multi-index entries must be integers, got {k!r}")
+    if len(ints) != d:
+        raise ValueError(f"multi-index must have {d} entries, got {ints}")
+    if any(v < 0 for v in ints):
+        raise ValueError(f"multi-index entries must be nonnegative, got {ints}")
+    if any(v > _MAX_ENTRY for v in ints):
+        raise ValueError(f"multi-index entries must be at most {_MAX_ENTRY}, got {ints}")
+    return ints
 
 
 @dataclass
@@ -153,14 +168,14 @@ def ell_table(alpha, kmax: int, x) -> list:
 def _ell_product(alpha: AlphaParam, shifts: tuple, indices, xs: list, table) -> np.ndarray:
     """ell_batch's rows on the points that the broadcast of xs spans, flattened.
 
-    xs[c] holds the values of coordinate c, shaped to broadcast against the
-    others, and table(c, a, depth) gives l_m^a, m = 0..depth, at xs[c].ravel().
+    indices are checked multi-indices (_as_multi_index).  xs[c] holds the
+    values of coordinate c, shaped to broadcast against the others, and
+    table(c, a, depth) gives l_m^a, m = 0..depth, at xs[c].ravel().
     """
     shifted = alpha
     for c in shifts:
         shifted = shifted.shifted(c)
-    down = np.array([_as_multi_index(k, alpha.d) for k in indices], dtype=np.intp)
-    down = down.reshape(-1, alpha.d)
+    down = np.array(indices, dtype=np.intp).reshape(-1, alpha.d)
     for c in shifts:
         down[:, c - 1] -= 1
     live = np.all(down >= 0, axis=1)
@@ -194,6 +209,7 @@ def ell_batch(alpha, shifts: tuple, indices, x) -> np.ndarray:
     """
     alpha = as_alpha(alpha)
     pts, _ = as_points(alpha.d, x)
+    indices = [_as_multi_index(k, alpha.d) for k in indices]
     xs = [pts[:, c] for c in range(alpha.d)]
     return _ell_product(alpha, shifts, indices, xs,
                         lambda c, a, depth: _ell_table_1d(a, depth, xs[c]))
@@ -256,6 +272,7 @@ def _rule_table(a: float, rule_a: float, order: int, depth: int) -> np.ndarray:
 def _ell_grid(alpha, shifts: tuple, indices, order: int) -> np.ndarray:
     """ell_batch(alpha, shifts, indices, _quad_grid(alpha, order)[0]), bit for bit.
 
+    indices are checked multi-indices, such as the keys of an Expansion.
     Reads one cached table per coordinate and spreads it over the tensor grid
     by broadcasting, instead of building tables on all n^d grid points.
     """

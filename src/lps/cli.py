@@ -33,7 +33,7 @@ from . import basis as basis_mod
 from . import czcheck
 from .basis import PLAIN, differentiated, ell_batch
 from .czcheck import lemma_suite, random_expansion, riesz_identity_check
-from .gfunctions import gfun_l2_exact, gfun_l2_norm
+from .gfunctions import _l2_norms, gfun_l2_exact
 from .kernels import (
     KIND_TABLE,
     PAIR_BLOCK,
@@ -282,26 +282,40 @@ def _kernel_rows(cfg: RunConfig, alpha, report: Report):
 
 
 def _gfun_rows(cfg: RunConfig, alpha, report: Report):
-    """Vertical isometries and the horizontal heat sum on random expansions."""
+    """Vertical isometries and the horizontal heat sum on random expansions.
+
+    Every expansion is drawn first; then each kind norms all of its
+    expansions in one batch, on one Laguerre table.
+    """
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    for n in range(cfg.count):
-        seed = int(rng.integers(0, 2**31))
-        # the vertical square functions are the isometries
-        for kind in (k for k in default_kinds(alpha.d) if k.spec.deriv == "d"):
-            e = random_expansion(alpha, kind.input_family(), nmodes=8, max_level=cfg.cutoff,
-                                 seed=seed)
-            norm = gfun_l2_norm(kind, e, order=cfg.quad_order)
-            rows.append((f"isometry_{kind.spec.gtag}", n,
-                         float(abs(norm - 0.5 * e.l2_norm()) / (0.5 * e.l2_norm()))))
-        # horizontal: combined square sum against the spectral closed form
-        e = random_expansion(alpha, PLAIN, nmodes=8, max_level=cfg.cutoff, seed=seed + 1)
-        quad = sum(gfun_l2_norm(KernelKind("hT", i=i), e, order=cfg.quad_order) ** 2
-                   for i in range(1, alpha.d + 1))
-        exact = sum(gfun_l2_exact(KernelKind("hT", i=i), e) ** 2
-                    for i in range(1, alpha.d + 1))
-        rows.append(("horizontal_heat_sum", n, float(abs(quad - exact) / max(exact, 1e-300))))
-    check, sample, dev = zip(*rows)
+    seeds = [int(rng.integers(0, 2**31)) for _ in range(cfg.count)]
+    # the vertical square functions are the isometries; kinds of one input
+    # family norm the same expansions
+    vertical = [k for k in default_kinds(alpha.d) if k.spec.deriv == "d"]
+    drawn = {fam: [random_expansion(alpha, fam, nmodes=8, max_level=cfg.cutoff, seed=seed)
+                   for seed in seeds]
+             for fam in dict.fromkeys(k.input_family() for k in vertical)}
+    columns = []
+    for kind in vertical:
+        es = drawn[kind.input_family()]
+        norms = _l2_norms(kind, es, cfg.quad_order).tolist()
+        columns.append([(f"isometry_{kind.spec.gtag}", n,
+                         float(abs(norm - 0.5 * e.l2_norm()) / (0.5 * e.l2_norm())))
+                        for n, (e, norm) in enumerate(zip(es, norms))])
+    # horizontal: combined square sum against the spectral closed form
+    es = [random_expansion(alpha, PLAIN, nmodes=8, max_level=cfg.cutoff, seed=seed + 1)
+          for seed in seeds]
+    hts = [KernelKind("hT", i=i) for i in range(1, alpha.d + 1)]
+    norms = [_l2_norms(kind, es, cfg.quad_order).tolist() for kind in hts]
+    horizontal = []
+    for n, e in enumerate(es):
+        quad = sum(ns[n] ** 2 for ns in norms)
+        exact = sum(gfun_l2_exact(kind, e) ** 2 for kind in hts)
+        horizontal.append(("horizontal_heat_sum", n,
+                           float(abs(quad - exact) / max(exact, 1e-300))))
+    columns.append(horizontal)
+    # rows sample by sample, in the order of the columns
+    check, sample, dev = zip(*(row for rows in zip(*columns) for row in rows))
     report.add_columns(check=check, sample=sample, deviation=dev)
     return np.array(dev) / TOLERANCE["gfun"]
 

@@ -331,8 +331,12 @@ def random_expansion(alpha, family=PLAIN, nmodes: int = 10, max_level: int = 8,
     idx = basis._family_indices(family, alpha.d, max_level)
     take = min(nmodes, len(idx))
     chosen = rng.choice(len(idx), size=take, replace=False)
-    coeffs = {idx[c]: float(rng.normal()) for c in chosen}
-    return Expansion(alpha, family, coeffs)
+    # the same stream as take scalar draws
+    values = rng.normal(size=take).tolist()
+    e = Expansion(alpha, family)
+    # entries of _family_indices are checked multi-indices, none null in the family
+    e.coeffs = {idx[c]: v for c, v in zip(chosen, values)}
+    return e
 
 
 def riesz_identity_check(alpha, j: int, e: Expansion, t_grid, x_grid) -> float:

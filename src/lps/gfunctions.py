@@ -23,12 +23,13 @@ for all points.
 The L^2(d mu_alpha) norms integrate the squared values over the tensor
 Gauss-Laguerre grid of basis._quad_grid.  Their amplitudes read per-rule
 Laguerre tables that basis caches on the 1-d nodes, so a repeated norm on
-the same alpha and order builds no table.
+the same alpha and order builds no table.  A batch of expansions of one
+alpha and family reads one grid table for all their modes (_l2_norms).
 """
 
 import numpy as np
 
-from .basis import Expansion, _ell_grid, _quad_grid, eigenvalue, ell_batch
+from .basis import Expansion, _ell_grid, _quad_grid, ell_batch
 from .kernels import KernelKind, ZetaGrid
 from .measure import as_points
 
@@ -51,34 +52,31 @@ def _check_input(kind: KernelKind, e: Expansion):
 
 
 def _modes(kind: KernelKind, e: Expansion):
-    """Per-mode decay rates, multipliers and indices, and the output shifts.
+    """Per-mode decay rates, multipliers and indices.
 
     The output of mode k is the member k of the system ell_batch evaluates
-    with the returned shift coordinates.
+    with the shifts kind.output_shifts.
     """
-    alpha = e.alpha
-    nus, mults, indices = [], [], []
-    for k, c in e.coeffs.items():
-        lam = eigenvalue(alpha, sum(k))
-        nu = np.sqrt(lam) if kind.is_poisson else lam
-        if kind.spec.deriv == "d":
-            mult = -nu
-        else:
-            # delta_i and delta_j^* lower k_c by one, with factor -2 sqrt(k_c)
-            kc = k[kind.coord - 1]
-            if kc == 0:
-                continue
-            mult = -2.0 * np.sqrt(kc)
-        nus.append(nu)
-        mults.append(mult * c)
-        indices.append(k)
-    return np.asarray(nus), np.asarray(mults), indices, kind.output_shifts
+    indices = list(e.coeffs)
+    c = kind.coord - 1
+    if kind.spec.deriv != "d":
+        # delta_i and delta_j^* lower k_c by one, with factor -2 sqrt(k_c), so k_c = 0 drops
+        indices = [k for k in indices if k[c] != 0]
+    coeffs = np.array([e.coeffs[k] for k in indices], dtype=float)
+    level = np.array([sum(k) for k in indices], dtype=np.intp)
+    # eigenvalue(alpha, level), in its order of operations
+    lam = 4.0 * level + 2.0 * e.alpha.total + 2.0 * e.alpha.d
+    nus = np.sqrt(lam) if kind.is_poisson else lam
+    if kind.spec.deriv == "d":
+        return nus, -nus * coeffs, indices
+    kc = np.array([k[c] for k in indices], dtype=np.intp)
+    return nus, -2.0 * np.sqrt(kc) * coeffs, indices
 
 
 def _amplitudes(kind: KernelKind, e: Expansion, pts: np.ndarray):
     """Amplitude matrix (nmodes, npts) and decay rates (nmodes,)."""
-    nus, mults, indices, shifts = _modes(kind, e)
-    return nus, mults[:, None] * ell_batch(e.alpha, shifts, indices, pts)
+    nus, mults, indices = _modes(kind, e)
+    return nus, mults[:, None] * ell_batch(e.alpha, kind.output_shifts, indices, pts)
 
 
 def _closed_values(kind: KernelKind, nus: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -112,17 +110,38 @@ def gfun_quadrature(kind: KernelKind, e: Expansion, x, grid: ZetaGrid | None = N
     return float(out[0]) if single else out
 
 
+def _l2_norms(kind: KernelKind, expansions, order: int = 64) -> np.ndarray:
+    """gfun_l2_norm of each expansion, which all share one alpha and family.
+
+    One _ell_grid table covers the union of their output indices; each
+    expansion then reads its rows in its own mode order, so every norm equals
+    a call on that expansion alone bit for bit.
+    """
+    for e in expansions:
+        _check_input(kind, e)
+    if not expansions:
+        return np.zeros(0)
+    alpha, family = expansions[0].alpha, expansions[0].family
+    if any(e.alpha != alpha or e.family != family for e in expansions):
+        raise ValueError("the expansions of one batch must share alpha and family")
+    _, w = _quad_grid(alpha, order)
+    modes = [_modes(kind, e) for e in expansions]
+    row = {k: n for n, k in enumerate(dict.fromkeys(k for _, _, idx in modes for k in idx))}
+    table = _ell_grid(alpha, kind.output_shifts, list(row), order)
+    out = np.empty(len(expansions))
+    for n, (nus, mults, indices) in enumerate(modes):
+        amp = mults[:, None] * table[[row[k] for k in indices]]
+        out[n] = np.sqrt(np.sum(w * _closed_values(kind, nus, amp) ** 2))
+    return out
+
+
 def gfun_l2_norm(kind: KernelKind, e: Expansion, order: int = 64) -> float:
     """||g(f)||_{L^2(d mu_alpha)} by Gauss-Laguerre quadrature of gfun_exact^2.
 
     The amplitudes on the tensor grid come from the cached per-rule tables
     of basis._ell_grid; they equal gfun_exact's at the grid points bit for bit.
     """
-    _check_input(kind, e)
-    _, w = _quad_grid(e.alpha, order)
-    nus, mults, indices, shifts = _modes(kind, e)
-    amp = mults[:, None] * _ell_grid(e.alpha, shifts, indices, order)
-    return float(np.sqrt(np.sum(w * _closed_values(kind, nus, amp) ** 2)))
+    return float(_l2_norms(kind, [e], order)[0])
 
 
 def gfun_l2_exact(kind: KernelKind, e: Expansion) -> float:
@@ -130,7 +149,7 @@ def gfun_l2_exact(kind: KernelKind, e: Expansion) -> float:
     _check_input(kind, e)
     if not e.coeffs:
         return 0.0
-    nus, mults, _, _ = _modes(kind, e)
+    nus, mults, _ = _modes(kind, e)
     # int_0^inf e^(-2 nu t) t^(p-1) dt
     weights = 1.0 / (2.0 * nus) ** kind.time_power
     return float(np.sqrt(np.sum(mults**2 * weights)))

@@ -219,6 +219,32 @@ class TestExpansion:
         assert Expansion(0.3, PLAIN, {(2.0,): 1.0}).coeffs == {(2,): 1.0}
         assert ell(0.3, np.float64(2.0), [0.5]) == ell(0.3, 2, [0.5])
 
+    # bad indices in dimension d, with the words of their message; 10**400
+    # ended in OverflowError and "1" in TypeError
+    BAD_INDICES = [((10**400,), 1, "at most"), ((1e300,), 1, "at most"),
+                   (("1",), 1, "integers"), ((math.nan,), 1, "integers"),
+                   ((np.float64(math.nan),), 1, "integers"), ((-1,), 1, "nonnegative"),
+                   ((np.int64(-2),), 1, "nonnegative"), ((0.5,), 1, "integers"),
+                   ((1, 2), 1, "1 entries"), ((), 1, "1 entries"), (None, 1, "integers"),
+                   ((2, "x"), 2, "integers"), ((1, 10**400), 2, "at most")]
+
+    @pytest.mark.parametrize("k, d, words", BAD_INDICES)
+    def test_bad_index_raises_value_error(self, k, d, words):
+        alpha = (0.3, 1.2)[:d]
+        with pytest.raises(ValueError, match=words):
+            ell(alpha, k, [0.5] * len(alpha))
+        with pytest.raises(ValueError, match=words):
+            ell_batch(alpha, (), [(0,) * len(alpha), k], [0.5] * len(alpha))
+        with pytest.raises(ValueError, match=words):
+            Expansion(alpha, PLAIN, {k: 1.0})
+
+    def test_checked_index_is_kept(self):
+        # a tuple of nonnegative Python ints is returned as it is
+        k = (3, 0)
+        assert basis._as_multi_index(k, 2) is k
+        assert basis._as_multi_index(np.array([3, 0]), 2) == k
+        assert basis._as_multi_index((True, 0), 2) == (1, 0)
+
 
 class TestAnalyzeSynthesize:
     def test_indicator_recovery(self):

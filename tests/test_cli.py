@@ -297,9 +297,9 @@ NAN_CASES = {
     "kernel": ("kernel", "alpha = 0.0\nseed = 9\ncount = 3\nquad_order = 32\n",
                (cli, "_heat_spectral", 1, _nan_rows), _identity_score),
     "gfun": ("gfun", "alpha = 0.0\nseed = 9\ncount = 2\ncutoff = 4\nquad_order = 32\n",
-             (cli, "gfun_l2_norm", 2, lambda v: np.nan), _identity_score),
+             (cli, "_l2_norms", 2, _nan_rows), _identity_score),
     "verify": ("verify", "alpha = 0.0\nseed = 9\ncount = 2\ncutoff = 4\nquad_order = 32\n",
-               (cli, "gfun_l2_norm", 3, lambda v: np.nan), _identity_score),
+               (cli, "_l2_norms", 3, _nan_rows), _identity_score),
     # a kernel-triple row of d >= 2 echoes its points as "(x1 x2)" cells
     "kernel-d2": ("kernel", "alpha = 0, -0.5\nseed = 9\ncount = 3\nquad_order = 32\n",
                   (cli, "_heat_spectral", 1, _nan_rows), _identity_score),

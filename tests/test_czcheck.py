@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lps.basis import Expansion, PLAIN, ell
+from lps import basis
+from lps.basis import Expansion, PLAIN, differentiated, ell
 from lps.czcheck import (
     ESTIMATES,
     _log_weight_integral,
@@ -84,6 +85,24 @@ class TestSamplers:
     def test_perturbation_rejects_degenerate_pair(self, x, y, cause):
         with pytest.raises(ValueError, match=f"pair [01] .* {cause}"):
             sample_perturbed(x, y, 1)
+
+    @pytest.mark.parametrize("family", [PLAIN, differentiated(1)], ids=["plain", "diff1"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_expansion_draws_unchanged(self, family, d):
+        # one vector of normal draws consumes the stream of one scalar draw per mode
+        def scalar_draws(alpha, family, seed):
+            rng = np.random.default_rng(seed)
+            idx = basis._family_indices(family, d, 8)
+            chosen = rng.choice(len(idx), size=min(8, len(idx)), replace=False)
+            return Expansion(alpha, family, {idx[c]: float(rng.normal()) for c in chosen})
+
+        alpha = (0.3, -0.5)[:d]
+        for seed in range(20):
+            got = random_expansion(alpha, family, nmodes=8, max_level=8, seed=seed)
+            want = scalar_draws(alpha, family, seed)
+            assert list(got.coeffs.items()) == list(want.coeffs.items())
+            assert all(type(v) is float for v in got.coeffs.values())
+            assert got.alpha == want.alpha and got.family == want.family
 
     def test_perturbation_draws_are_bounded(self):
         # no point within the radius of x = -1 has a positive coordinate

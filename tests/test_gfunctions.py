@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from lps import basis
+from lps import basis, cli, gfunctions
 from lps.basis import Expansion, PLAIN, differentiated, eigenvalue, ell
 from lps.czcheck import random_expansion
 from lps.gfunctions import (
     _closed_values,
+    _l2_norms,
     _modes,
     gfun_exact,
     gfun_l2_exact,
     gfun_l2_norm,
     gfun_quadrature,
 )
-from lps.kernels import KernelKind, ZetaGrid
+from lps.kernels import KernelKind, ZetaGrid, default_kinds
 from lps.measure import as_alpha
 
 ALL_KINDS = [
@@ -231,8 +232,8 @@ class TestContraction:
             for seed in range(10):
                 e = random_expansion(alpha, kind.input_family(), nmodes=8, max_level=8,
                                      seed=seed)
-                nus, mults, indices, shifts = _modes(kind, e)
-                amp = mults[:, None] * basis._ell_grid(alpha, shifts, indices, 64)
+                nus, mults, indices = _modes(kind, e)
+                amp = mults[:, None] * basis._ell_grid(alpha, kind.output_shifts, indices, 64)
                 sq, _ = _long_double_contraction(kind, nus, amp)
                 want = np.sqrt(np.sum(w * np.maximum(sq, 0)))
                 got = gfun_l2_norm(kind, e, order=64)
@@ -247,6 +248,125 @@ class TestContraction:
             got = _closed_values(kind, nus, amp)
             assert np.isnan(got[4])
             assert np.all(np.isfinite(np.delete(got, 4)))
+
+
+def _norm_per_expansion(kind, e, order):
+    """gfun_l2_norm of one expansion as it was computed before norms were batched."""
+    _, w = basis._quad_grid(e.alpha, order)
+    nus, mults, indices = [], [], []
+    for k, c in e.coeffs.items():
+        lam = eigenvalue(e.alpha, sum(k))
+        nu = np.sqrt(lam) if kind.is_poisson else lam
+        if kind.spec.deriv == "d":
+            mult = -nu
+        else:
+            kc = k[kind.coord - 1]
+            if kc == 0:
+                continue
+            mult = -2.0 * np.sqrt(kc)
+        nus.append(nu)
+        mults.append(mult * c)
+        indices.append(k)
+    amp = np.asarray(mults)[:, None] * basis._ell_grid(e.alpha, kind.output_shifts, indices,
+                                                       order)
+    return float(np.sqrt(np.sum(w * _closed_values(kind, np.asarray(nus), amp) ** 2)))
+
+
+class TestL2Norms:
+    ORDERS = {1: 40, 2: 24, 3: 10}
+
+    @staticmethod
+    def _batch(kind, alpha, d):
+        """Random expansions that share indices, an empty one, and one whose
+        modes all drop from a horizontal kind if its family has such indices."""
+        fam = kind.input_family()
+        es = [random_expansion(alpha, fam, nmodes=6, max_level=4, seed=s) for s in range(7)]
+        es.append(Expansion(alpha, fam, {}))
+        es.append(Expansion(alpha, fam, dict(es[0].coeffs)))
+        if kind.coord:
+            idle = [k for k in basis._family_indices(fam, d, 4) if k[kind.coord - 1] == 0]
+            if idle:
+                es.append(Expansion(alpha, fam, {k: 1.0 + n for n, k in enumerate(idle[:3])}))
+        return es
+
+    @pytest.mark.parametrize("kind, d", [(k, d) for k in ALL_KINDS for d in (1, 2, 3)
+                                         if d >= k.spec.min_d],
+                             ids=[f"{i}-d{d}" for i, k in zip(CASE_NUMBER_IDS, ALL_KINDS)
+                                  for d in (1, 2, 3) if d >= k.spec.min_d])
+    def test_equals_per_expansion_norms_bit_for_bit(self, kind, d):
+        kind = KernelKind(kind.tag, **{n: min(v, d) for n, v in _coords(kind).items()})
+        # at these alphas, the order of the additions in the eigenvalue shows in
+        # its last bit for some levels <= 4 at every d
+        alpha = as_alpha((0.31, -0.37, 0.53)[:d])
+        es = self._batch(kind, alpha, d)
+        got = _l2_norms(kind, es, self.ORDERS[d])
+        want = [_norm_per_expansion(kind, e, self.ORDERS[d]) for e in es]
+        assert got.tolist() == want
+        assert got[7] == 0.0 and got[8] == got[0]
+        if kind.coord and len(es) == 10:
+            assert got[9] == 0.0
+        # the horizontal kinds drop modes with k_c = 0, so batches hold ragged mode counts
+        counts = {len(_modes(kind, e)[2]) for e in es[:7]}
+        if kind.spec.deriv == "h" and d > 1:
+            assert len(counts) > 1
+        assert gfun_l2_norm(kind, es[3], self.ORDERS[d]) == got[3]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=CASE_NUMBER_IDS)
+    def test_nan_coefficient_poisons_its_own_norm(self, kind):
+        alpha = as_alpha((0.3, -0.5))
+        es = self._batch(kind, alpha, 2)
+        want = _l2_norms(kind, es, 24)
+        live = _modes(kind, es[2])[2][0]
+        es[2] = Expansion(alpha, es[2].family, es[2].coeffs | {live: math.nan})
+        got = _l2_norms(kind, es, 24)
+        assert np.isnan(got[2])
+        assert np.array_equal(np.delete(got, 2), np.delete(want, 2))
+
+    def test_mixed_batch_raises(self):
+        kind = KernelKind("dT")
+        e = random_expansion((0.3, -0.5), PLAIN, seed=1)
+        other_alpha = random_expansion((0.3, 0.5), PLAIN, seed=1)
+        with pytest.raises(ValueError, match="share alpha and family"):
+            _l2_norms(kind, [e, other_alpha], 16)
+        # a differentiated family is checked against the kind first
+        kind = KernelKind("hT", i=1)
+        with pytest.raises(ValueError, match="plain family"):
+            _l2_norms(kind, [e, random_expansion((0.3, -0.5), differentiated(1), seed=1)], 16)
+        kind = KernelKind("hTmodStar", j=1)
+        e1 = random_expansion((0.3, -0.5), differentiated(1), seed=1)
+        with pytest.raises(ValueError, match="differentiated family"):
+            _l2_norms(kind, [e1, e], 16)
+        assert _l2_norms(kind, [], 16).shape == (0,)
+
+    def test_one_norm_is_a_batch_of_one(self, monkeypatch):
+        calls = []
+
+        def recorded(kind, expansions, order=64):
+            calls.append(len(expansions))
+            return np.array([0.25])
+
+        monkeypatch.setattr(gfunctions, "_l2_norms", recorded)
+        e = random_expansion((0.3,), PLAIN, seed=2)
+        assert gfun_l2_norm(KernelKind("dT"), e, order=16) == 0.25
+        assert calls == [1]
+
+    @pytest.mark.parametrize("alpha, d", [("0.3", 1), ("0, -0.5", 2)])
+    def test_gfun_op_builds_one_table_per_kind(self, tmp_path, monkeypatch, alpha, d):
+        grids = []
+        ell_grid = gfunctions._ell_grid
+
+        def counted(alpha, shifts, indices, order):
+            grids.append(shifts)
+            return ell_grid(alpha, shifts, indices, order)
+
+        monkeypatch.setattr(gfunctions, "_ell_grid", counted)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alpha = {alpha}\nseed = 3\ncount = 5\ncutoff = 4\nquad_order = 16\n")
+        assert cli.main(["gfun", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                         "--no-timestamp"]) == 0
+        vertical = [k for k in default_kinds(d) if k.spec.deriv == "d"]
+        horizontal = [KernelKind("hT", i=i) for i in range(1, d + 1)]
+        assert grids == [k.output_shifts for k in vertical + horizontal]
 
 
 class TestIsometry:

@@ -21,6 +21,14 @@ CASES = {
                "63c5c2d00c05d775bfc79a0ebdeadf02821c6625dade6b2974675c25dd615a6b"),
     "kernel-d1": ("kernel", "alpha = 0.3\ncount = 6\nbox_hi = 2\nquad_order = 32\n",
                   "f76910ebec696b831a6864f70bf946437ffa4200f72ead7b76dde1f0b5a9b893"),
+    # the shape of the benchmark's identities op: 300 square-function norms
+    "verify-bench": ("verify",
+                     "alpha = 0, -0.5\ncount = 50\ncutoff = 8\nquad_order = 64\nbox_hi = 2\n",
+                     "8b9d48419f938fdad0e7d18187d9b089cb025213d176d26460e5a1c62a7fe81a"),
+    "gfun-d1": ("gfun", "alpha = -0.5\ncount = 20\ncutoff = 8\n",
+                "9270bc57bd35a1aea6cff589423554a46cb5f9d7ef4f5e5d7527ea51cab41cc5"),
+    "gfun-d3": ("gfun", "alpha = 0.3, -0.5, 1.2\ncount = 6\ncutoff = 6\nquad_order = 24\n",
+                "8040a25ec8d60935d4c3fc3b21c0ecd8e2cc0b49254fe5a2d3cf8afbd89cf848"),
     "lemmas": ("lemmas", "alpha = 0, -0.5\ncount = 2000\n",
                "ab0ba84e7d98894f3db2b3eeb3497fe5fb796764254ab9c6f9b01efecd695b11"),
     "basis": ("basis", "alpha = 0.3, -0.5\ncutoff = 4\nquad_order = 24\n",
