@@ -81,9 +81,6 @@ def _as_multi_index(k, d: int) -> tuple:
     ell_batch and Expansion check their indices here, once; the private
     evaluators behind them take checked indices.
     """
-    if type(k) is tuple and len(k) == d and all(type(v) is int and 0 <= v <= _MAX_ENTRY
-                                                for v in k):
-        return k
     try:
         k = (k,) if np.isscalar(k) else tuple(k)
         ints = tuple(int(v) for v in k)

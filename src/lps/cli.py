@@ -285,7 +285,7 @@ def _gfun_rows(cfg: RunConfig, alpha, report: Report):
     """Vertical isometries and the horizontal heat sum on random expansions.
 
     Every expansion is drawn first; then each kind norms all of its
-    expansions in one batch, on one Laguerre table.
+    expansions in one batch, on one Laguerre table wherever it fits.
     """
     rng = np.random.default_rng(cfg.seed)
     seeds = [int(rng.integers(0, 2**31)) for _ in range(cfg.count)]

@@ -333,10 +333,7 @@ def random_expansion(alpha, family=PLAIN, nmodes: int = 10, max_level: int = 8,
     chosen = rng.choice(len(idx), size=take, replace=False)
     # the same stream as take scalar draws
     values = rng.normal(size=take).tolist()
-    e = Expansion(alpha, family)
-    # entries of _family_indices are checked multi-indices, none null in the family
-    e.coeffs = {idx[c]: v for c, v in zip(chosen, values)}
-    return e
+    return Expansion(alpha, family, dict(zip((idx[c] for c in chosen), values)))
 
 
 def riesz_identity_check(alpha, j: int, e: Expansion, t_grid, x_grid) -> float:

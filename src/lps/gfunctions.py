@@ -24,7 +24,8 @@ The L^2(d mu_alpha) norms integrate the squared values over the tensor
 Gauss-Laguerre grid of basis._quad_grid.  Their amplitudes read per-rule
 Laguerre tables that basis caches on the 1-d nodes, so a repeated norm on
 the same alpha and order builds no table.  A batch of expansions of one
-alpha and family reads one grid table for all their modes (_l2_norms).
+alpha and family reads one grid table for the modes of as many consecutive
+expansions as fit in _TABLE_ENTRIES (_l2_norms).
 """
 
 import numpy as np
@@ -110,12 +111,53 @@ def gfun_quadrature(kind: KernelKind, e: Expansion, x, grid: ZetaGrid | None = N
     return float(out[0]) if single else out
 
 
+# the most entries (rows x grid points) of one _l2_norms table: the union of
+# a d = 2 batch at cutoff 8 and order 64, 45 x 4096, fits in one table
+_TABLE_ENTRIES = 45 * 4096
+
+
+def _blocks(index_lists, npts: int):
+    """Consecutive runs (start, stop, union of their indices) of index_lists.
+
+    A run's union holds at most _TABLE_ENTRIES // npts indices, unless its
+    one list alone holds more.
+    """
+    start, union = 0, {}
+    for n, indices in enumerate(index_lists):
+        grown = union | dict.fromkeys(indices)
+        if n > start and len(grown) * npts > _TABLE_ENTRIES:
+            yield start, n, list(union)
+            start, grown = n, dict.fromkeys(indices)
+        union = grown
+    yield start, len(index_lists), list(union)
+
+
+def _block_norms(kind: KernelKind, alpha, modes: list, union: list, order: int) -> list:
+    """The norms of a run of expansions, given their _modes, from one table over union.
+
+    The table and the amplitudes go with the call, before the next run's
+    table is built.
+    """
+    _, w = _quad_grid(alpha, order)
+    table = _ell_grid(alpha, kind.output_shifts, union, order)
+    row = {k: n for n, k in enumerate(union)}
+    norms = []
+    for nus, mults, indices in modes:
+        # a lone expansion's table is its rows in mode order; it may exceed
+        # _TABLE_ENTRIES, so it is scaled in place rather than copied
+        amp = table if len(modes) == 1 else table[[row[k] for k in indices]]
+        amp *= mults[:, None]
+        norms.append(np.sqrt(np.sum(w * _closed_values(kind, nus, amp) ** 2)))
+    return norms
+
+
 def _l2_norms(kind: KernelKind, expansions, order: int = 64) -> np.ndarray:
     """gfun_l2_norm of each expansion, which all share one alpha and family.
 
-    One _ell_grid table covers the union of their output indices; each
-    expansion then reads its rows in its own mode order, so every norm equals
-    a call on that expansion alone bit for bit.
+    Consecutive expansions share one _ell_grid table over the union of their
+    output indices, as many as fit in _TABLE_ENTRIES; each expansion then
+    reads its rows in its own mode order, so every norm equals a call on
+    that expansion alone bit for bit.
     """
     for e in expansions:
         _check_input(kind, e)
@@ -124,15 +166,12 @@ def _l2_norms(kind: KernelKind, expansions, order: int = 64) -> np.ndarray:
     alpha, family = expansions[0].alpha, expansions[0].family
     if any(e.alpha != alpha or e.family != family for e in expansions):
         raise ValueError("the expansions of one batch must share alpha and family")
-    _, w = _quad_grid(alpha, order)
     modes = [_modes(kind, e) for e in expansions]
-    row = {k: n for n, k in enumerate(dict.fromkeys(k for _, _, idx in modes for k in idx))}
-    table = _ell_grid(alpha, kind.output_shifts, list(row), order)
-    out = np.empty(len(expansions))
-    for n, (nus, mults, indices) in enumerate(modes):
-        amp = mults[:, None] * table[[row[k] for k in indices]]
-        out[n] = np.sqrt(np.sum(w * _closed_values(kind, nus, amp) ** 2))
-    return out
+    npts = len(_quad_grid(alpha, order)[1])
+    out = []
+    for start, stop, union in _blocks([indices for _, _, indices in modes], npts):
+        out += _block_norms(kind, alpha, modes[start:stop], union, order)
+    return np.array(out)
 
 
 def gfun_l2_norm(kind: KernelKind, e: Expansion, order: int = 64) -> float:

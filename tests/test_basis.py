@@ -238,10 +238,9 @@ class TestExpansion:
         with pytest.raises(ValueError, match=words):
             Expansion(alpha, PLAIN, {k: 1.0})
 
-    def test_checked_index_is_kept(self):
-        # a tuple of nonnegative Python ints is returned as it is
+    def test_checked_index_is_python_ints(self):
         k = (3, 0)
-        assert basis._as_multi_index(k, 2) is k
+        assert basis._as_multi_index(k, 2) == k
         assert basis._as_multi_index(np.array([3, 0]), 2) == k
         assert basis._as_multi_index((True, 0), 2) == (1, 0)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,54 @@ class TestL2Norms:
         e = random_expansion((0.3,), PLAIN, seed=2)
         assert gfun_l2_norm(KernelKind("dT"), e, order=16) == 0.25
         assert calls == [1]
+
+    def test_blocks_bound_the_union(self):
+        lists = [[(0,), (1,)], [(1,), (2,)], [(3,)], [(4,), (5,), (6,)], [], [(0,)]]
+        # up to 3 indices per run; the run of one list may hold more
+        got = list(gfunctions._blocks(lists, gfunctions._TABLE_ENTRIES // 3))
+        assert got == [(0, 2, [(0,), (1,), (2,)]), (2, 3, [(3,)]),
+                       (3, 5, [(4,), (5,), (6,)]), (5, 6, [(0,)])]
+        assert list(gfunctions._blocks(lists, gfunctions._TABLE_ENTRIES + 1)) == [
+            (n, n + 1, lst) for n, lst in enumerate(lists)]
+
+    @pytest.mark.parametrize("kind", [KernelKind("dT"), KernelKind("hT", i=2),
+                                      KernelKind("dPmod", j=1)], ids=_gtag)
+    def test_tables_within_budget_keep_bytes(self, monkeypatch, kind):
+        alpha = as_alpha((0.31, -0.37))
+        es = self._batch(kind, alpha, 2)
+        want = _l2_norms(kind, es, 24)
+        sizes = []
+        ell_grid = gfunctions._ell_grid
+
+        def recorded(alpha, shifts, indices, order):
+            sizes.append(len(indices))
+            return ell_grid(alpha, shifts, indices, order)
+
+        monkeypatch.setattr(gfunctions, "_ell_grid", recorded)
+        monkeypatch.setattr(gfunctions, "_TABLE_ENTRIES", 6 * 24**2)
+        got = _l2_norms(kind, es, 24)
+        assert got.tolist() == want.tolist()
+        assert len(sizes) > 2 and max(sizes) <= 6
+
+    def test_batch_holds_no_more_than_one_norm(self):
+        # d = 3 at the default order: the table of one expansion alone exceeds
+        # _TABLE_ENTRIES, so a batch must hold no more than a lone norm does
+        alpha = as_alpha((0.3, -0.5, 1.2))
+        kind = KernelKind("dT")
+        es = [random_expansion(alpha, PLAIN, nmodes=8, max_level=8, seed=s) for s in range(4)]
+        gfun_l2_norm(kind, es[0])
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                f()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        lone = max(peak(lambda: gfun_l2_norm(kind, e)) for e in es)
+        assert lone > 8 * 8 * 64**3  # the 8-row table on 64^3 points, in bytes
+        assert peak(lambda: _l2_norms(kind, es)) <= lone + 2**20
 
     @pytest.mark.parametrize("alpha, d", [("0.3", 1), ("0, -0.5", 2)])
     def test_gfun_op_builds_one_table_per_kind(self, tmp_path, monkeypatch, alpha, d):
