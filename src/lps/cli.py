@@ -50,7 +50,8 @@ from .measure import as_alpha, pi_alpha_rule
 __all__ = ["RunConfig", "run", "main"]
 
 # largest dimension of czscan and lemmas, whose ball measures cost about
-# 0.1 ms per ball at d = 2, 90 ms at d = 4 and 20-30 s at d = 5
+# 0.06 ms per ball at d = 2 (20 balls in one call), 60-110 ms at d = 4 and
+# 20-30 s at d = 5
 MAX_BALL_DIMENSION = 4
 # the kernel triple draws its points from the box clipped to this range
 KERNEL_BOX = (0.2, 4.0)

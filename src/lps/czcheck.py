@@ -24,8 +24,8 @@ from scipy.special import gamma, gammaincc
 
 from . import basis
 from .basis import Expansion, PLAIN, delta_apply, differentiated, eigenvalue, ell, riesz_transform
-from .kernels import PAIR_BLOCK, ZetaGrid, _kind_values
-from .measure import as_alpha, as_points, mu_ball, pi_alpha_rule
+from .kernels import PAIR_BLOCK, ZetaGrid, _kind_values, _row_dots
+from .measure import _ball_measures, as_alpha, as_points, pi_alpha_rule
 
 __all__ = [
     "ESTIMATES",
@@ -78,6 +78,8 @@ def sample_pairs(d: int, count: int, seed: int, lo: float = 0.05, hi: float = 10
 # draws of one perturbed point before giving up; a point of the open orthant
 # accepts a draw with probability of about 2^-d or more
 _MAX_DRAWS = 10_000
+# pairs, and candidate draws, that one pass of sample_perturbed tests
+_DRAW_WINDOW = 64
 
 
 def sample_perturbed(x: np.ndarray, y: np.ndarray, seed: int):
@@ -88,6 +90,14 @@ def sample_perturbed(x: np.ndarray, y: np.ndarray, seed: int):
     ValueError before any draw, as is a row whose _MAX_DRAWS draws all leave
     the open orthant or round outside the promise (|x - y| below the spacing
     of x's coordinates rounds every draw back to x).
+
+    The draws are those of a loop over the pairs in which each pair draws
+    unit directions from one stream of normals until one is accepted, and the
+    next pair starts at the following draw.  They are made a block at a time:
+    one pass tests up to _DRAW_WINDOW pending pairs on the same _DRAW_WINDOW
+    candidate draws, and a walk over that table gives each pair its first
+    accepted draw after the previous pair's.  A pair that the window does not
+    settle is tested alone on windows of twice the width.
     """
     rng = np.random.default_rng(seed)
     count, d = x.shape
@@ -100,33 +110,56 @@ def sample_perturbed(x: np.ndarray, y: np.ndarray, seed: int):
         p = bad[0]
         raise ValueError(f"pair {p} (x = {x[p]}, y = {y[p]}) is coincident or not finite: "
                          "it has no perturbed point")
+    # the separation as scan measures it, so its constraint holds for x'
+    scan_sep = _distances(x, y)
     xp = np.empty_like(x)
-    for p in range(count):
-        # the separation as scan measures it, so its constraint holds for x'
-        sep_p = np.linalg.norm(x[p] - y[p])
-        for _ in range(_MAX_DRAWS):
-            direction = rng.normal(size=d)
-            direction /= np.linalg.norm(direction)
-            cand = x[p] + radius[p] * direction
-            if np.all(cand > 0) and 0.0 < 2.0 * np.linalg.norm(x[p] - cand) < sep_p:
-                xp[p] = cand
+    dirs, first = np.empty((0, d)), 0  # unit directions of the draws first, first + 1, ...
+    p = start = cur = 0  # the first pending pair, its first draw and its first untested one
+    width = _DRAW_WINDOW
+    while p < count:
+        if cur + width > first + len(dirs):
+            new = rng.normal(size=(max(cur + width - first - len(dirs), 2 * (count - p)), d))
+            new /= np.sqrt(_row_dots(new, new))[:, None]
+            dirs, first = np.concatenate([dirs[cur - first:], new]), cur
+        window = dirs[cur - first:cur - first + width]
+        q = slice(p, min(count, p + (_DRAW_WINDOW if width == _DRAW_WINDOW else 1)))
+        cand = x[q, None] + radius[q, None, None] * window
+        shift = (x[q, None] - cand).reshape(-1, d)
+        twice = 2.0 * np.sqrt(_row_dots(shift, shift)).reshape(cand.shape[:2])
+        ok = np.all(cand > 0, axis=2) & (0.0 < twice) & (twice < scan_sep[q, None])
+        at = cur  # the first untested draw of pair p
+        for hits in ok.tolist():
+            try:
+                j = hits.index(True, at - cur)
+            except ValueError:
+                j = width
+            if cur + j - start >= _MAX_DRAWS:
+                raise ValueError(f"pair {p} (x = {x[p]}, y = {y[p]}): {_MAX_DRAWS} draws of a "
+                                 "perturbed point all left the open orthant or rounded "
+                                 "outside 0 < |x - x'| < |x - y|/2")
+            if j == width:  # pair p rejected the rest of the window
+                cur += width
+                width = 2 * width if p == q.start else _DRAW_WINDOW
                 break
+            xp[p] = cand[p - q.start, j]
+            p, start = p + 1, cur + j + 1
+            at = start
         else:
-            raise ValueError(f"pair {p} (x = {x[p]}, y = {y[p]}): {_MAX_DRAWS} draws of a "
-                             "perturbed point all left the open orthant or rounded outside "
-                             "0 < |x - x'| < |x - y|/2")
+            cur, width = start, _DRAW_WINDOW
     return xp
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # one norm (a BLAS dot) per pair: a batched norm over axis 1 rounds
-    # differently in the last bit, which would move the report bytes
-    return np.array([np.linalg.norm(u - v) for u, v in zip(a, b)])
+    # the norm of each row as np.linalg.norm takes it, from one BLAS dot: a
+    # norm over axis 1 rounds differently in the last bit, which would move
+    # the report bytes
+    diff = a - b
+    return np.sqrt(_row_dots(diff, diff))
 
 
 def ball_measures(alpha, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """mu_alpha(B(x, |x-y|)) for each pair, the normalizer of every estimate."""
-    return np.array([mu_ball(alpha, c, float(r)) for c, r in zip(x, _distances(x, y))])
+    return _ball_measures(alpha, x, _distances(x, y))
 
 
 def scan(alpha, kinds, x, y, xp, yp, grids, estimates=ESTIMATES) -> ScanColumns:
@@ -166,7 +199,7 @@ def scan(alpha, kinds, x, y, xp, yp, grids, estimates=ESTIMATES) -> ScanColumns:
                     m = moved.index(est) + 1
                     diff = diff - vals[m * rows : (m + 1) * rows]
                 if kinds[k].is_poisson:  # Gram rows: a norm is the row's length
-                    norms[k, g, e, s] = np.sqrt([np.dot(row, row) for row in diff])
+                    norms[k, g, e, s] = np.sqrt(_row_dots(diff, diff))
                 else:
                     norms[k, g, e, s] = grids[g].norms(diff, kinds[k].time_power)
     balls = ball_measures(alpha, x, y)

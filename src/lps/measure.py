@@ -123,37 +123,59 @@ def _mu_interval(a: float, lo, hi):
         raise FloatingPointError(f"mu_a of (0, {np.max(hi):.6g}) overflows at a = {a:g}") from exc
 
 
-def _sliced_measure(a: tuple, center, radii: np.ndarray, order: int) -> np.ndarray:
-    """mu_a(B(center, r) intersected with R_+^d) for every r in the 1-d radii.
+def _face_distances(rest: np.ndarray) -> np.ndarray:
+    """Distances from each row of slice centres (k, n) to the faces {x_j = 0 for
+    j in S} of the orthant, sorted per row: (k, 2^n - 1), coinciding faces kept."""
+    combos = [s for k in range(1, rest.shape[1] + 1)
+              for s in itertools.combinations(range(rest.shape[1]), k)]
+    return np.array([sorted(math.hypot(*(row[i] for i in s)) for s in combos)
+                     for row in rest.tolist()]).reshape(len(rest), len(combos))
+
+
+def _sliced_measure(a: tuple, centers: np.ndarray, faces, owner: np.ndarray,
+                    radii: np.ndarray, order: int) -> np.ndarray:
+    """mu_a(B(c, r) intersected with R_+^d) for every radius r of the (s, R)
+    radii, where row i's radii share the centre c = centers[owner[i]], owner
+    is sorted, and faces[k] holds _face_distances(centers[:, k + 1:]) for each
+    level k < d - 1.
 
     The last coordinate's interval measure is exact.  Above it the ball is
     sliced over the first coordinate x_1 = c_1 + r sin(theta) (the
     substitution removes the square-root behaviour of the chord at the rim),
-    and each slice is a ball of radius r cos(theta) in the other coordinates.
-    The slice measure has a kink wherever that radius crosses the distance to
-    a face of the orthant, so theta is split there and where x_1 = 0 clips
-    the ball.  A panel end may still carry a power singularity, x_1^(2a_1+1)
-    at the clip or (rho - D)^(2a_j + 5/2) where a disk slice reaches a face at
-    distance D, so levels whose slices have one or two dimensions use
-    smooth_ends panels of at least 32 nodes and higher levels plain panels
-    of at least 16, sharing order.
+    and each slice is a ball of radius r cos(theta) about the centre's other
+    coordinates.  The slice measure has a kink wherever that radius crosses
+    the distance to a face of the orthant, so theta is split there and where
+    x_1 = 0 clips the ball.  A panel end may still carry a power singularity,
+    x_1^(2a_1+1) at the clip or (rho - D)^(2a_j + 5/2) where a disk slice
+    reaches a face at distance D, so levels whose slices have one or two
+    dimensions use smooth_ends panels of at least 32 nodes and higher levels
+    plain panels of at least 16, sharing order.  A ball's value does not
+    depend on the batch: each step is elementwise or sums the ball's own
+    panels.
     """
+    # one centre for every row: its coordinates stay scalars, which numpy
+    # broadcasts faster than a column over the slices' nodes
+    one = owner[0] == owner[-1]
     if len(a) == 1:
-        return _mu_interval(a[0], center[0] - radii, center[0] + radii)
-    if radii.size > _SLICE_BATCH:
-        return np.concatenate([_sliced_measure(a, center, radii[i:i + _SLICE_BATCH], order)
-                               for i in range(0, radii.size, _SLICE_BATCH)])
-    c1 = center[0]
-    # distances from the slice centre to the faces {x_j = 0 for j in S} of the orthant
-    rest = center[1:].tolist()
-    faces = {math.hypot(*s) for k in range(1, len(a)) for s in itertools.combinations(rest, k)}
-    ratio = np.array(sorted(faces)) / radii[:, None]
+        c = centers[owner[0], 0] if one else centers[owner, :1]
+        return _mu_interval(a[0], c - radii, c + radii)
+    step = max(1, _SLICE_BATCH // radii.shape[1])
+    if radii.shape[0] > step:  # bounds the memory of the levels below
+        return np.concatenate([_sliced_measure(a, centers, faces, owner[i:i + step],
+                                               radii[i:i + step], order)
+                               for i in range(0, radii.shape[0], step)])
+    owner = np.repeat(owner, radii.shape[1])
+    radii = radii.ravel()
+    c1, face = (centers[owner[0], 0], faces[0][owner[0]]) if one else (
+        centers[owner, 0], faces[0][owner])
+    ratio = face / radii[:, None]
     # math's asin and acos: numpy's SIMD ones differ in the last bit, and reports are byte-exact
     lo = np.fromiter(map(math.asin, (-np.minimum(c1 / radii, 1.0)).tolist()), float)[:, None]
     kinks = np.fromiter(map(math.acos, np.minimum(ratio, 1.0).ravel().tolist()), float)
     kinks = kinks.reshape(ratio.shape)
     # a kink at +-acos(ratio) for each face the ball reaches; faces whose
-    # angles coincide in floating point (or with pi/2) give one kink
+    # distances or angles coincide in floating point (or angles with pi/2)
+    # give one kink
     inside = (ratio < 1.0) & (kinks < 0.5 * math.pi)
     inside[:, 1:] &= kinks[:, 1:] < kinks[:, :-1]
     # per row: lo, the kinks above lo (the others moved onto lo) and pi/2
@@ -170,40 +192,64 @@ def _sliced_measure(a: tuple, center, radii: np.ndarray, order: int) -> np.ndarr
         theta, w = composite_legendre_rule(edges[sel, -n:], per_panel, smooth_ends=smooth)
         r = radii[sel, None, None]
         cos = np.cos(theta)
-        x1 = c1 + r * np.sin(theta)
-        rho = r * cos
-        inner = _sliced_measure(a[1:], center[1:], rho.ravel(), max(order // 2, 24))
+        x1 = (c1 if one else c1[sel, None, None]) + r * np.sin(theta)
+        rho = (r * cos).reshape(len(r), -1)
+        # a slice of two or more dimensions is sliced again about one centre
+        # at a time, as fast as a single ball; a 1-d one in one call
+        cuts = [0, len(rho)]
+        if len(a) > 2 and not one:
+            cuts[1:1] = (np.flatnonzero(np.diff(owner[sel])) + 1).tolist()
+        inner = [_sliced_measure(a[1:], centers[:, 1:], faces[1:], owner[sel][i:j], rho[i:j],
+                                 max(order // 2, 24)) for i, j in zip(cuts, cuts[1:])]
+        inner = inner[0] if len(inner) == 1 else np.concatenate(inner)
         dens = x1 ** (2.0 * a[0] + 1.0) * r * cos
-        panels = (w * dens * inner.reshape(rho.shape)).sum(axis=-1)
+        panels = (w * dens * inner.reshape(theta.shape)).sum(axis=-1)
         out[sel] = panels.cumsum(axis=-1)[:, -1]  # the panel sums added in order
     return out
 
 
-def mu_ball(alpha, center, r: float) -> float:
-    """mu_alpha(B(center, r) intersected with R_+^d).
+def _ball_measures(alpha, centers, radii) -> np.ndarray:
+    """mu_alpha(B(c, r) intersected with R_+^d) for each centre row c of the
+    (m, d) centers and its radius r of the (m,) radii.
 
-    d = 1 uses the exact interval formula, every higher d _sliced_measure:
-    each level shares its order among its panels, with at least 32 nodes per
-    panel where its slices have one or two dimensions and 16 where they have
-    more; the outermost level's order is _BALL_ORDER, and a level of order o
-    passes max(o // 2, 24) to the one below.
+    d = 1 uses the exact interval formula, one ball at a time: the array route
+    differs from it in the last bit on some balls (745 of 24,000 drawn like
+    czscan's), which would move d = 1 report bytes.  Every higher d makes one
+    _sliced_measure call for all balls: each level shares its order among its
+    panels, with at least 32 nodes per panel where its slices have one or two
+    dimensions and 16 where they have more; the outermost level's order is
+    _BALL_ORDER, and a level of order o passes max(o // 2, 24) to the one below.
     """
+    alpha = as_alpha(alpha)
+    centers, _ = as_points(alpha.d, centers)
+    radii = np.asarray(radii, dtype=float)
+    center_ok = (centers > 0).all(axis=1)
+    bad = np.flatnonzero(~(center_ok & np.isfinite(radii) & (radii > 0)))
+    if bad.size:  # the first bad ball, with the check that fails it
+        p = bad[0]
+        if not center_ok[p]:
+            raise ValueError("the center point must lie in the open positive orthant")
+        raise ValueError(f"radius must be finite and positive, got {radii[p]}")
+    if alpha.d == 1:
+        a = alpha.components[0]
+        return np.array([float(_mu_interval(a, c - r, c + r))
+                         for c, r in zip(centers[:, 0], radii)])
+    if not radii.size:
+        return np.empty(0)
+    # each centre's faces at every level, once for all of its slices
+    faces = [_face_distances(centers[:, k:]) for k in range(1, alpha.d)]
+    return _sliced_measure(alpha.components, centers, faces, np.arange(len(radii)),
+                           radii[:, None], _BALL_ORDER).ravel()
+
+
+def mu_ball(alpha, center, r: float) -> float:
+    """mu_alpha(B(center, r) intersected with R_+^d): the one-ball call of
+    _ball_measures, whose routes and orders it shares."""
     alpha = as_alpha(alpha)
     center, single = as_points(alpha.d, center)
     if not single:
         raise ValueError(f"the center must be one point with {alpha.d} coordinates")
-    center = center[0]
-    if not (center > 0).all():
-        raise ValueError("the center point must lie in the open positive orthant")
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"radius must be finite and positive, got {r}")
-    # d = 1 stays scalar: _sliced_measure's array route differs from it in the
-    # last bit on some balls (745 of 24,000 drawn like czscan's), which would
-    # move d = 1 report bytes
-    if alpha.d == 1:
-        return float(_mu_interval(alpha.components[0], center[0] - r, center[0] + r))
-    radii = np.array([float(r)])
-    return float(_sliced_measure(alpha.components, center, radii, _BALL_ORDER)[0])
+    return float(_ball_measures(alpha, center, [r])[0])
 
 
 def pi_alpha_rule(alpha, order: int):

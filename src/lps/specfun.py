@@ -83,19 +83,30 @@ def _bessel_series_pair(nu: float, z: np.ndarray) -> np.ndarray:
     i_nu(z) = 2^-nu sum_m (z^2/4)^m / (m! Gamma(m+nu+1)); row 0 of the
     result is i_nu / i_nu(0), row 1 is i_(nu+1) / i_nu(0), which starts at
     1/(2 nu + 2).  The sums stop once every term falls below 1e-18 of its
-    sum, far below half an ulp: past that point further terms no longer
-    change a sum, so the result does not depend on which other arguments
-    share the call.  A series that has not stopped within _SERIES_TERMS
-    terms raises.
+    sum, far below half an ulp: past that point further terms add exactly 0
+    to a sum, so the result does not depend on which other arguments share
+    the call.  A term's share of its sum falls later the larger w = z^2/4,
+    so each term reads only the largest argument's pair of terms, and tests
+    every argument only once those have fallen (a NaN argument is the
+    largest, and never falls).  A series that has not stopped within
+    _SERIES_TERMS terms raises.
     """
-    orders = np.array([[nu], [nu + 1.0]])
     w = z * z / 4.0
     term = np.repeat([[1.0], [0.5 / (nu + 1.0)]], w.size, axis=1)
     acc = term.copy()
-    for m in range(_SERIES_TERMS):
-        term = term * w / ((m + 1.0) * (m + orders + 1.0))
+    if not w.size:
+        return acc
+    last = int(np.argmax(w))
+    # term m + 1 is term m times w / ((m + 1)(m + nu + 1)), and (m + nu + 2)
+    # in the row of i_(nu+1)
+    m = np.arange(float(_SERIES_TERMS))[:, None, None]
+    divisors = (m + 1.0) * (m + np.array([[nu], [nu + 1.0]]) + 1.0)
+    for divisor in divisors:
+        term *= w
+        term /= divisor
         acc += term
-        if np.all(term <= 1e-18 * acc):
+        if (term[0, last] <= 1e-18 * acc[0, last] and term[1, last] <= 1e-18 * acc[1, last]
+                and np.all(term <= 1e-18 * acc)):
             return acc
     raise FloatingPointError(f"power series of the Bessel factor of order {nu} did not converge "
                              f"in {_SERIES_TERMS} terms at arguments up to {z.max():.6g}")

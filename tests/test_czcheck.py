@@ -20,6 +20,7 @@ from lps.czcheck import (
     scan,
 )
 from lps.kernels import KernelKind, SingularPairError, ZetaGrid, default_kinds, kernel_values
+from lps.measure import mu_ball
 
 GRID = ZetaGrid(order=8, levels_zero=30, levels_one=30)
 _X = sample_pairs(2, 4, 1)[0]
@@ -108,6 +109,75 @@ class TestSamplers:
         # no point within the radius of x = -1 has a positive coordinate
         with pytest.raises(ValueError, match="draws"):
             sample_perturbed(np.array([[1.0], [-1.0]]), np.array([[2.0], [-0.5]]), 1)
+
+
+def _perturbed_per_draw(x, y, seed):
+    """One draw at a time for one pair at a time: the reference loop that
+    sample_perturbed batches."""
+    from lps.czcheck import _MAX_DRAWS
+
+    rng = np.random.default_rng(seed)
+    count, d = x.shape
+    sep = np.linalg.norm(x - y, axis=1)
+    frac = rng.uniform(0.05, 0.95, count)
+    radius = 0.5 * sep * frac
+    xp = np.empty_like(x)
+    for p in range(count):
+        sep_p = np.linalg.norm(x[p] - y[p])
+        for _ in range(_MAX_DRAWS):
+            direction = rng.normal(size=d)
+            direction /= np.linalg.norm(direction)
+            cand = x[p] + radius[p] * direction
+            if np.all(cand > 0) and 0.0 < 2.0 * np.linalg.norm(x[p] - cand) < sep_p:
+                xp[p] = cand
+                break
+        else:
+            raise ValueError(f"pair {p} (x = {x[p]}, y = {y[p]}): {_MAX_DRAWS} draws of a "
+                             "perturbed point all left the open orthant or rounded outside "
+                             "0 < |x - x'| < |x - y|/2")
+    return xp
+
+
+def _near_faces(d, count, seed):
+    """Pairs whose x lies near a face of the orthant and whose y is far, so
+    that many draws of x' leave the orthant."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.5, 5.0, (count, d))
+    x[:, : max(1, d - 1)] *= 1e-3
+    y = x + rng.uniform(1.0, 6.0, (count, d))
+    return x, y
+
+
+class TestPerturbedBlocks:
+    """sample_perturbed takes the draws of the per-draw loop, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_per_draw_loop(self, d):
+        for seed in range(4):
+            for x, y in (_near_faces(d, 150, seed), sample_pairs(d, 90, seed)):
+                got = sample_perturbed(x, y, seed)
+                assert np.array_equal(got, _perturbed_per_draw(x, y, seed))
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 64])
+    def test_window_changes_no_bit(self, monkeypatch, window):
+        from lps import czcheck
+
+        x, y = _near_faces(3, 120, 8)
+        want = _perturbed_per_draw(x, y, 8)
+        monkeypatch.setattr(czcheck, "_DRAW_WINDOW", window)
+        assert np.array_equal(sample_perturbed(x, y, 8), want)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_draw_cap_names_the_same_pair(self, d):
+        # pair 4 lies outside the orthant, so none of its draws is accepted
+        x, y = _near_faces(d, 9, 2)
+        x[4] = -1.0
+        y[4] = -0.5
+        with pytest.raises(ValueError) as want:
+            _perturbed_per_draw(x, y, 3)
+        with pytest.raises(ValueError, match="pair 4 .* 10000 draws") as got:
+            sample_perturbed(x, y, 3)
+        assert str(got.value) == str(want.value)
 
 
 class TestScans:
@@ -312,7 +382,7 @@ class TestLemmaSuite:
         from lps import czcheck
 
         def nan_balls(alpha, x, y):
-            balls = np.array([czcheck.mu_ball(alpha, c, 1.0) for c in x])
+            balls = np.array([mu_ball(alpha, c, 1.0) for c in x])
             balls[5] = math.nan
             return balls
 
@@ -332,21 +402,26 @@ class TestLemmaSuite:
         assert lemma_suite(alpha, samples=100, seed=23)[-1] == whole
 
     def test_balls_and_rules_built_once(self, monkeypatch):
-        # 40 pairs, one ball each; one Pi_alpha rule per (delta, kappa, order)
+        # 40 pairs, one ball each, from one batched call; one Pi_alpha rule
+        # per (delta, kappa, order)
         from lps import czcheck
 
-        calls = {"ball": 0, "rule": 0}
+        calls = {"ball": 0, "ball_calls": 0, "rule": 0}
 
-        def counted(name, f):
-            def wrapper(*args):
-                calls[name] += 1
-                return f(*args)
-            return wrapper
+        def counted_balls(alpha, centers, radii):
+            calls["ball"] += len(radii)
+            calls["ball_calls"] += 1
+            return balls(alpha, centers, radii)
 
-        monkeypatch.setattr(czcheck, "mu_ball", counted("ball", czcheck.mu_ball))
-        monkeypatch.setattr(czcheck, "pi_alpha_rule", counted("rule", czcheck.pi_alpha_rule))
+        def counted_rules(*args):
+            calls["rule"] += 1
+            return rules(*args)
+
+        balls, rules = czcheck._ball_measures, czcheck.pi_alpha_rule
+        monkeypatch.setattr(czcheck, "_ball_measures", counted_balls)
+        monkeypatch.setattr(czcheck, "pi_alpha_rule", counted_rules)
         lemma_suite((0.0, -0.5), samples=100, seed=23)
-        assert calls == {"ball": 40, "rule": 18}
+        assert calls == {"ball": 40, "ball_calls": 1, "rule": 18}
 
 
 @settings(max_examples=200, deadline=None)

@@ -798,3 +798,16 @@ class TestGridStability:
             n1 = g1.norms(kernel_values((0.0, -0.5), kind, x, y, g1), kind.time_power)[0]
             n2 = g2.norms(kernel_values((0.0, -0.5), kind, x, y, g2), kind.time_power)[0]
             assert abs(n1 - n2) <= 1e-6 * n2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 480])
+def test_row_dots_match_per_row_dots(n):
+    # one BLAS dot per row, as np.dot and np.linalg.norm take it
+    from lps.kernels import _row_dots
+
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(4000 // n + 50, n)) * np.exp(rng.uniform(-5, 5, (4000 // n + 50, 1)))
+    b = rng.normal(size=n)
+    assert np.array_equal(_row_dots(a, a), [np.dot(r, r) for r in a])
+    assert np.array_equal(np.sqrt(_row_dots(a, a)), [np.linalg.norm(r) for r in a])
+    assert np.array_equal(_row_dots(a, b), [np.dot(r, b) for r in a])

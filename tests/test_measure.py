@@ -215,8 +215,11 @@ class TestMuBall:
 
         args = ((0.0, -0.5, 0.5), np.array([1.0, 0.3, 0.6]), 1.5)
         want = mu_ball(*args)
+        centers, radii = _ball_cases(3)
+        balls = measure._ball_measures(args[0], centers, radii)
         monkeypatch.setattr(measure, "_SLICE_BATCH", 7)
         assert mu_ball(*args) == want
+        assert np.array_equal(measure._ball_measures(args[0], centers, radii), balls)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -316,3 +319,102 @@ def test_mu_box_additive(a, lo, width1, width2):
     whole = mu_box(a, [lo], [hi])
     parts = mu_box(a, [lo], [mid]) + mu_box(a, [mid], [hi])
     assert whole == pytest.approx(parts, rel=1e-11, abs=1e-13)
+
+
+def _per_ball_slices(a, center, radii, order):
+    """The per-ball slicing recursion, one centre for all radii: the
+    reference loop that _ball_measures batches over centres."""
+    from lps.measure import _mu_interval
+    from lps.specfun import composite_legendre_rule
+
+    if len(a) == 1:
+        return _mu_interval(a[0], center[0] - radii, center[0] + radii)
+    c1 = center[0]
+    rest = center[1:].tolist()
+    faces = {math.hypot(*s) for k in range(1, len(a)) for s in itertools.combinations(rest, k)}
+    ratio = np.array(sorted(faces)) / radii[:, None]
+    lo = np.fromiter(map(math.asin, (-np.minimum(c1 / radii, 1.0)).tolist()), float)[:, None]
+    kinks = np.fromiter(map(math.acos, np.minimum(ratio, 1.0).ravel().tolist()), float)
+    kinks = kinks.reshape(ratio.shape)
+    inside = (ratio < 1.0) & (kinks < 0.5 * math.pi)
+    inside[:, 1:] &= kinks[:, 1:] < kinks[:, :-1]
+    edges = np.concatenate([lo, np.where(inside & (-kinks > lo), -kinks, lo),
+                            np.where(inside, kinks, lo), np.full_like(lo, 0.5 * math.pi)], axis=1)
+    edges.sort(axis=1)
+    n_edges = 1 + (edges > lo).sum(axis=1)
+    out = np.empty(radii.shape)
+    smooth = len(a) <= 3
+    for n in set(n_edges.tolist()):
+        sel = n_edges == n
+        per_panel = max(order // (n - 1), 32 if smooth else 16)
+        theta, w = composite_legendre_rule(edges[sel, -n:], per_panel, smooth_ends=smooth)
+        r = radii[sel, None, None]
+        cos = np.cos(theta)
+        x1 = c1 + r * np.sin(theta)
+        rho = r * cos
+        inner = _per_ball_slices(a[1:], center[1:], rho.ravel(), max(order // 2, 24))
+        dens = x1 ** (2.0 * a[0] + 1.0) * r * cos
+        out[sel] = (w * dens * inner.reshape(rho.shape)).sum(axis=-1).cumsum(axis=-1)[:, -1]
+    return out
+
+
+def _per_ball_reference(alpha, centers, radii):
+    from lps.measure import _BALL_ORDER, _mu_interval
+
+    if len(alpha) == 1:
+        return np.array([float(_mu_interval(alpha[0], c[0] - r, c[0] + float(r)))
+                         for c, r in zip(centers, radii)])
+    return np.array([_per_ball_slices(alpha, c, np.array([float(r)]), _BALL_ORDER)[0]
+                     for c, r in zip(centers, radii)])
+
+
+def _ball_cases(d):
+    """Centres and radii: czscan's draws, the lemma box, clipped balls and
+    centres whose faces or kink angles coincide."""
+    from lps.czcheck import _distances, sample_pairs
+
+    count = {2: 30, 3: 8, 4: 2}[d]
+    x, y = sample_pairs(d, count, 40 + d)
+    xl, yl = sample_pairs(d, count, 23, 0.1, 8.0)
+    rng = np.random.default_rng(d)
+    clipped = rng.uniform(0.01, 0.3, (count, d))
+    ones = np.ones(d)
+    kinked = np.array([ones, np.r_[ones[:-1], 1.0 + 2.0**-52], np.full(d, 1e-8)])
+    centers = np.vstack([x, xl, clipped, kinked])
+    radii = np.concatenate([_distances(x, y), _distances(xl, yl),
+                            rng.uniform(0.5, 6.0, count), [1.5, 3.0, 1e9]])
+    return centers, radii
+
+
+class TestBatchedBalls:
+    """One call for all balls gives each ball the bits of the per-ball loop."""
+
+    @pytest.mark.parametrize("alpha", [(0.0, -0.5), (-0.3, 0.7), (0.2, 0.3), (0.3, -0.5, 0.5),
+                                       (0.0, 0.0, 0.0), (0.0, -0.5, 0.5, 0.0)],
+                             ids=lambda a: "_".join(map(str, a)))
+    def test_matches_per_ball_loop(self, alpha):
+        from lps.measure import _ball_measures
+
+        centers, radii = _ball_cases(len(alpha))
+        got = _ball_measures(alpha, centers, radii)
+        assert np.array_equal(got, _per_ball_reference(alpha, centers, radii))
+        assert np.array_equal(got[:3], [mu_ball(alpha, c, r) for c, r in zip(centers, radii[:3])])
+
+    def test_d1_stays_scalar(self):
+        from lps.czcheck import _distances, sample_pairs
+        from lps.measure import _ball_measures
+
+        x, y = sample_pairs(1, 400, 12)
+        got = _ball_measures(-0.5, x, _distances(x, y))
+        assert np.array_equal(got, _per_ball_reference((-0.5,), x, _distances(x, y)))
+
+    def test_first_bad_ball_names_its_check(self):
+        from lps.measure import _ball_measures
+
+        # ball 1 has a centre outside the orthant, ball 0 or 2 a zero radius
+        centers = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="radius must be finite and positive, got 0.0"):
+            _ball_measures((0.0, 0.0), centers, [0.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="open positive orthant"):
+            _ball_measures((0.0, 0.0), centers, [1.0, 1.0, 0.0])
+        assert _ball_measures((0.0, 0.0), np.empty((0, 2)), []).shape == (0,)

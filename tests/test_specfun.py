@@ -419,3 +419,57 @@ def test_laguerre_recurrence_property(k, a, x):
     got = ell(a, k, math.sqrt(x)) * math.exp(0.5 * x) / norm
     want = laguerre_series(k, a, x)
     assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+
+def _series_every_term(nu, z):
+    """The Bessel series tested on every argument at every term: the
+    reference loop of _bessel_series_pair's stop test."""
+    from lps.specfun import _SERIES_TERMS
+
+    orders = np.array([[nu], [nu + 1.0]])
+    w = z * z / 4.0
+    term = np.repeat([[1.0], [0.5 / (nu + 1.0)]], w.size, axis=1)
+    acc = term.copy()
+    for m in range(_SERIES_TERMS):
+        term = term * w / ((m + 1.0) * (m + orders + 1.0))
+        acc += term
+        if np.all(term <= 1e-18 * acc):
+            return acc
+    raise FloatingPointError("did not converge")
+
+
+class TestSeriesStop:
+    """The stop test reads the largest argument; the sums keep their bits."""
+
+    @pytest.mark.parametrize("nu", [-0.7, 0.0, 0.3, 1.0, 2.5, 40.0])
+    @pytest.mark.parametrize("band", [(0.0, 1.0), (1.0, 4.0), (4.0, 10.0), (10.0, 20.0),
+                                      (0.0, 20.0)])
+    def test_matches_every_term_loop(self, nu, band):
+        from lps.specfun import _bessel_series_pair
+
+        z = np.random.default_rng(int(10 * nu) % 97).uniform(*band, 301)
+        z[::50] = band[0]  # zeros, and repeats of the smallest argument
+        assert np.array_equal(_bessel_series_pair(nu, z), _series_every_term(nu, z))
+
+    @pytest.mark.parametrize("nu,hi", [(290.0, 22.0), (320.0, 40.0), (500.0, 60.0)])
+    def test_deep_arguments(self, nu, hi):
+        # arguments where ive underflows and the series serves large orders
+        from lps.specfun import _bessel_series_pair
+
+        z = np.random.default_rng(5).uniform(20.0, hi, 64)
+        assert np.array_equal(_bessel_series_pair(nu, z), _series_every_term(nu, z))
+
+    def test_empty(self):
+        from lps.specfun import _bessel_series_pair
+
+        z = np.empty(0)
+        assert _bessel_series_pair(0.3, z).shape == _series_every_term(0.3, z).shape == (2, 0)
+
+    @pytest.mark.parametrize("where", [0, 5, 9])
+    def test_nan_raises(self, where):
+        from lps.specfun import _bessel_series_pair
+
+        z = np.linspace(0.5, 3.0, 10)
+        z[where] = math.nan
+        with pytest.raises(FloatingPointError, match="did not converge"):
+            _bessel_series_pair(0.3, z)
