@@ -22,7 +22,7 @@ from lps.czcheck import (
     scan,
 )
 
-grid = ZetaGrid(order=8, levels_zero=30, levels_one=30)
+grid = ZetaGrid(order=8, levels=30)
 
 # one kernel entry: the time profile of the heat-kernel time derivative
 dT = KernelKind("dT")

@@ -356,8 +356,7 @@ def _kind_label(kind: KernelKind) -> str:
 
 
 def _task_czscan(cfg: RunConfig, alpha, report: Report):
-    grid = ZetaGrid(order=cfg.zeta_order, levels_zero=cfg.zeta_levels,
-                    levels_one=cfg.zeta_levels)
+    grid = ZetaGrid(order=cfg.zeta_order, levels=cfg.zeta_levels)
     grids = (grid, grid.refined()) if cfg.refine else (grid,)
     kinds = [k for k in default_kinds(alpha.d) if cfg.kind in ("all", k.tag)]
     estimates = czcheck.ESTIMATES if cfg.estimate == "all" else (cfg.estimate,)

@@ -15,9 +15,9 @@ is assembled cancellation-free as
 
 so evaluation survives t -> 0 and t -> inf in log space.  Time integrals over
 (0, inf) with measure dt or t dt are computed on zeta panels graded
-dyadically toward both endpoints: integrands behave like
-zeta^(-a) exp(-c q/zeta) near 0 and like powers of eta, times a logarithm,
-near 1.
+dyadically toward t = 0, where integrands behave like zeta^(-a) exp(-c q/zeta),
+and above zeta = 1/2 on panels in log t up to T_MAX, where they decay like
+sums of exponentials e^(-lambda t) (ZetaGrid).
 
 Poisson kernels arise by subordination.  For the vector-valued entries the
 u-integral is transposed to the time side: with tau = t^2/4u,
@@ -100,28 +100,43 @@ def _graded_rule(levels: int, order: int):
     return nodes.ravel(), weights.ravel()
 
 
-class ZetaGrid:
-    """Gauss-Legendre panels on zeta in (0, 1), graded dyadically at both ends.
+# the top end of every ZetaGrid: TOP_PANELS equal Gauss panels in u = log t
+# from t = atanh(1/2), where the zeta end stops, to T_MAX.  Past its peak a
+# kernel decays like e^(-lambda_0 t) with lambda_0 = 2|alpha| + 2d >= 1, so the
+# squared norm left out is below int_T_MAX^inf t e^(-2t) dt < 1e-33; the panels
+# integrate t^(p-1) e^(-t), p = 1, 2, to 1e-15 at order 12
+T_MAX = 40.0
+TOP_PANELS = 12
 
-    Near zeta = 1 the nodes come from a rule on eta = 1 - zeta: the
-    subtraction would cost 12 of its 52 bits, polluting t, the Jacobian
-    1/(1 - zeta^2) and e^(-2t).
+
+class ZetaGrid:
+    """Time nodes and weights on (0, T_MAX], in zeta = tanh t and eta = 1 - zeta.
+
+    Up to zeta = 1/2 (t = atanh(1/2)) the nodes are Gauss-Legendre panels in
+    zeta, graded dyadically toward zeta = 0 over `levels` panels.  Above it
+    they are TOP_PANELS Gauss panels in u = log t up to T_MAX, the same for
+    every grid; there eta comes from t (_eta_of_t), because 1 - zeta would
+    cost up to all of its bits, and zeta rounds to 1.0 from t of about 19.
+    wz is a weight in zeta and jacobian = dt/dzeta = 1/((1 + zeta) eta), so
+    wz * jacobian is the weight in t (t w_u on the top panels).
     """
 
-    def __init__(self, order: int = 12, levels_zero: int = 40, levels_one: int = 40):
-        if order < 2 or levels_zero < 2 or levels_one < 2:
-            raise ValueError("grid needs order >= 2 and at least 2 levels per end")
+    def __init__(self, order: int = 12, levels: int = 40):
+        if order < 2 or levels < 2:
+            raise ValueError("grid needs order >= 2 and levels >= 2")
         self.order = order
-        self.levels_zero = levels_zero
-        self.levels_one = levels_one
-        # a rule in zeta at the zeta end, one in eta (reversed) at the other
-        z, wz = _graded_rule(levels_zero, order)
-        e, we = (x[::-1] for x in _graded_rule(levels_one, order))
-        self.zeta = np.concatenate([z, 1.0 - e])
-        self.eta = np.concatenate([1.0 - z, e])
-        self.wz = np.concatenate([wz, we])
-        self.t = 0.5 * (np.log1p(self.zeta) - np.log(self.eta))
+        self.levels = levels
+        z, wz = _graded_rule(levels, order)
+        edges = np.linspace(math.log(math.atanh(0.5)), math.log(T_MAX), TOP_PANELS + 1)
+        u, wu = (a.ravel() for a in composite_legendre_rule(edges, order))
+        top = np.exp(u)
+        top_zeta, top_eta = np.tanh(top), _eta_of_t(top)
+        self.zeta = np.concatenate([z, top_zeta])
+        self.eta = np.concatenate([1.0 - z, top_eta])
+        self.t = np.concatenate([0.5 * (np.log1p(z) - np.log(1.0 - z)), top])
         self.jacobian = 1.0 / ((1.0 + self.zeta) * self.eta)
+        # the top panels' weight in t is t w_u, and dzeta = (1 + zeta) eta dt
+        self.wz = np.concatenate([wz, top * wu * (1.0 + top_zeta) * top_eta])
         for arr in (self.zeta, self.eta, self.wz, self.t, self.jacobian):
             arr.flags.writeable = False
 
@@ -138,7 +153,7 @@ class ZetaGrid:
 
     def refined(self) -> "ZetaGrid":
         """The same panels with twice the nodes per panel."""
-        return ZetaGrid(2 * self.order, self.levels_zero, self.levels_one)
+        return ZetaGrid(2 * self.order, self.levels)
 
 
 # Every kernel kind is a product of three choices: the derivative ("d" = d/dt,
@@ -397,9 +412,8 @@ def _heat_entry(alpha: AlphaParam, kind: KernelKind, parts: _HeatParts) -> np.nd
 
 @lru_cache(maxsize=1)
 def _default_inner_grid() -> ZetaGrid:
-    """The inner tau grid of every Poisson kind."""
-    # extra depth toward zeta = 1 keeps subordination truncation below 1e-9
-    return ZetaGrid(order=12, levels_zero=40, levels_one=60)
+    """The inner tau grid of every Poisson kind: 624 nodes, 13 chunks of _GRAM_CHUNK."""
+    return ZetaGrid(order=12, levels=40)
 
 
 def _subordination_matrix(outer: ZetaGrid, inner: ZetaGrid, time_derivative: bool) -> np.ndarray:
@@ -415,9 +429,10 @@ def _subordination_matrix(outer: ZetaGrid, inner: ZetaGrid, time_derivative: boo
 
 
 # inner nodes per term of the Gram product, four panels of the inner grid.  One
-# product over all 1200 nodes rounded about 40% of its entries differently
-# under one and two OpenBLAS threads (OpenBLAS 0.3.31, Haswell kernels), and
-# products over up to 300 nodes rounded alike; the chunks' terms are added in order
+# product over all nodes of an earlier 1200-node inner grid rounded about 40%
+# of its entries differently under one and two OpenBLAS threads (OpenBLAS
+# 0.3.31, Haswell kernels), and products over up to 300 nodes rounded alike;
+# the chunks' terms are added in order
 _GRAM_CHUNK = 48
 
 

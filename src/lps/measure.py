@@ -192,7 +192,9 @@ def _sliced_measure(a: tuple, centers: np.ndarray, faces, owner: np.ndarray,
         theta, w = composite_legendre_rule(edges[sel, -n:], per_panel, smooth_ends=smooth)
         r = radii[sel, None, None]
         cos = np.cos(theta)
-        x1 = (c1 if one else c1[sel, None, None]) + r * np.sin(theta)
+        # a node next to the clip angle lo can round x_1 a little below 0,
+        # which a fractional power would turn into NaN
+        x1 = np.maximum((c1 if one else c1[sel, None, None]) + r * np.sin(theta), 0.0)
         rho = (r * cos).reshape(len(r), -1)
         # a slice of two or more dimensions is sliced again about one centre
         # at a time, as fast as a single ball; a 1-d one in one call

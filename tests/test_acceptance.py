@@ -172,7 +172,7 @@ def test_06_lemma_suite():
 def test_07_cz_scans_all_ten_kinds():
     t0 = time.perf_counter()
     count = 1000
-    grid = ZetaGrid(order=8, levels_zero=30, levels_one=30)
+    grid = ZetaGrid(order=8, levels=30)
     fine = grid.refined()
     # the eight kinds of d = 1, then the two that need a second coordinate
     d1_kinds = default_kinds(1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lps import basis
+from lps import kernels as kernels_mod
 from lps.basis import Expansion, PLAIN, differentiated, ell
 from lps.czcheck import (
     ESTIMATES,
@@ -22,7 +23,9 @@ from lps.czcheck import (
 from lps.kernels import KernelKind, SingularPairError, ZetaGrid, default_kinds, kernel_values
 from lps.measure import mu_ball
 
-GRID = ZetaGrid(order=8, levels_zero=30, levels_one=30)
+GRID = ZetaGrid(order=8, levels=30)
+# the type indices of the grid-against-deep-reference tests, d = 1 and 2
+DEEP_REFERENCE_ALPHAS = [(-0.5,), (0.3,), (0.0, -0.5), (0.5, 0.5)]
 _X = sample_pairs(2, 4, 1)[0]
 _ELEMENT_3 = np.arange(_X.size).reshape(_X.shape) == 3
 
@@ -246,7 +249,7 @@ class TestScans:
         d = len(alpha)
         x, y = sample_pairs(d, 70, 31)
         xp, yp = sample_perturbed(x, y, 32), sample_perturbed(y, x, 33)
-        grid = ZetaGrid(order=4, levels_zero=12, levels_one=12)
+        grid = ZetaGrid(order=4, levels=12)
         grids = [grid, grid.refined()][:ngrids]
         kinds = default_kinds(d)
         joint = scan(alpha, kinds, x, y, xp, yp, grids)
@@ -281,7 +284,7 @@ class TestScans:
         assert len(kinds) == 3 + d
         grids = [GRID, GRID.refined()]
         res = scan(alpha, kinds, x, y, xp, yp, grids)
-        deep = ZetaGrid(order=32, levels_zero=50, levels_one=50)
+        deep = ZetaGrid(order=32, levels=50)
         for k, kind in enumerate(kinds):
             base = kernel_values(alpha, kind, x, y, deep)
             moved = {"smooth_x": (xp, y), "smooth_y": (x, yp)}
@@ -294,6 +297,92 @@ class TestScans:
                     np.testing.assert_allclose(res.kernel_norm[k, g, e], want, rtol=1e-12,
                                                atol=0, err_msg=f"{kind.tag} {est}")
             assert np.array_equal(res.kernel_norm[k, 0], res.kernel_norm[k, 1]), kind.tag
+
+    @staticmethod
+    def _dyadic_grid(order, levels_zero, levels_one):
+        """The earlier time grid: the zeta end mirrored in eta = 1 - zeta toward t = inf."""
+        g = ZetaGrid(order, levels_zero)
+        z, wz = kernels_mod._graded_rule(levels_zero, order)
+        e, we = (v[::-1] for v in kernels_mod._graded_rule(levels_one, order))
+        g.zeta, g.eta, g.wz = np.r_[z, 1.0 - e], np.r_[1.0 - z, e], np.r_[wz, we]
+        g.t = 0.5 * (np.log1p(g.zeta) - np.log(g.eta))
+        g.jacobian = 1.0 / ((1.0 + g.zeta) * g.eta)
+        return g
+
+    @staticmethod
+    def _heat_squares(alpha, kinds, x, y, moved, grid):
+        """Squared norms of the heat kinds' profiles, (kinds, estimates, pairs):
+        over the nodes above t = atanh(1/2), and over all nodes."""
+        top = grid.levels * grid.order  # the zeta end comes first
+        out = np.empty((2, len(kinds), len(ESTIMATES), len(x)))
+        for k, kind in enumerate(kinds):
+            base = kernel_values(alpha, kind, x, y, grid)
+            w = grid.wz * grid.jacobian * grid.t ** (kind.time_power - 1)
+            for e, est in enumerate(ESTIMATES):
+                prof = base - kernel_values(alpha, kind, *moved[est], grid) if est in moved else base
+                sq = prof * prof * w
+                out[:, k, e] = sq[:, top:].sum(axis=1), sq.sum(axis=1)
+        return out
+
+    @staticmethod
+    def _poisson_reference(alpha, kinds, x, y, moved):
+        """Poisson norms by the dense Gram form h^T W M W h (kernels module
+        docstring) on a (24, 45) inner grid, (kinds, estimates, pairs)."""
+        inner = ZetaGrid(24, 45)
+        half = 0.5 * np.subtract.outer(np.log(inner.t), np.log(inner.t))
+        gram = {True: 1.0 / (math.pi * np.cosh(half)),
+                False: 0.5 / (math.pi * np.cosh(half) ** 2) / np.sqrt(np.outer(inner.t, inner.t))}
+        out = np.empty((len(kinds), len(ESTIMATES), len(x)))
+        for k, kind in enumerate(kinds):
+            # the heat kind the Poisson kind is subordinated from
+            heat = KernelKind(kind.tag.replace("P", "T"), kind.i, kind.j)
+            base = kernel_values(alpha, heat, x, y, inner)
+            for e, est in enumerate(ESTIMATES):
+                prof = base - kernel_values(alpha, heat, *moved[est], inner) if est in moved else base
+                wh = prof * (inner.wz * inner.jacobian)
+                out[k, e] = np.sqrt(np.einsum("pm,mn,pn->p", wh, gram[kind.spec.deriv == "d"], wh))
+        return out
+
+    @staticmethod
+    def _reference_case(d):
+        x, y = sample_pairs(d, 16, 21)
+        xp, yp = sample_perturbed(x, y, 22), sample_perturbed(y, x, 23)
+        return x, y, xp, yp, {"smooth_x": (xp, y), "smooth_y": (x, yp)}
+
+    @pytest.mark.parametrize("alpha", DEEP_REFERENCE_ALPHAS, ids=lambda a: ",".join(map(str, a)))
+    def test_heat_top_end_no_farther_from_deep_reference(self, alpha):
+        # the panels in log t against the earlier dyadic eta end, at orders 8
+        # and 12.  Both grids share their zeta end bit for bit, so the squared
+        # norm above t = atanh(1/2) is all that moves; its error is taken per
+        # row against a (32, 50) grid, relative to the row's squared norm
+        x, y, _, _, moved = self._reference_case(len(alpha))
+        kinds = [k for k in default_kinds(len(alpha)) if not k.is_poisson]
+        want_top, want = self._heat_squares(alpha, kinds, x, y, moved, ZetaGrid(32, 50))
+        for order in (8, 12):
+            new, old = (np.max(np.abs(self._heat_squares(alpha, kinds, x, y, moved, g)[0]
+                                      - want_top) / want)
+                        for g in (ZetaGrid(order, 30), self._dyadic_grid(order, 30, 30)))
+            assert new <= old, (order, new, old)
+
+    @pytest.mark.parametrize("alpha", DEEP_REFERENCE_ALPHAS, ids=lambda a: ",".join(map(str, a)))
+    def test_poisson_norms_no_farther_from_deep_reference(self, alpha, monkeypatch):
+        # czscan's Poisson norms from the Gram factor of the inner grid (12, 40)
+        # against those of the earlier dyadic inner grid (12, 40, 60); where
+        # the shared zeta end sets the worst row, the two differ by the
+        # rounding of the factor and the product, up to about 1e-13 of a norm
+        x, y, xp, yp, moved = self._reference_case(len(alpha))
+        kinds = [k for k in default_kinds(len(alpha)) if k.is_poisson]
+        want = self._poisson_reference(alpha, kinds, x, y, moved)
+        new = scan(alpha, kinds, x, y, xp, yp, [GRID]).kernel_norm[:, 0]
+        dyadic = self._dyadic_grid(12, 40, 60)
+        monkeypatch.setattr(kernels_mod, "_default_inner_grid", lambda: dyadic)
+        kernels_mod._gram_factor.cache_clear()
+        try:
+            old = scan(alpha, kinds, x, y, xp, yp, [GRID]).kernel_norm[:, 0]
+        finally:
+            kernels_mod._gram_factor.cache_clear()
+        err_new, err_old = (np.max(np.abs(v - want) / want) for v in (new, old))
+        assert err_new <= err_old + 2e-13, (err_new, err_old)
 
     def test_smoothness_ratio_bounded_as_perturbation_shrinks(self):
         # difference quotient stays bounded: |x - x'| in {1e-2, 1e-3, 1e-4}

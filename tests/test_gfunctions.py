@@ -107,7 +107,7 @@ class TestQuadratureAgreement:
     def test_grid_refinement_stability(self):
         alpha = (0.5,)
         e = random_expansion(alpha, PLAIN, nmodes=6, max_level=6, seed=44)
-        g1 = ZetaGrid(order=8, levels_zero=30, levels_one=30)
+        g1 = ZetaGrid(order=8, levels=30)
         x = np.array([[1.1]])
         v1 = gfun_quadrature(KernelKind("dP"), e, x, g1)[0]
         v2 = gfun_quadrature(KernelKind("dP"), e, x, g1.refined())[0]

@@ -30,73 +30,73 @@ CASES = {
     "gfun-d3": ("gfun", "alpha = 0.3, -0.5, 1.2\ncount = 6\ncutoff = 6\nquad_order = 24\n",
                 "8040a25ec8d60935d4c3fc3b21c0ecd8e2cc0b49254fe5a2d3cf8afbd89cf848"),
     "lemmas": ("lemmas", "alpha = 0, -0.5\ncount = 2000\n",
-               "ab0ba84e7d98894f3db2b3eeb3497fe5fb796764254ab9c6f9b01efecd695b11"),
+               "4dcac93b3e11dea4f474856df65b260e6084cb63eb8f6ba80c54df3d438ed0a5"),
     "basis": ("basis", "alpha = 0.3, -0.5\ncutoff = 4\nquad_order = 24\n",
               "39cc05dfd9832f5ca2d7bc560f0c99de912b6bcd3b1e57e18133b19c7a8dde30"),
     "czscan-d2-hTmodStar": (
         "czscan",
         "alpha = 0, -0.5\nkind = hTmodStar\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "fd86d524d09ca16fba717a2b750f7a89d6c261d4312955c3753689f1a2efb97c"),
+        "001cd9927056826f2d7403f86e4cf371332c8fd6dabf102872841d638ccbbea9"),
     "czscan-d1-dT": (
         "czscan",
         "alpha = -0.5\nkind = dT\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "faf216d9d95677dc035ff4c70c7221643eb56f4a40bb63c925b9639f9ad09f31"),
+        "95d0476a4234fd0f2f80ffe929b8e644716fb95d3d82ff0000a4b92ca8e56602"),
     # the multi-grid path: refine scans a second grid, and the report keeps
     # the first grid's bytes
     "czscan-d1-dT-refine": (
         "czscan",
         "alpha = -0.5\nkind = dT\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nrefine = true\n",
-        "faf216d9d95677dc035ff4c70c7221643eb56f4a40bb63c925b9639f9ad09f31"),
+        "95d0476a4234fd0f2f80ffe929b8e644716fb95d3d82ff0000a4b92ca8e56602"),
     "czscan-d1-hT": (
         "czscan",
         "alpha = -0.5\nkind = hT\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "8fd202459f1b4dc74a3cf501152ade84ff55e1e3e932c46cd7396ab4757cb546"),
+        "c0c8d76dbaa2cf7283a4daae3da4f9dc9fe91133d270fdd0db33f85ce906e0e0"),
     "czscan-d1-dTmod": (
         "czscan",
         "alpha = -0.5\nkind = dTmod\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "19768e1241c7ffe1e4c90d04b65b2f94e0607ca1af0e90a4c4c6e7c9dfb2245d"),
+        "48dc95f7e652661a63fb7b45403db37f6da2c6cec0536cb5616da5c3aba652c5"),
     # the label hTmod(j=1,i=2) holds a comma, so its CSV cell is quoted
     "czscan-d2-hTmod": (
         "czscan",
         "alpha = 0, -0.5\nkind = hTmod\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "c1e70c477f49a028f550f48c64e116e01c783a0dd36af26ab77d4c5193a91dd7"),
+        "4d09f8aa1c071067340d456381a65ee870e785fffe3bdb1f60b694590bb19a15"),
     "czscan-d1-dP": (
         "czscan",
         "alpha = -0.5\nkind = dP\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "9e98fc3f2a11294612ffc17eca55d9113fd7aa847b4359e15a4829e0f9799393"),
+        "791526555f42a6d8da7296a3a5b8b8f91f7e08eb8f021970276171d04b23dc46"),
     # a Poisson norm is the same on both grids of refine, so its drift is 0
     "czscan-d1-dP-refine": (
         "czscan",
         "alpha = -0.5\nkind = dP\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nrefine = true\n",
-        "9e98fc3f2a11294612ffc17eca55d9113fd7aa847b4359e15a4829e0f9799393"),
+        "791526555f42a6d8da7296a3a5b8b8f91f7e08eb8f021970276171d04b23dc46"),
     "czscan-d1-hPmodStar": (
         "czscan",
         "alpha = -0.5\nkind = hPmodStar\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "f63ba5f2c3a5b8ffaed0f750d0641603065d43eb4117f4c18a8b06020cfa0680"),
+        "02dc5593181f08f04b21da5b3fb313e64f90972a12a721d8326c4a531eb8699d"),
     "czscan-d2-hPmod": (
         "czscan",
         "alpha = 0, -0.5\nkind = hPmod\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
-        "fd8c4ed00a00a8fcd8ad523ed2698cd8482de51bc74cc226b58dced020f5d486"),
+        "e901bf2a7d8ae98f65e65ed36bc3b8cbe1700a3b9d9544ce55e1a21ead901b8d"),
     "czscan-d2-hTmodStar-jsonl": (
         "czscan",
         "alpha = 0, -0.5\nkind = hTmodStar\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nformat = jsonl\n",
-        "bc0122c3a2ec6e7a4db3e393b7b8a00d468c3315587b23ab2b5b687bad84d41e"),
+        "de4813256fb5490c109bbf883abd25957e3b6b65e960d7373feb71819e4d9528"),
     "czscan-d1-dT-jsonl": (
         "czscan",
         "alpha = -0.5\nkind = dT\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nformat = jsonl\n",
-        "3d0888df38471790102815d56cf5c53d768460f7a6238770f19bc849783b6fab"),
+        "b23732d89662ae1e71e37895adb00958e27f5c15c432303a3b449c8eecac01bf"),
 }
 
 

@@ -22,7 +22,7 @@ from lps.kernels import (
 from lps.measure import as_alpha, as_points
 from lps.specfun import gauss_laguerre_rule
 
-SMALL_GRID = ZetaGrid(order=6, levels_zero=8, levels_one=8)
+SMALL_GRID = ZetaGrid(order=6, levels=8)
 
 
 def poisson_spectral(alpha, t, x, y, cutoff=300):
@@ -435,7 +435,7 @@ class TestPoisson:
         again = subordination_u_rule()
         assert again[0] is u and again[1] is w
 
-    @pytest.mark.parametrize("params", [(4, 6, 6), (6, 16, 16), (8, 30, 30), (16, 30, 30)],
+    @pytest.mark.parametrize("params", [(4, 6), (6, 16), (8, 30), (16, 30)],
                              ids=lambda p: "-".join(map(str, p)))
     def test_per_mode_subordination_matrices(self, params):
         # the matrices the Poisson kinds of kernel_values apply to heat values
@@ -515,8 +515,10 @@ class TestGramForm:
                     (kind.tag, time_derivative)
 
     def test_factor_rank_and_cache(self):
-        # the pivoted Cholesky keeps a small share of the inner nodes, once per process
+        # the pivoted Cholesky keeps a small share of the inner nodes, once per
+        # process; the inner grid ZetaGrid(12, 40) fills 13 node chunks
         inner = kernels_mod._default_inner_grid()
+        assert (inner.order, inner.levels, inner.n) == (12, 40, 13 * kernels_mod._GRAM_CHUNK)
         for time_derivative in (True, False):
             f = kernels_mod._gram_factor(time_derivative)
             chunks, chunk, rank = f.shape
@@ -656,40 +658,62 @@ class TestKernelEntry:
 
     def test_grid_and_gram_factor_read_only(self):
         # arrays shared by every caller: the grid's nodes and the Gram factors
-        g = ZetaGrid(order=5, levels_zero=6, levels_one=6)
+        g = ZetaGrid(order=5, levels=6)
         for arr in (g.zeta, g.eta, g.wz, g.t, g.jacobian,
                     kernels_mod._gram_factor(True), kernels_mod._gram_factor(False)):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
 
     @staticmethod
-    def _per_panel_grid(order, levels_zero, levels_one):
-        """The grid built panel by panel with its own Legendre rule: the reference."""
+    def _per_panel_grid(order, levels):
+        """The grid built panel by panel with its own Legendre rule: the reference.
+
+        zeta panels graded toward 0 up to zeta = 1/2, then TOP_PANELS equal
+        panels in u = log t up to T_MAX, where wz = t w_u (1 + zeta) eta is
+        the weight in zeta.
+        """
         xg, wg = np.polynomial.legendre.leggauss(order)
-        zeta, eta, wz = [], [], []
-        for m in range(levels_zero, 0, -1):
-            a, b = (0.0 if m == levels_zero else 0.5 ** (m + 1)), 0.5**m
+        zeta, eta, wz, t = [], [], [], []
+        for m in range(levels, 0, -1):
+            a, b = (0.0 if m == levels else 0.5 ** (m + 1)), 0.5**m
             z = 0.5 * (b - a) * xg + 0.5 * (a + b)
             zeta.append(z)
             eta.append(1.0 - z)
             wz.append(0.5 * (b - a) * wg)
-        for m in range(1, levels_one + 1):
-            a, b = (0.0 if m == levels_one else 0.5 ** (m + 1)), 0.5**m
-            e = 0.5 * (b - a) * xg + 0.5 * (a + b)
-            idx = np.argsort(-e)
-            eta.append(e[idx])
-            zeta.append(1.0 - e[idx])
-            wz.append((0.5 * (b - a) * wg)[idx])
-        return np.concatenate(zeta), np.concatenate(eta), np.concatenate(wz)
+            t.append(0.5 * (np.log1p(z) - np.log(1.0 - z)))
+        edges = np.linspace(math.log(math.atanh(0.5)), math.log(kernels_mod.T_MAX),
+                            kernels_mod.TOP_PANELS + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            tu = np.exp(0.5 * (b - a) * xg + 0.5 * (a + b))
+            e2 = np.exp(-2.0 * tu)
+            zeta.append(np.tanh(tu))
+            eta.append(2.0 * e2 / (1.0 + e2))
+            wz.append(tu * (0.5 * (b - a) * wg) * (1.0 + zeta[-1]) * eta[-1])
+            t.append(tu)
+        return tuple(np.concatenate(v) for v in (zeta, eta, wz, t))
 
     def test_grid_nodes_increasing_and_rule_export(self):
-        for params in [(5, 6, 6), (2, 2, 2), (8, 30, 30), (24, 50, 40)]:
-            g = ZetaGrid(*params)
-            assert np.all(np.diff(g.zeta) > 0)
-            assert np.all((g.zeta > 0) & (g.zeta < 1))
+        for order, levels in [(5, 6), (2, 2), (8, 30), (12, 40), (24, 50)]:
+            g = ZetaGrid(order, levels)
+            assert g.n == order * (levels + kernels_mod.TOP_PANELS)
+            # t increases strictly to T_MAX.  eta = 1 - zeta and zeta = tanh t
+            # round toward 1 in doubles, at the zeta end and from t of about 19:
+            # both are monotone in (0, 1], and each is strict at the end whose
+            # small quantity it carries, eta on the panels in log t
+            top = levels * order
+            assert np.all(np.diff(g.t) > 0) and 0 < g.t[0] and g.t[-1] < kernels_mod.T_MAX
+            for arr, sign in ((g.eta, -1.0), (g.zeta, 1.0)):
+                assert np.all((arr > 0) & (arr <= 1)) and np.all(sign * np.diff(arr) >= 0)
+            assert np.all(np.diff(g.zeta[:top]) > 0) and np.all(np.diff(g.eta[top - 1:]) < 0)
+            assert np.all(g.eta[top - 1:] < 1)
+            assert np.all(g.wz > 0)
+            np.testing.assert_array_equal(g.jacobian, 1.0 / ((1.0 + g.zeta) * g.eta))
             # bit for bit the per-panel construction, so reports keep their bytes
-            for got, want in zip((g.zeta, g.eta, g.wz), self._per_panel_grid(*params)):
+            for got, want in zip((g.zeta, g.eta, g.wz, g.t), self._per_panel_grid(order, levels)):
                 np.testing.assert_array_equal(got, want)
+            # refinement doubles the order on the same panels
+            r = g.refined()
+            assert (r.order, r.levels, r.n) == (2 * order, levels, 2 * g.n)
 
     def test_undifferentiated_kernels_positive(self):
         rng = np.random.default_rng(91)
@@ -722,7 +746,7 @@ class TestKernelAssociation:
         alpha = (0.3,)
         e = random_expansion(alpha, kind.input_family(), nmodes=5, max_level=4, seed=61)
         x = np.array([1.37])
-        grid = ZetaGrid(order=6, levels_zero=10, levels_one=12)
+        grid = ZetaGrid(order=6, levels=10)
         # kernel route: quadrature in y against the synthesized f
         pts, w = basis_mod._quad_grid(basis_mod.as_alpha(alpha), 90)
         fy = basis_mod.synthesize(e, pts)
@@ -747,7 +771,7 @@ class TestBnorm:
     """ZetaGrid.norms of e^(-ct), whose square is int_0^inf e^(-2ct) t^(p-1) dt = (p-1)!/(2c)^p."""
 
     def test_zero_profile(self):
-        g = ZetaGrid(order=4, levels_zero=4, levels_one=4)
+        g = ZetaGrid(order=4, levels=4)
         assert g.norms(np.zeros(g.n), 2) == 0.0
 
     @pytest.mark.parametrize("c", [0.7, 2.0, 5.0])
@@ -761,9 +785,18 @@ class TestBnorm:
         assert g.norms(np.exp(-c * g.t), 1) == pytest.approx(1.0 / math.sqrt(2.0 * c), rel=1e-9)
 
     @pytest.mark.parametrize("power", [1, 2])
+    def test_default_grid_exponential_moments(self, power):
+        # int_0^inf t^(p-1) e^(-2 nu t) dt = Gamma(p)/(2 nu)^p from the slowest
+        # decay czscan meets, lambda_0 = 1, to the zeta end's fast rates
+        g = ZetaGrid()
+        for nu in np.geomspace(0.5, 50.0, 41):
+            want = math.gamma(power) / (2.0 * nu) ** power
+            assert abs(g.norms(np.exp(-nu * g.t), power) ** 2 - want) <= 1e-14 * want, nu
+
+    @pytest.mark.parametrize("power", [1, 2])
     def test_batch_norms_are_row_norms(self, power):
         # a row's norm keeps its bits whatever batch it is taken in
-        g = ZetaGrid(order=8, levels_zero=30, levels_one=30)
+        g = ZetaGrid(order=8, levels=30)
         rows = np.random.default_rng(5).normal(size=(7, g.n)) * np.exp(-g.t)
         batch = g.norms(rows, power)
         assert batch.shape == (7,)
@@ -790,7 +823,7 @@ class TestGridStability:
             assert s == pytest.approx(c, rel=1e-7)
 
     def test_norm_stable_under_refinement(self):
-        g1 = ZetaGrid(order=8, levels_zero=30, levels_one=30)
+        g1 = ZetaGrid(order=8, levels=30)
         g2 = g1.refined()
         for kind in all_ten_kinds():
             x = np.array([[1.0, 0.8]])

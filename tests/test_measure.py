@@ -350,7 +350,7 @@ def _per_ball_slices(a, center, radii, order):
         theta, w = composite_legendre_rule(edges[sel, -n:], per_panel, smooth_ends=smooth)
         r = radii[sel, None, None]
         cos = np.cos(theta)
-        x1 = c1 + r * np.sin(theta)
+        x1 = np.maximum(c1 + r * np.sin(theta), 0.0)
         rho = r * cos
         inner = _per_ball_slices(a[1:], center[1:], rho.ravel(), max(order // 2, 24))
         dens = x1 ** (2.0 * a[0] + 1.0) * r * cos
@@ -407,6 +407,18 @@ class TestBatchedBalls:
         x, y = sample_pairs(1, 400, 12)
         got = _ball_measures(-0.5, x, _distances(x, y))
         assert np.array_equal(got, _per_ball_reference((-0.5,), x, _distances(x, y)))
+
+    def test_clip_keeps_d4_balls_finite(self):
+        # a node next to the clip angle rounded x_1 a little below 0, and its
+        # fractional power 2a + 1 = 1.6 was NaN on 7 of these 32 balls
+        from lps.czcheck import _distances, sample_pairs
+        from lps.measure import _ball_measures
+
+        alpha = (0.0, -0.5, 0.3, 0.0)
+        x, y = (np.vstack(v) for v in zip(*(sample_pairs(4, 4, s) for s in range(100, 108))))
+        got = _ball_measures(alpha, x, _distances(x, y))
+        assert got.shape == (32,) and np.all(np.isfinite(got)) and np.all(got > 0)
+        assert np.array_equal(got, _per_ball_reference(alpha, x, _distances(x, y)))
 
     def test_first_bad_ball_names_its_check(self):
         from lps.measure import _ball_measures

@@ -24,7 +24,7 @@ from lps.kernels import (
 from lps.measure import as_points, mu_ball
 
 ALPHA = (0.3, -0.5)
-GRID = ZetaGrid(order=4, levels_zero=4, levels_one=4)
+GRID = ZetaGrid(order=4, levels=4)
 E = Expansion(ALPHA, PLAIN, {(0, 0): 0.5, (1, 2): 1.0})
 OTHER = [0.5, 1.5]
 
