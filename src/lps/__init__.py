@@ -24,7 +24,6 @@ from .basis import (
     synthesize,
 )
 from .czcheck import (
-    ball_measures,
     counterexample_profile,
     lemma_suite,
     random_expansion,

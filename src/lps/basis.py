@@ -128,8 +128,9 @@ class Expansion:
         return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
 
 
-def eigenvalue(alpha, n: int) -> float:
-    """Eigenvalue 4n + 2|alpha| + 2d of the level-n eigenspace."""
+def eigenvalue(alpha, n: int | np.ndarray) -> float | np.ndarray:
+    """Eigenvalue 4n + 2|alpha| + 2d of the level-n eigenspace: a float for an
+    int n, an array for an array of levels."""
     alpha = as_alpha(alpha)
     return 4.0 * n + 2.0 * alpha.total + 2.0 * alpha.d
 
@@ -202,7 +203,8 @@ def ell_batch(alpha, shifts: tuple, indices, x) -> np.ndarray:
     kinds.  A row whose shifted index has a negative entry is zero.  Each
     coordinate gets one table, as deep as its deepest shifted index, shared
     by all rows; a row is the product of its table rows in coordinate order,
-    times the prefactor prod_c x_c.
+    times the prefactor prod_c x_c.  On the points of _quad_grid, _ell_grid
+    gives the same bits from cached tables.
     """
     alpha = as_alpha(alpha)
     pts, _ = as_points(alpha.d, x)
@@ -302,7 +304,7 @@ def analyze(alpha, family: BasisFamily, f, cutoff: int, order: int = 64) -> Expa
     pts, w = _quad_grid(alpha, order)
     wf = w * np.asarray(f(pts), dtype=float).ravel()
     idx = _family_indices(family, alpha.d, cutoff)
-    vals = ell_batch(alpha, family.shifts, idx, pts)
+    vals = _ell_grid(alpha, family.shifts, idx, order)
     return Expansion(alpha, family, {k: float(np.sum(wf * v)) for k, v in zip(idx, vals)})
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from . import czcheck
-from .basis import PLAIN, differentiated, ell_batch
+from .basis import PLAIN, differentiated
 from .czcheck import lemma_suite, random_expansion, riesz_identity_check
 from .gfunctions import _l2_norms, gfun_l2_exact
 from .kernels import (
@@ -58,6 +58,9 @@ KERNEL_BOX = (0.2, 4.0)
 # largest type index of kernel, verify and lemmas: the normalisation of Pi_(alpha + s), s <= 2
 # in the lemma fit, 1/(sqrt(pi) 2^a Gamma(a + 1/2)) leaves the normal doubles past a = 150.2
 MAX_PI_ALPHA = 148.0
+# deepest time grid: the heat kernel's 1/sinh(2t)^2 overflows at the smallest
+# node from about 510 levels at order 4, and 0.5**levels underflows from 1075
+MAX_ZETA_LEVELS = 500
 
 
 class ConfigError(Exception):
@@ -125,6 +128,9 @@ class RunConfig:
                           ("zeta_order", 2), ("zeta_levels", 2)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name}: must be >= {low}")
+        if self.zeta_levels > MAX_ZETA_LEVELS:
+            raise ConfigError(f"zeta_levels: must be <= {MAX_ZETA_LEVELS}, got {self.zeta_levels}; "
+                              "a deeper grid leaves the double range")
         if self.cutoff < 1 and self.task in ("gfun", "verify"):
             # the modified expansions need a mode above the ground level
             raise ConfigError(f"cutoff: task {self.task!r} needs cutoff >= 1")
@@ -247,11 +253,11 @@ TOLERANCE = {"gram": 1e-9, "kernel_triple": 1e-7, "gfun": 1e-6, "subordination":
 
 def _gram_rows(cfg: RunConfig, alpha, report: Report):
     """Upper-triangle Gram entries of the plain and differentiated systems against I."""
-    pts, w = basis_mod._quad_grid(alpha, cfg.quad_order)
+    _, w = basis_mod._quad_grid(alpha, cfg.quad_order)
     devs = []
     for fam in [PLAIN] + [differentiated(j) for j in range(1, alpha.d + 1)]:
         idx = basis_mod._family_indices(fam, alpha.d, cfg.cutoff)
-        vals = ell_batch(alpha, fam.shifts, idx, pts)
+        vals = basis_mod._ell_grid(alpha, fam.shifts, idx, cfg.quad_order)
         a, b = np.triu_indices(len(idx))
         gram = ((vals * w) @ vals.T)[a, b]
         devs.append(np.abs(gram - (a == b)))

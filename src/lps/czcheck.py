@@ -33,7 +33,6 @@ __all__ = [
     "ScanColumns",
     "sample_pairs",
     "sample_perturbed",
-    "ball_measures",
     "scan",
     "lemma_suite",
     "riesz_identity_check",
@@ -96,8 +95,8 @@ def sample_perturbed(x: np.ndarray, y: np.ndarray, seed: int):
     next pair starts at the following draw.  They are made a block at a time:
     one pass tests up to _DRAW_WINDOW pending pairs on the same _DRAW_WINDOW
     candidate draws, and a walk over that table gives each pair its first
-    accepted draw after the previous pair's.  A pair that the window does not
-    settle is tested alone on windows of twice the width.
+    accepted draw after the previous pair's.  A pair that rejects the rest of
+    the window is tested again, with the pairs after it, on the next window.
     """
     rng = np.random.default_rng(seed)
     count, d = x.shape
@@ -113,39 +112,35 @@ def sample_perturbed(x: np.ndarray, y: np.ndarray, seed: int):
     # the separation as scan measures it, so its constraint holds for x'
     scan_sep = _distances(x, y)
     xp = np.empty_like(x)
-    dirs, first = np.empty((0, d)), 0  # unit directions of the draws first, first + 1, ...
+    dirs = np.empty((0, d))  # unit directions of the draws 0, 1, ...
     p = start = cur = 0  # the first pending pair, its first draw and its first untested one
-    width = _DRAW_WINDOW
     while p < count:
-        if cur + width > first + len(dirs):
-            new = rng.normal(size=(max(cur + width - first - len(dirs), 2 * (count - p)), d))
+        end = cur + _DRAW_WINDOW
+        if end > len(dirs):
+            new = rng.normal(size=(max(end - len(dirs), 2 * (count - p)), d))
             new /= np.sqrt(_row_dots(new, new))[:, None]
-            dirs, first = np.concatenate([dirs[cur - first:], new]), cur
-        window = dirs[cur - first:cur - first + width]
-        q = slice(p, min(count, p + (_DRAW_WINDOW if width == _DRAW_WINDOW else 1)))
-        cand = x[q, None] + radius[q, None, None] * window
+            dirs = np.concatenate([dirs, new])
+        q = slice(p, min(count, p + _DRAW_WINDOW))
+        cand = x[q, None] + radius[q, None, None] * dirs[cur:end]
         shift = (x[q, None] - cand).reshape(-1, d)
         twice = 2.0 * np.sqrt(_row_dots(shift, shift)).reshape(cand.shape[:2])
         ok = np.all(cand > 0, axis=2) & (0.0 < twice) & (twice < scan_sep[q, None])
-        at = cur  # the first untested draw of pair p
         for hits in ok.tolist():
             try:
-                j = hits.index(True, at - cur)
+                j = hits.index(True, max(start - cur, 0))
             except ValueError:
-                j = width
+                j = _DRAW_WINDOW
             if cur + j - start >= _MAX_DRAWS:
                 raise ValueError(f"pair {p} (x = {x[p]}, y = {y[p]}): {_MAX_DRAWS} draws of a "
                                  "perturbed point all left the open orthant or rounded "
                                  "outside 0 < |x - x'| < |x - y|/2")
-            if j == width:  # pair p rejected the rest of the window
-                cur += width
-                width = 2 * width if p == q.start else _DRAW_WINDOW
+            if j == _DRAW_WINDOW:  # pair p rejected the rest of the window
+                cur = end
                 break
             xp[p] = cand[p - q.start, j]
             p, start = p + 1, cur + j + 1
-            at = start
         else:
-            cur, width = start, _DRAW_WINDOW
+            cur = start
     return xp
 
 
@@ -155,11 +150,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # the report bytes
     diff = a - b
     return np.sqrt(_row_dots(diff, diff))
-
-
-def ball_measures(alpha, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """mu_alpha(B(x, |x-y|)) for each pair, the normalizer of every estimate."""
-    return _ball_measures(alpha, x, _distances(x, y))
 
 
 def scan(alpha, kinds, x, y, xp, yp, grids, estimates=ESTIMATES) -> ScanColumns:
@@ -202,8 +192,8 @@ def scan(alpha, kinds, x, y, xp, yp, grids, estimates=ESTIMATES) -> ScanColumns:
                     norms[k, g, e, s] = np.sqrt(_row_dots(diff, diff))
                 else:
                     norms[k, g, e, s] = grids[g].norms(diff, kinds[k].time_power)
-    balls = ball_measures(alpha, x, y)
     sep = _distances(x, y)
+    balls = _ball_measures(alpha, x, sep)
     ratio = norms * balls
     ok = np.ones((len(estimates), len(x)), dtype=bool)
     # |x - x'| and |y - y'|: the unperturbed point of each estimate and its perturbation
@@ -347,7 +337,7 @@ def lemma_suite(alpha, samples: int = 100000, seed: int = 99) -> list:
     units = [(v,) + (0.0,) * (d - 1) for v in (0.0, 1.0, 0.5)]
     combos = list(itertools.product(units, repeat=2))
     x, y = sample_pairs(d, 40, seed, 0.1, 8.0)
-    balls = ball_measures(alpha, x, y)
+    balls = _ball_measures(alpha, x, _distances(x, y))
     c1, c2 = (np.max([_fit_lem4(alpha, dl, kp, o, x, y, balls) for dl, kp in combos])
               for o in (24, 48))
     drift = abs(c2 - c1) / c2

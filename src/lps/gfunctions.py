@@ -30,7 +30,7 @@ expansions as fit in _TABLE_ENTRIES (_l2_norms).
 
 import numpy as np
 
-from .basis import Expansion, _ell_grid, _quad_grid, ell_batch
+from .basis import Expansion, _ell_grid, _quad_grid, eigenvalue, ell_batch
 from .kernels import KernelKind, ZetaGrid
 from .measure import as_points
 
@@ -64,9 +64,7 @@ def _modes(kind: KernelKind, e: Expansion):
         # delta_i and delta_j^* lower k_c by one, with factor -2 sqrt(k_c), so k_c = 0 drops
         indices = [k for k in indices if k[c] != 0]
     coeffs = np.array([e.coeffs[k] for k in indices], dtype=float)
-    level = np.array([sum(k) for k in indices], dtype=np.intp)
-    # eigenvalue(alpha, level), in its order of operations
-    lam = 4.0 * level + 2.0 * e.alpha.total + 2.0 * e.alpha.d
+    lam = eigenvalue(e.alpha, np.array([sum(k) for k in indices], dtype=np.intp))
     nus = np.sqrt(lam) if kind.is_poisson else lam
     if kind.spec.deriv == "d":
         return nus, -nus * coeffs, indices

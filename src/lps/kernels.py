@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .basis import PLAIN, BasisFamily, differentiated, ell_table
+from .basis import PLAIN, BasisFamily, differentiated, eigenvalue, ell_table
 from .measure import AlphaParam, as_alpha, as_points, pi_alpha_integrate
 from .specfun import composite_legendre_rule, log_bessel_mantissa_ratio
 
@@ -610,7 +610,7 @@ def _heat_spectral(alpha: AlphaParam, t: np.ndarray, x: np.ndarray, y: np.ndarra
     """
     n = len(t)
     tables = ell_table(alpha, cutoff, np.vstack([x, y]))
-    lam = 4.0 * np.arange(cutoff + 1) + 2.0 * alpha.total + 2.0 * alpha.d
+    lam = eigenvalue(alpha, np.arange(cutoff + 1))
     out = np.empty(n)
     for s in range(n):
         level = None

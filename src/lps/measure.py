@@ -108,19 +108,22 @@ def mu_box(alpha, lo, hi) -> float:
         raise ValueError(f"box corners must have {alpha.d} coordinates")
     if np.any(lo < 0) or np.any(hi <= lo):
         raise ValueError("box requires 0 <= lo_i < hi_i")
-    p = 2.0 * alpha.array() + 2.0
-    return float(np.prod((hi**p - lo**p) / p))
+    return float(np.prod(_mu_interval(alpha.array(), lo, hi)))
 
 
-def _mu_interval(a: float, lo, hi):
-    """1-d mu_a of (lo, hi) with lo clipped at 0; vectorized."""
+def _mu_interval(a, lo, hi):
+    """1-d mu_a of (lo, hi) with lo clipped at 0; vectorized, in a as well."""
     p = 2.0 * a + 2.0
     lo = np.maximum(lo, 0.0)
     try:
         with np.errstate(over="raise"):
             return (np.maximum(hi, 0.0) ** p - lo**p) / p
     except FloatingPointError as exc:  # the front end reports it as a failed evaluation
-        raise FloatingPointError(f"mu_a of (0, {np.max(hi):.6g}) overflows at a = {a:g}") from exc
+        a, hi = np.broadcast_arrays(a, hi)
+        with np.errstate(over="ignore"):  # the first interval whose power overflows
+            k = np.argmax(np.isinf(np.maximum(hi, 0.0) ** (2.0 * a + 2.0)))
+        raise FloatingPointError(
+            f"mu_a of (0, {hi.flat[k]:.6g}) overflows at a = {a.flat[k]:g}") from exc
 
 
 def _face_distances(rest: np.ndarray) -> np.ndarray:
@@ -214,13 +217,12 @@ def _ball_measures(alpha, centers, radii) -> np.ndarray:
     """mu_alpha(B(c, r) intersected with R_+^d) for each centre row c of the
     (m, d) centers and its radius r of the (m,) radii.
 
-    d = 1 uses the exact interval formula, one ball at a time: the array route
-    differs from it in the last bit on some balls (745 of 24,000 drawn like
-    czscan's), which would move d = 1 report bytes.  Every higher d makes one
-    _sliced_measure call for all balls: each level shares its order among its
-    panels, with at least 32 nodes per panel where its slices have one or two
-    dimensions and 16 where they have more; the outermost level's order is
-    _BALL_ORDER, and a level of order o passes max(o // 2, 24) to the one below.
+    One _sliced_measure call serves all balls of every d.  Its last level is
+    the exact interval formula; each level above it shares its order among
+    its panels, with at least 32 nodes per panel where its slices have one or
+    two dimensions and 16 where they have more; the outermost level's order
+    is _BALL_ORDER, and a level of order o passes max(o // 2, 24) to the one
+    below.
     """
     alpha = as_alpha(alpha)
     centers, _ = as_points(alpha.d, centers)
@@ -232,10 +234,6 @@ def _ball_measures(alpha, centers, radii) -> np.ndarray:
         if not center_ok[p]:
             raise ValueError("the center point must lie in the open positive orthant")
         raise ValueError(f"radius must be finite and positive, got {radii[p]}")
-    if alpha.d == 1:
-        a = alpha.components[0]
-        return np.array([float(_mu_interval(a, c - r, c + r))
-                         for c, r in zip(centers[:, 0], radii)])
     if not radii.size:
         return np.empty(0)
     # each centre's faces at every level, once for all of its slices

@@ -390,6 +390,13 @@ class TestLadderOperators:
 
 
 class TestLaguerreOperator:
+    def test_eigenvalue_of_a_level_array(self):
+        # the square functions and the spectral heat kernel pass arrays of levels
+        a = as_alpha((0.3, -0.5))
+        levels = np.arange(9)
+        got = eigenvalue(a, levels)
+        assert np.array_equal(got, [eigenvalue(a, int(n)) for n in levels])
+
     def test_ground_state_eigenvalue(self):
         e = Expansion((0.0,), PLAIN, {(0,): 1.0})
         out = laguerre_operator_apply(e)

@@ -100,6 +100,12 @@ INVALID_CONFIGS = {
     "verify_cutoff_0": ("verify", "alpha = 0.0\ncutoff = 0\n", "cutoff"),
     "zeta_order_1": ("czscan", "alpha = 0.0\nzeta_order = 1\n", "zeta_order"),
     "zeta_levels_1": ("czscan", "alpha = 0.0\nzeta_levels = 1\n", "zeta_levels"),
+    # 1/sinh(2t)^2 overflows at the smallest time node from about 510 levels,
+    # and 0.5**levels underflows from 1075
+    "zeta_levels_501": ("czscan", "alpha = 0.0\nzeta_levels = 501\n",
+                        "zeta_levels: must be <= 500"),
+    "zeta_levels_1100": ("czscan", "alpha = 0.0\nzeta_levels = 1100\n",
+                         "zeta_levels: must be <= 500"),
     "box_hi_inf": ("czscan", "alpha = 0.0\nbox_hi = inf\n", "box_hi"),
     # the mixed-derivative kinds need a second coordinate
     "hTmod_d1": ("czscan", "alpha = 0.0\nkind = hTmod\n", "kind"),
@@ -153,6 +159,13 @@ class TestExitCodes:
         code = main([task, "--config", path, "--seed", "-1", "--out", str(tmp_path / "r.csv")])
         assert code == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_deepest_time_grid_runs_clean(self, tmp_path):
+        # under the suite's error::RuntimeWarning filter an overflow would fail the run
+        path = write_config(tmp_path, "alpha = -0.5\nseed = 3\ncount = 3\nzeta_levels = 500\n"
+                            "refine = true\nthreads = 1\n")
+        out = str(tmp_path / "scan.csv")
+        assert main(["czscan", "--config", path, "--out", out, "--no-timestamp"]) == 0
 
     def test_verify_below_range_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "alpha = -0.9\nseed = 1\ncount = 3\n")
@@ -293,7 +306,7 @@ def _identity_score(row):
 # name, which call, poison) and the score of a report row
 NAN_CASES = {
     "basis": ("basis", "alpha = 0.3\ncutoff = 3\nquad_order = 32\n",
-              (cli, "ell_batch", 1, _nan_rows), _identity_score),
+              (cli.basis_mod, "_ell_grid", 1, _nan_rows), _identity_score),
     "kernel": ("kernel", "alpha = 0.0\nseed = 9\ncount = 3\nquad_order = 32\n",
                (cli, "_heat_spectral", 1, _nan_rows), _identity_score),
     "gfun": ("gfun", "alpha = 0.0\nseed = 9\ncount = 2\ncutoff = 4\nquad_order = 32\n",

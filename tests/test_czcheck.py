@@ -170,6 +170,22 @@ class TestPerturbedBlocks:
         monkeypatch.setattr(czcheck, "_DRAW_WINDOW", window)
         assert np.array_equal(sample_perturbed(x, y, 8), want)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_first_pair_rejects_whole_windows(self, seed):
+        # pair 0 lies 1e-9 from every face in d = 8, so a draw stays in the
+        # orthant about once in 256; it rejects the first two windows and is
+        # retested with the pairs after it on each next window
+        from lps.czcheck import _DRAW_WINDOW
+
+        x, y = sample_pairs(8, 20, 5)
+        x[0], y[0] = 1e-9, 2.0
+        rng = np.random.default_rng(seed)
+        radius = 0.5 * np.linalg.norm(x[0] - y[0]) * rng.uniform(0.05, 0.95, len(x))[0]
+        dirs = rng.normal(size=(2 * _DRAW_WINDOW, 8))
+        cand = x[0] + radius * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        assert not np.any(np.all(cand > 0, axis=1))
+        assert np.array_equal(sample_perturbed(x, y, seed), _perturbed_per_draw(x, y, seed))
+
     @pytest.mark.parametrize("d", [1, 3])
     def test_draw_cap_names_the_same_pair(self, d):
         # pair 4 lies outside the orthant, so none of its draws is accepted
@@ -470,12 +486,12 @@ class TestLemmaSuite:
         # dropped by the maxima of the fitted constant
         from lps import czcheck
 
-        def nan_balls(alpha, x, y):
+        def nan_balls(alpha, x, radii):
             balls = np.array([mu_ball(alpha, c, 1.0) for c in x])
             balls[5] = math.nan
             return balls
 
-        monkeypatch.setattr(czcheck, "ball_measures", nan_balls)
+        monkeypatch.setattr(czcheck, "_ball_measures", nan_balls)
         rows = {r.name: r for r in lemma_suite((0.0, -0.5), samples=100, seed=23)}
         assert not rows["q_integral_vs_ball_measure"].passed
         assert math.isnan(rows["q_integral_vs_ball_measure"].margin)

@@ -92,6 +92,11 @@ class TestMuBox:
         with pytest.raises(ValueError):
             mu_box(0.0, [-0.5], [1.0])
 
+    def test_overflow_names_its_component(self):
+        # 10^402 leaves the double range; the message names that factor's a and hi
+        with pytest.raises(FloatingPointError, match=r"mu_a of \(0, 10\) overflows at a = 200"):
+            mu_box((0.0, 200.0, 1.0), [0.0, 0.0, 0.0], [3.0, 10.0, 2.0])
+
 
 class TestMuBall:
     def test_interval_cases(self):
@@ -359,11 +364,8 @@ def _per_ball_slices(a, center, radii, order):
 
 
 def _per_ball_reference(alpha, centers, radii):
-    from lps.measure import _BALL_ORDER, _mu_interval
+    from lps.measure import _BALL_ORDER
 
-    if len(alpha) == 1:
-        return np.array([float(_mu_interval(alpha[0], c[0] - r, c[0] + float(r)))
-                         for c, r in zip(centers, radii)])
     return np.array([_per_ball_slices(alpha, c, np.array([float(r)]), _BALL_ORDER)[0]
                      for c, r in zip(centers, radii)])
 
@@ -373,7 +375,7 @@ def _ball_cases(d):
     centres whose faces or kink angles coincide."""
     from lps.czcheck import _distances, sample_pairs
 
-    count = {2: 30, 3: 8, 4: 2}[d]
+    count = {1: 400, 2: 30, 3: 8, 4: 2}[d]
     x, y = sample_pairs(d, count, 40 + d)
     xl, yl = sample_pairs(d, count, 23, 0.1, 8.0)
     rng = np.random.default_rng(d)
@@ -389,8 +391,9 @@ def _ball_cases(d):
 class TestBatchedBalls:
     """One call for all balls gives each ball the bits of the per-ball loop."""
 
-    @pytest.mark.parametrize("alpha", [(0.0, -0.5), (-0.3, 0.7), (0.2, 0.3), (0.3, -0.5, 0.5),
-                                       (0.0, 0.0, 0.0), (0.0, -0.5, 0.5, 0.0)],
+    @pytest.mark.parametrize("alpha", [(-0.5,), (0.3,), (1.7,), (0.0, -0.5), (-0.3, 0.7),
+                                       (0.2, 0.3), (0.3, -0.5, 0.5), (0.0, 0.0, 0.0),
+                                       (0.0, -0.5, 0.5, 0.0)],
                              ids=lambda a: "_".join(map(str, a)))
     def test_matches_per_ball_loop(self, alpha):
         from lps.measure import _ball_measures
@@ -399,14 +402,6 @@ class TestBatchedBalls:
         got = _ball_measures(alpha, centers, radii)
         assert np.array_equal(got, _per_ball_reference(alpha, centers, radii))
         assert np.array_equal(got[:3], [mu_ball(alpha, c, r) for c, r in zip(centers, radii[:3])])
-
-    def test_d1_stays_scalar(self):
-        from lps.czcheck import _distances, sample_pairs
-        from lps.measure import _ball_measures
-
-        x, y = sample_pairs(1, 400, 12)
-        got = _ball_measures(-0.5, x, _distances(x, y))
-        assert np.array_equal(got, _per_ball_reference((-0.5,), x, _distances(x, y)))
 
     def test_clip_keeps_d4_balls_finite(self):
         # a node next to the clip angle rounded x_1 a little below 0, and its
