@@ -81,6 +81,9 @@ def _as_multi_index(k, d: int) -> tuple:
     ell_batch and Expansion check their indices here, once; the private
     evaluators behind them take checked indices.
     """
+    if type(k) is tuple and len(k) == d and all(type(v) is int and 0 <= v <= _MAX_ENTRY
+                                                 for v in k):
+        return k  # already checked, as the keys random_expansion draws are
     try:
         k = (k,) if np.isscalar(k) else tuple(k)
         ints = tuple(int(v) for v in k)
@@ -266,6 +269,18 @@ def _rule_table(a: float, rule_a: float, order: int, depth: int) -> np.ndarray:
     table = _ell_table_1d(a, depth, _quad_rule(rule_a, order).nodes)
     table.flags.writeable = False
     return table
+
+
+def _rule_gram(a: float, rule_a: float, order: int, depth: int, power: int) -> np.ndarray:
+    """sum_i w_i x_i^(2 power) l_m^a(x_i) l_n^a(x_i), m, n <= depth, in np.longdouble.
+
+    x_i and w_i are the nodes and weights of _quad_rule(rule_a, order) and
+    l_m^a(x_i) the rows of _rule_table.  numpy's long double matmul, with no
+    BLAS, sums each entry over the nodes in order: (m, n) ignores depth.
+    """
+    rule = _quad_rule(rule_a, order)
+    table = _rule_table(a, rule_a, order, depth).astype(np.longdouble)
+    return (table * (rule.weights * rule.nodes.astype(np.longdouble) ** (2 * power))) @ table.T
 
 
 def _ell_grid(alpha, shifts: tuple, indices, order: int) -> np.ndarray:

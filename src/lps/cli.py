@@ -144,7 +144,7 @@ class RunConfig:
                               f"({self.box_lo}, {self.box_hi}) leaves no interval of it")
         try:  # a Gauss rule that a double cannot hold is a bad order, not a failed check
             if self.task in ("basis", "gfun", "verify"):
-                basis_mod._quad_grid(a, self.quad_order)
+                basis_mod._quad_rules(a, self.quad_order)
             if self.task in ("kernel", "verify"):
                 pi_alpha_rule(a, self.quad_order)
         except ValueError as exc:

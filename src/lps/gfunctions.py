@@ -15,22 +15,21 @@ vertical kinds, a ladder factor -2 sqrt(k_c) for horizontal ones, c =
 kind.coord) and the output system kind.output_shifts.  The same amplitudes
 drive the ζ-grid quadrature route used for cross-checking.
 
-The closed form and the norms share one contraction: with A the amplitude
-matrix (modes x points) and C = 1/(nu_m + nu_m')^p, the squared value at each
-point is the column sum of A * (C @ A), one matmul and one elementwise pass
-for all points.
+gfun_exact contracts the amplitudes: with A the amplitude matrix
+(modes x points) and C = 1/(nu_m + nu_m')^p, the squared value at each point
+is the column sum of A * (C @ A), one matmul and one elementwise pass for all
+points.
 
-The L^2(d mu_alpha) norms integrate the squared values over the tensor
-Gauss-Laguerre grid of basis._quad_grid.  Their amplitudes read per-rule
-Laguerre tables that basis caches on the 1-d nodes, so a repeated norm on
-the same alpha and order builds no table.  A batch of expansions of one
-alpha and family reads one grid table for the modes of as many consecutive
-expansions as fit in _TABLE_ENTRIES (_l2_norms).
+The L^2(d mu_alpha) norms are the Gauss-Laguerre quadrature of that squared
+value on the tensor grid of basis._quad_rules, without forming the grid:
+output functions and grid weights are products over coordinates, so the sum
+factors into one Gram matrix per coordinate (basis._rule_gram, from the
+cached per-rule tables) and a double sum over mode pairs, in np.longdouble.
 """
 
 import numpy as np
 
-from .basis import Expansion, _ell_grid, _quad_grid, eigenvalue, ell_batch
+from .basis import Expansion, _rule_gram, eigenvalue, ell_batch
 from .kernels import KernelKind, ZetaGrid
 from .measure import as_points
 
@@ -109,53 +108,14 @@ def gfun_quadrature(kind: KernelKind, e: Expansion, x, grid: ZetaGrid | None = N
     return float(out[0]) if single else out
 
 
-# the most entries (rows x grid points) of one _l2_norms table: the union of
-# a d = 2 batch at cutoff 8 and order 64, 45 x 4096, fits in one table
-_TABLE_ENTRIES = 45 * 4096
-
-
-def _blocks(index_lists, npts: int):
-    """Consecutive runs (start, stop, union of their indices) of index_lists.
-
-    A run's union holds at most _TABLE_ENTRIES // npts indices, unless its
-    one list alone holds more.
-    """
-    start, union = 0, {}
-    for n, indices in enumerate(index_lists):
-        grown = union | dict.fromkeys(indices)
-        if n > start and len(grown) * npts > _TABLE_ENTRIES:
-            yield start, n, list(union)
-            start, grown = n, dict.fromkeys(indices)
-        union = grown
-    yield start, len(index_lists), list(union)
-
-
-def _block_norms(kind: KernelKind, alpha, modes: list, union: list, order: int) -> list:
-    """The norms of a run of expansions, given their _modes, from one table over union.
-
-    The table and the amplitudes go with the call, before the next run's
-    table is built.
-    """
-    _, w = _quad_grid(alpha, order)
-    table = _ell_grid(alpha, kind.output_shifts, union, order)
-    row = {k: n for n, k in enumerate(union)}
-    norms = []
-    for nus, mults, indices in modes:
-        # a lone expansion's table is its rows in mode order; it may exceed
-        # _TABLE_ENTRIES, so it is scaled in place rather than copied
-        amp = table if len(modes) == 1 else table[[row[k] for k in indices]]
-        amp *= mults[:, None]
-        norms.append(np.sqrt(np.sum(w * _closed_values(kind, nus, amp) ** 2)))
-    return norms
-
-
 def _l2_norms(kind: KernelKind, expansions, order: int = 64) -> np.ndarray:
     """gfun_l2_norm of each expansion, which all share one alpha and family.
 
-    Consecutive expansions share one _ell_grid table over the union of their
-    output indices, as many as fit in _TABLE_ENTRIES; each expansion then
-    reads its rows in its own mode order, so every norm equals a call on
-    that expansion alone bit for bit.
+    Each coordinate gets one basis._rule_gram, as deep as the batch's
+    deepest index; its entries do not depend on that depth.  Expansions with
+    equally many modes share the array passes of the double sum, and each is
+    summed over its own entries in index order, so every norm equals a call
+    on that expansion alone bit for bit.
     """
     for e in expansions:
         _check_input(kind, e)
@@ -165,18 +125,36 @@ def _l2_norms(kind: KernelKind, expansions, order: int = 64) -> np.ndarray:
     if any(e.alpha != alpha or e.family != family for e in expansions):
         raise ValueError("the expansions of one batch must share alpha and family")
     modes = [_modes(kind, e) for e in expansions]
-    npts = len(_quad_grid(alpha, order)[1])
-    out = []
-    for start, stop, union in _blocks([indices for _, _, indices in modes], npts):
-        out += _block_norms(kind, alpha, modes[start:stop], union, order)
-    return np.array(out)
+    shifts = [kind.output_shifts.count(c) for c in range(1, alpha.d + 1)]
+    # the output index of mode k is k - shifts, which _modes keeps nonnegative
+    downs = [np.array(indices, dtype=np.intp).reshape(-1, alpha.d) - shifts
+             for _, _, indices in modes]
+    depth = np.max([down.max(axis=0, initial=0) for down in downs], axis=0)
+    grams = [_rule_gram(a + s, a, order, int(n), s)
+             for a, s, n in zip(alpha.components, shifts, depth)]
+    out = np.empty(len(expansions))
+    for count in set(map(len, downs)):
+        members = [n for n, down in enumerate(downs) if len(down) == count]
+        nus, amp = (np.array([modes[n][part] for n in members], dtype=np.longdouble)
+                    for part in (0, 1))
+        form = (amp[:, :, None] * amp[:, None, :]
+                / (nus[:, :, None] + nus[:, None, :]) ** kind.time_power)
+        rows = np.array([downs[n] for n in members])
+        for c, gram in enumerate(grams):
+            form *= gram[rows[:, :, None, c], rows[:, None, :, c]]
+        # numpy's long double matmul sums each row in index order, from +0
+        total = form.reshape(len(members), -1) @ np.ones(count**2, dtype=np.longdouble)
+        out[members] = np.sqrt(np.maximum(total, 0))
+    return out
 
 
 def gfun_l2_norm(kind: KernelKind, e: Expansion, order: int = 64) -> float:
     """||g(f)||_{L^2(d mu_alpha)} by Gauss-Laguerre quadrature of gfun_exact^2.
 
-    The amplitudes on the tensor grid come from the cached per-rule tables
-    of basis._ell_grid; they equal gfun_exact's at the grid points bit for bit.
+    The tensor grid of basis._quad_rules is never formed: by Fubini on a
+    finite sum, the quadrature is sum_(m,m') a_m a_m' prod_c G_c / (nu_m +
+    nu_m')^p, with G_c the entry of coordinate c's basis._rule_gram for the
+    output indices of modes m and m'.  Orthonormality is never assumed.
     """
     return float(_l2_norms(kind, [e], order)[0])
 

@@ -243,6 +243,12 @@ class TestExpansion:
         assert basis._as_multi_index(k, 2) == k
         assert basis._as_multi_index(np.array([3, 0]), 2) == k
         assert basis._as_multi_index((True, 0), 2) == (1, 0)
+        assert [type(v) for v in basis._as_multi_index((True, 0), 2)] == [int, int]
+
+    def test_checked_keys_pass_unchanged(self):
+        # the keys random_expansion draws are tuples of Python ints already
+        for k in basis._family_indices(PLAIN, 3, 4) + ((basis._MAX_ENTRY, 0),):
+            assert basis._as_multi_index(k, len(k)) is k
 
 
 class TestAnalyzeSynthesize:

@@ -18,6 +18,7 @@ from lps.gfunctions import (
 )
 from lps.kernels import KernelKind, ZetaGrid, default_kinds
 from lps.measure import as_alpha
+from lps.specfun import QuadratureRule
 
 ALL_KINDS = [
     KernelKind("dT"),
@@ -162,19 +163,6 @@ class TestSharedTables:
 
 
 class TestNormOnRuleTables:
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=CASE_NUMBER_IDS)
-    def test_norm_is_quadrature_of_gfun_exact_bit_for_bit(self, kind):
-        # d = 1 and 2; the kinds of two distinct coordinates need d = 2
-        for d in range(kind.spec.min_d, 3):
-            # in d = 1 every coordinate of the kind is 1
-            kind_d = KernelKind(kind.tag, **{n: min(v, d) for n, v in _coords(kind).items()})
-            alpha = (0.3, -0.5)[:d]
-            e = random_expansion(alpha, kind_d.input_family(), nmodes=8, max_level=6,
-                                 seed=5 + d)
-            pts, w = basis._quad_grid(as_alpha(alpha), 32)
-            want = float(np.sqrt(np.sum(w * gfun_exact(kind_d, e, pts) ** 2)))
-            assert gfun_l2_norm(kind_d, e, order=32) == want
-
     def test_warm_norm_builds_no_table(self, monkeypatch):
         built = []
         table_1d = basis._ell_table_1d
@@ -225,20 +213,25 @@ class TestContraction:
             assert np.max(np.abs(got - want) / scale) <= 4 * EPS
 
     def test_norm_within_one_eps_of_long_double(self):
-        # the L^2 norm sums many values, so its rounding averages out
-        alpha = as_alpha((0.0, -0.5))
-        _, w = basis._quad_grid(alpha, 64)
-        for kind in (KernelKind("dT"), KernelKind("dP"), KernelKind("dTmod", j=1),
-                     KernelKind("dPmod", j=1), KernelKind("hT", i=1), KernelKind("hT", i=2)):
-            for seed in range(10):
-                e = random_expansion(alpha, kind.input_family(), nmodes=8, max_level=8,
-                                     seed=seed)
-                nus, mults, indices = _modes(kind, e)
-                amp = mults[:, None] * basis._ell_grid(alpha, kind.output_shifts, indices, 64)
-                sq, _ = _long_double_contraction(kind, nus, amp)
-                want = np.sqrt(np.sum(w * np.maximum(sq, 0)))
-                got = gfun_l2_norm(kind, e, order=64)
-                assert abs(got - want) <= EPS * want
+        # the L^2 norm sums many values, so its rounding averages out; the
+        # reference contracts the amplitudes on the tensor grid point by point
+        for d, order in ((1, 64), (2, 64), (3, 24)):
+            alpha = as_alpha((0.0, -0.5, 0.3)[:d])
+            _, w = basis._quad_grid(alpha, order)
+            for kind in ALL_KINDS:
+                if kind.spec.min_d > d:
+                    continue
+                kind = KernelKind(kind.tag, **{n: min(v, d) for n, v in _coords(kind).items()})
+                for seed in range(10):
+                    e = random_expansion(alpha, kind.input_family(), nmodes=8, max_level=8,
+                                         seed=seed)
+                    nus, mults, indices = _modes(kind, e)
+                    amp = mults[:, None] * basis._ell_grid(alpha, kind.output_shifts, indices,
+                                                           order)
+                    sq, _ = _long_double_contraction(kind, nus, amp)
+                    want = np.sqrt(np.sum(w * np.maximum(sq, 0)))
+                    got = gfun_l2_norm(kind, e, order=order)
+                    assert abs(got - want) <= EPS * want
 
     def test_nan_amplitude_gives_nan(self):
         rng = np.random.default_rng(3)
@@ -251,35 +244,20 @@ class TestContraction:
             assert np.all(np.isfinite(np.delete(got, 4)))
 
 
-def _norm_per_expansion(kind, e, order):
-    """gfun_l2_norm of one expansion as it was computed before norms were batched."""
-    _, w = basis._quad_grid(e.alpha, order)
-    nus, mults, indices = [], [], []
-    for k, c in e.coeffs.items():
-        lam = eigenvalue(e.alpha, sum(k))
-        nu = np.sqrt(lam) if kind.is_poisson else lam
-        if kind.spec.deriv == "d":
-            mult = -nu
-        else:
-            kc = k[kind.coord - 1]
-            if kc == 0:
-                continue
-            mult = -2.0 * np.sqrt(kc)
-        nus.append(nu)
-        mults.append(mult * c)
-        indices.append(k)
-    amp = np.asarray(mults)[:, None] * basis._ell_grid(e.alpha, kind.output_shifts, indices,
-                                                       order)
-    return float(np.sqrt(np.sum(w * _closed_values(kind, np.asarray(nus), amp) ** 2)))
+def _run_gfun(tmp_path, alpha: str, order: int, task="gfun"):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha = {alpha}\nseed = 3\ncount = 4\ncutoff = 5\nquad_order = {order}\n"
+                   "box_hi = 2\n")
+    return cli.main([task, "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                     "--no-timestamp"])
 
 
 class TestL2Norms:
-    ORDERS = {1: 40, 2: 24, 3: 10}
-
     @staticmethod
     def _batch(kind, alpha, d):
-        """Random expansions that share indices, an empty one, and one whose
-        modes all drop from a horizontal kind if its family has such indices."""
+        """Random expansions that share indices, an empty one, a duplicate, one
+        whose modes all drop from a horizontal kind if its family has such
+        indices, and a shallow one, whose lone call reads shallower Gram matrices."""
         fam = kind.input_family()
         es = [random_expansion(alpha, fam, nmodes=6, max_level=4, seed=s) for s in range(7)]
         es.append(Expansion(alpha, fam, {}))
@@ -288,6 +266,7 @@ class TestL2Norms:
             idle = [k for k in basis._family_indices(fam, d, 4) if k[kind.coord - 1] == 0]
             if idle:
                 es.append(Expansion(alpha, fam, {k: 1.0 + n for n, k in enumerate(idle[:3])}))
+        es.append(random_expansion(alpha, fam, nmodes=3, max_level=2, seed=11))
         return es
 
     @pytest.mark.parametrize("kind, d", [(k, d) for k in ALL_KINDS for d in (1, 2, 3)
@@ -300,17 +279,16 @@ class TestL2Norms:
         # its last bit for some levels <= 4 at every d
         alpha = as_alpha((0.31, -0.37, 0.53)[:d])
         es = self._batch(kind, alpha, d)
-        got = _l2_norms(kind, es, self.ORDERS[d])
-        want = [_norm_per_expansion(kind, e, self.ORDERS[d]) for e in es]
-        assert got.tolist() == want
+        got = _l2_norms(kind, es)
+        assert got.tolist() == [gfun_l2_norm(kind, e) for e in es]
+        assert _l2_norms(kind, es[::-1]).tolist() == got[::-1].tolist()
         assert got[7] == 0.0 and got[8] == got[0]
-        if kind.coord and len(es) == 10:
+        if kind.coord and len(es) == 11:
             assert got[9] == 0.0
         # the horizontal kinds drop modes with k_c = 0, so batches hold ragged mode counts
         counts = {len(_modes(kind, e)[2]) for e in es[:7]}
         if kind.spec.deriv == "h" and d > 1:
             assert len(counts) > 1
-        assert gfun_l2_norm(kind, es[3], self.ORDERS[d]) == got[3]
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=CASE_NUMBER_IDS)
     def test_nan_coefficient_poisons_its_own_norm(self, kind):
@@ -351,71 +329,69 @@ class TestL2Norms:
         assert gfun_l2_norm(KernelKind("dT"), e, order=16) == 0.25
         assert calls == [1]
 
-    def test_blocks_bound_the_union(self):
-        lists = [[(0,), (1,)], [(1,), (2,)], [(3,)], [(4,), (5,), (6,)], [], [(0,)]]
-        # up to 3 indices per run; the run of one list may hold more
-        got = list(gfunctions._blocks(lists, gfunctions._TABLE_ENTRIES // 3))
-        assert got == [(0, 2, [(0,), (1,), (2,)]), (2, 3, [(3,)]),
-                       (3, 5, [(4,), (5,), (6,)]), (5, 6, [(0,)])]
-        assert list(gfunctions._blocks(lists, gfunctions._TABLE_ENTRIES + 1)) == [
-            (n, n + 1, lst) for n, lst in enumerate(lists)]
-
-    @pytest.mark.parametrize("kind", [KernelKind("dT"), KernelKind("hT", i=2),
-                                      KernelKind("dPmod", j=1)], ids=_gtag)
-    def test_tables_within_budget_keep_bytes(self, monkeypatch, kind):
-        alpha = as_alpha((0.31, -0.37))
-        es = self._batch(kind, alpha, 2)
-        want = _l2_norms(kind, es, 24)
-        sizes = []
-        ell_grid = gfunctions._ell_grid
-
-        def recorded(alpha, shifts, indices, order):
-            sizes.append(len(indices))
-            return ell_grid(alpha, shifts, indices, order)
-
-        monkeypatch.setattr(gfunctions, "_ell_grid", recorded)
-        monkeypatch.setattr(gfunctions, "_TABLE_ENTRIES", 6 * 24**2)
-        got = _l2_norms(kind, es, 24)
-        assert got.tolist() == want.tolist()
-        assert len(sizes) > 2 and max(sizes) <= 6
-
     def test_batch_holds_no_more_than_one_norm(self):
-        # d = 3 at the default order: the table of one expansion alone exceeds
-        # _TABLE_ENTRIES, so a batch must hold no more than a lone norm does
+        # d = 3 at the default order: an amplitude table of one expansion on the
+        # tensor grid would hold 8 rows x 64^3 points, 16.8 MB; the whole batch
+        # stays below 1 MB, tables included; scipy's construction of the 1-d Gauss
+        # rules (about 2 MB at order 64, once per component and order) is not counted
         alpha = as_alpha((0.3, -0.5, 1.2))
-        kind = KernelKind("dT")
         es = [random_expansion(alpha, PLAIN, nmodes=8, max_level=8, seed=s) for s in range(4)]
-        gfun_l2_norm(kind, es[0])
+        basis._quad_rules(alpha, 64)
+        tracemalloc.start()
+        try:
+            _l2_norms(KernelKind("dT"), es)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
-        def peak(f):
-            tracemalloc.start()
-            try:
-                f()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @pytest.mark.parametrize("alpha, order", [("0.3", 16), ("0, -0.5", 16),
+                                              ("0.3, -0.5, 1.2, 0", 64)],
+                             ids=["d1", "d2", "d4"])
+    def test_gfun_op_reads_no_tensor_grid(self, tmp_path, monkeypatch, alpha, order):
+        # neither the configuration check nor the norms form the order^d grid
+        def refuse(*args):
+            raise AssertionError("the gfun task formed the tensor grid")
 
-        lone = max(peak(lambda: gfun_l2_norm(kind, e)) for e in es)
-        assert lone > 8 * 8 * 64**3  # the 8-row table on 64^3 points, in bytes
-        assert peak(lambda: _l2_norms(kind, es)) <= lone + 2**20
+        monkeypatch.setattr(basis, "_quad_grid", refuse)
+        monkeypatch.setattr(basis, "_ell_grid", refuse)
+        assert _run_gfun(tmp_path, alpha, order) == 0
 
-    @pytest.mark.parametrize("alpha, d", [("0.3", 1), ("0, -0.5", 2)])
-    def test_gfun_op_builds_one_table_per_kind(self, tmp_path, monkeypatch, alpha, d):
-        grids = []
-        ell_grid = gfunctions._ell_grid
 
-        def counted(alpha, shifts, indices, order):
-            grids.append(shifts)
-            return ell_grid(alpha, shifts, indices, order)
+class TestGfunCheckPower:
+    """lps verify fails on a gfun row when the norms' quadrature or a kind is wrong."""
 
-        monkeypatch.setattr(gfunctions, "_ell_grid", counted)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"alpha = {alpha}\nseed = 3\ncount = 5\ncutoff = 4\nquad_order = 16\n")
-        assert cli.main(["gfun", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
-                         "--no-timestamp"]) == 0
-        vertical = [k for k in default_kinds(d) if k.spec.deriv == "d"]
-        horizontal = [KernelKind("hT", i=i) for i in range(1, d + 1)]
-        assert grids == [k.output_shifts for k in vertical + horizontal]
+    ALPHAS = {1: "0.3", 2: "0, -0.5"}
+
+    @pytest.fixture(params=[1, 2], ids=["d1", "d2"])
+    def alpha(self, request, tmp_path):
+        alpha = self.ALPHAS[request.param]
+        assert _run_gfun(tmp_path, alpha, 32, task="verify") == 0
+        return alpha
+
+    def _fails_on_a_gfun_row(self, tmp_path, capsys, alpha):
+        capsys.readouterr()
+        assert _run_gfun(tmp_path, alpha, 32, task="verify") == 1
+        err = capsys.readouterr().err
+        assert "FAILED:" in err
+        assert "check=isometry_" in err or "check=horizontal_heat_sum" in err
+
+    def test_scaled_weights_of_one_coordinate(self, tmp_path, monkeypatch, capsys, alpha):
+        last = float(alpha.split(",")[-1])
+        rule = basis._quad_rule
+
+        def scaled(a, order):
+            out = rule(a, order)
+            return QuadratureRule(out.nodes, out.weights * (1 + 1e-5)) if a == last else out
+
+        monkeypatch.setattr(basis, "_quad_rule", scaled)
+        self._fails_on_a_gfun_row(tmp_path, capsys, alpha)
+
+    def test_wrong_time_power_of_one_kind(self, tmp_path, monkeypatch, capsys, alpha):
+        power = KernelKind.time_power
+        monkeypatch.setattr(KernelKind, "time_power", property(
+            lambda kind: 1 if kind.tag == "dT" else power.fget(kind)))
+        self._fails_on_a_gfun_row(tmp_path, capsys, alpha)
 
 
 class TestIsometry:

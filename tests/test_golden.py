@@ -13,9 +13,9 @@ from lps.cli import main
 
 CASES = {
     "gfun": ("gfun", "alpha = 0.3, -0.5\ncount = 4\ncutoff = 5\nquad_order = 32\n",
-             "4d166df81736c5376412e5f040efbab4cdb84d5d8fc46a466965ef0db58ff4dc"),
+             "21e120322f8f0e206818d3da47aca6165f496faf1885507b806ba5a65e752040"),
     "verify": ("verify", "alpha = 0, -0.5\ncount = 4\ncutoff = 5\nquad_order = 32\nbox_hi = 2\n",
-               "2be771c433b0e95fe77a9edf24ff25cfe6101685ecca99af22391c64c0102ccf"),
+               "b6311db280428911c0714536171722c268f12236a38e9e8edd823d774337a6a5"),
     # the heat-kernel triple alone: closed, Schlafli and spectral cells
     "kernel": ("kernel", "alpha = 0, -0.5\ncount = 6\nbox_hi = 2\nquad_order = 32\n",
                "63c5c2d00c05d775bfc79a0ebdeadf02821c6625dade6b2974675c25dd615a6b"),
@@ -24,11 +24,11 @@ CASES = {
     # the shape of the benchmark's identities op: 300 square-function norms
     "verify-bench": ("verify",
                      "alpha = 0, -0.5\ncount = 50\ncutoff = 8\nquad_order = 64\nbox_hi = 2\n",
-                     "8b9d48419f938fdad0e7d18187d9b089cb025213d176d26460e5a1c62a7fe81a"),
+                     "bf55ad723f81e885e1a420d257e9eb527a1ea7f48aa04024f7091692b0489f37"),
     "gfun-d1": ("gfun", "alpha = -0.5\ncount = 20\ncutoff = 8\n",
-                "9270bc57bd35a1aea6cff589423554a46cb5f9d7ef4f5e5d7527ea51cab41cc5"),
+                "4862edaa46ae80c4f8f90973d79df051f13d84d053c17a8ba367ef15cca1c20d"),
     "gfun-d3": ("gfun", "alpha = 0.3, -0.5, 1.2\ncount = 6\ncutoff = 6\nquad_order = 24\n",
-                "8040a25ec8d60935d4c3fc3b21c0ecd8e2cc0b49254fe5a2d3cf8afbd89cf848"),
+                "f2436500e21c70e86113b42ccadfd2e370a9c4ef123ddb1bb8e1c80c561c392c"),
     "lemmas": ("lemmas", "alpha = 0, -0.5\ncount = 2000\n",
                "4dcac93b3e11dea4f474856df65b260e6084cb63eb8f6ba80c54df3d438ed0a5"),
     "basis": ("basis", "alpha = 0.3, -0.5\ncutoff = 4\nquad_order = 24\n",
