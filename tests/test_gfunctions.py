@@ -163,6 +163,22 @@ class TestSharedTables:
 
 
 class TestNormOnRuleTables:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=CASE_NUMBER_IDS)
+    def test_norm_is_quadrature_of_gfun_exact_bit_for_bit(self, kind):
+        # the Gram-factor sum is the tensor grid's quadrature of gfun_exact^2;
+        # the two round differently (long double against float64 at each
+        # grid point), so they agree to 2 eps, no longer bit for bit
+        # d = 1 and 2; the kinds of two distinct coordinates need d = 2
+        for d in range(kind.spec.min_d, 3):
+            # in d = 1 every coordinate of the kind is 1
+            kind_d = KernelKind(kind.tag, **{n: min(v, d) for n, v in _coords(kind).items()})
+            alpha = (0.3, -0.5)[:d]
+            e = random_expansion(alpha, kind_d.input_family(), nmodes=8, max_level=6,
+                                 seed=5 + d)
+            pts, w = basis._quad_grid(as_alpha(alpha), 32)
+            want = float(np.sqrt(np.sum(w * gfun_exact(kind_d, e, pts) ** 2)))
+            assert abs(gfun_l2_norm(kind_d, e, order=32) - want) <= 2 * EPS * want
+
     def test_warm_norm_builds_no_table(self, monkeypatch):
         built = []
         table_1d = basis._ell_table_1d
