@@ -15,8 +15,6 @@ was invalid.
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -25,7 +23,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -212,30 +210,90 @@ def _fmt(v):
     return v
 
 
+def _fmt_column(cells: list) -> list:
+    """The cells of a column as written (see _fmt): a column of floats is formatted
+    in one map, and a column that _fmt leaves as it is, as strings formatted
+    already, is returned as it is."""
+    types = set(map(type, cells))
+    if types == {float}:
+        return list(map(format, cells, repeat(".17g")))
+    if types == {float, str}:  # floats among the blank cells of rows that left the column out
+        return [format(v, ".17g") if type(v) is float else v for v in cells]
+    if any(issubclass(t, (float, tuple, list, np.ndarray)) for t in types):
+        return list(map(_fmt, cells))
+    return cells
+
+
+# a CSV cell holding one of these is quoted, its quotes doubled: csv's
+# QUOTE_MINIMAL rule, and a carriage return too, which csv.writer with
+# lineterminator "\n" leaves bare, where a reader would end the row
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _csv_cell(text: str) -> str:
+    if any(c in text for c in _CSV_SPECIAL):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_column(cells: list) -> list:
+    """A column of formatted cells as CSV text, each distinct cell quoted once."""
+    text = cells if set(map(type, cells)) <= {str} else list(map(str, cells))
+    joined = "".join(text)
+    if not any(c in joined for c in _CSV_SPECIAL):
+        return text
+    quoted = {t: _csv_cell(t) for t in set(text)}
+    return list(map(quoted.__getitem__, text))
+
+
 class Report:
-    """Row-oriented report with a fixed column order, each cell formatted once as it is added."""
+    """Column-oriented report with a fixed column order.
+
+    Cells are kept as given and formatted a column at a time when the report
+    is written or its rows are read.
+    """
 
     def __init__(self, columns):
         self.columns = list(columns)
-        self.rows = []
+        self.cells = {c: [] for c in self.columns}
+
+    def __len__(self):
+        return len(self.cells[self.columns[0]])
 
     def add_columns(self, **cols):
-        """One row per entry of the given columns; a column not given is left empty."""
-        self.rows.extend(zip(*(map(_fmt, cols[c]) if c in cols else repeat("")
-                               for c in self.columns)))
+        """One row per entry of the given columns; a column not given is left empty.
+
+        A column given as an unsized iterable, as repeat(cell), is cut to the
+        length of the shortest sized one.
+        """
+        n = min(len(v) for v in cols.values() if hasattr(v, "__len__"))
+        for c, cells in self.cells.items():
+            cells.extend(islice(cols.get(c, repeat("")), n))
+
+    def _formatted(self) -> dict:
+        """The cells as written, column by column; each column is formatted in place once."""
+        for c, cells in self.cells.items():
+            self.cells[c] = _fmt_column(cells)
+        return self.cells
+
+    @property
+    def rows(self) -> list:
+        """The formatted cells, row by row."""
+        return list(zip(*self._formatted().values()))
 
     def write(self, path: str, fmt: str, header_lines):
         # the whole text is built first, so a row that fails to serialise
         # leaves an existing report as it was
-        buf = io.StringIO()
-        if fmt == "csv":  # RFC 4180 quoting: a cell holding a comma or a quote is quoted
-            buf.writelines(f"# {line}\n" for line in header_lines)
-            csv.writer(buf, lineterminator="\n").writerows([self.columns] + self.rows)
+        # (csv.writer writes a row of one empty cell as "", and every report
+        # has three columns or more)
+        if fmt == "csv":
+            lines = [f"# {line}" for line in header_lines]
+            lines.append(",".join(map(_csv_cell, self.columns)))
+            lines += map(",".join, zip(*map(_csv_column, self._formatted().values())))
         else:
-            records = [{"header": line} for line in header_lines]
-            records += [dict(zip(self.columns, row)) for row in self.rows]
-            buf.writelines(json.dumps(r) + "\n" for r in records)
-        text = buf.getvalue()
+            lines = [json.dumps({"header": line}) for line in header_lines]
+            lines += (json.dumps(dict(zip(self.columns, row))) for row in self.rows)
+        text = "\n".join([*lines, ""])
         # overwritten in place, then cut to length: opening with O_TRUNC
         # empties an existing file, and ext4 then flushes it on close, which
         # cost about 1 ms per short report with stalls of up to 10 ms
@@ -465,12 +523,12 @@ def run(cfg: RunConfig) -> int:
     # the one verdict of every task: the largest score that is not NaN, and a
     # failure unless every row passed, so a NaN row fails but is never worst
     worst = np.max(score, where=~np.isnan(score), initial=0.0)
-    print(f"{cfg.task}: rows={len(report.rows)} worst={worst:.3e} wall={elapsed:.2f}s -> {out}")
+    print(f"{cfg.task}: rows={len(report)} worst={worst:.3e} wall={elapsed:.2f}s -> {out}")
     failed = np.flatnonzero(~passed)
     if failed.size:
         cells = " ".join(f"{c}={v}" for c, v in zip(report.columns, report.rows[failed[0]])
                          if v != "")
-        print(f"FAILED: {failed.size} of {len(report.rows)} rows, the first "
+        print(f"FAILED: {failed.size} of {len(report)} rows, the first "
               f"(row {failed[0] + 1}): {cells}", file=sys.stderr)
         return 1
     return 0
@@ -495,16 +553,19 @@ def build_config(args) -> RunConfig:
     return RunConfig(**values)
 
 
+# built once: parse_args leaves the parser as it was
+_PARSER = argparse.ArgumentParser(prog="lps", description=__doc__)
+_PARSER.add_argument("task", choices=TASKS)
+_PARSER.add_argument("--config", required=False, help="flat key = value config file")
+_PARSER.add_argument("--seed", type=int, default=None)
+_PARSER.add_argument("--out", default="")
+_PARSER.add_argument("--format", choices=("csv", "jsonl"), default="")
+_PARSER.add_argument("--threads", default="")
+_PARSER.add_argument("--no-timestamp", action="store_true")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="lps", description=__doc__)
-    parser.add_argument("task", choices=TASKS)
-    parser.add_argument("--config", required=False, help="flat key = value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default="")
-    parser.add_argument("--format", choices=("csv", "jsonl"), default="")
-    parser.add_argument("--threads", default="")
-    parser.add_argument("--no-timestamp", action="store_true")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = build_config(args)
     except ConfigError as exc:

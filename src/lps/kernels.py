@@ -329,18 +329,21 @@ class _HeatParts(NamedTuple):
     ratio: np.ndarray  # ratio[i] = i_(a_i+1)(z_i) / i_(a_i)(z_i), (d, P, T)
 
 
-def _heat_parts(base: AlphaParam, x: np.ndarray, y: np.ndarray, zeta, eta) -> _HeatParts:
+def _heat_parts(base: AlphaParam, x: np.ndarray, y: np.ndarray, zeta, eta,
+                chunk: int = 0) -> _HeatParts:
     """The kind-independent parts of G_t of the type index base: the one
     evaluation of the closed form, at times zeta, eta of shape (T,) or (P, T).
 
     Entries that underflow anyway skip the Bessel factors: their G_t and
     their ratios are 0.  G_t is exactly 0 wherever log G_t lies below
     LOG_FLOOR; a NaN log G_t means a failed evaluation, not an underflow,
-    and raises.
+    and raises.  With a chunk length (T,) times are cut to those from the
+    first chunk of them that holds an entry that does not underflow: the
+    entries of the chunks before it are exact zeros, and the parts describe
+    the times zeta[start:] with start a multiple of chunk.
     """
     acomp = base.array()
     inv_s = 0.5 * (1.0 + zeta) * eta / zeta  # 1 / sinh 2t
-    coth2t = 0.5 * (1.0 + zeta * zeta) / zeta
     sx = np.sum(x * x, axis=1)[:, None]
     sy = np.sum(y * y, axis=1)[:, None]
     sep = np.sum((x - y) ** 2, axis=1)[:, None]
@@ -348,9 +351,14 @@ def _heat_parts(base: AlphaParam, x: np.ndarray, y: np.ndarray, zeta, eta) -> _H
     with np.errstate(divide="ignore"):
         log_s = np.log(2.0 * zeta) - np.log1p(zeta) - np.log(eta)
     logg = core - (len(acomp) + acomp.sum()) * log_s
+    live = _live_entries(acomp, logg)
+    if chunk and live is not Ellipsis:
+        # no live entry at all leaves every chunk: argmax of all False is 0
+        start = int(np.argmax(live.any(axis=0))) // chunk * chunk
+        zeta, eta, inv_s, logg, live = (a[..., start:] for a in (zeta, eta, inv_s, logg, live))
+    coth2t = 0.5 * (1.0 + zeta * zeta) / zeta
     # log G_t adds the Bessel mantissas
     z = x[:, :, None] * y[:, :, None] * inv_s[..., None, :]
-    live = _live_entries(acomp, logg)
     ratio = np.zeros((len(acomp),) + logg.shape)
     part = logg[live]
     for i, a in enumerate(acomp):
@@ -373,33 +381,36 @@ def _heat_entry(alpha: AlphaParam, kind: KernelKind, parts: _HeatParts) -> np.nd
     """
     x, y, acomp, inv_s, coth2t, sx, sy, z, g, e2t, ratio = parts
     spec = kind.spec
-    if spec.deriv == "d":
-        zr = np.zeros_like(g)
-        for i in range(len(acomp)):
-            zi = z[:, i, :]
-            zr += zi * zi * ratio[i]
-        factor = (
-            -2.0 * coth2t * (len(acomp) + acomp.sum())
-            + (sx + sy) * inv_s**2
-            - 2.0 * coth2t * zr
-        )
-        if spec.modified:
-            factor = factor - 2.0
-    else:
-        c = kind.coord
-        xc = x[:, c - 1][:, None]
-        yc = y[:, c - 1][:, None]
-        if spec.deriv == "h":
-            factor = xc * (1.0 - coth2t) + xc * yc * yc * ratio[c - 1] * inv_s**2
-        else:  # hStar
-            ac = alpha.components[c - 1]
+    # where G_t underflowed, at the smallest times of a deep grid, 1/sinh(2t)^2
+    # overflows and inf times a zero ratio is NaN; those factors are never used
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.deriv == "d":
+            zr = np.zeros_like(g)
+            for i in range(len(acomp)):
+                zi = z[:, i, :]
+                zr += zi * zi * ratio[i]
             factor = (
-                xc * xc * (1.0 + coth2t)
-                - (2.0 * ac + 2.0)
-                - xc * xc * yc * yc * ratio[c - 1] * inv_s**2
+                -2.0 * coth2t * (len(acomp) + acomp.sum())
+                + (sx + sy) * inv_s**2
+                - 2.0 * coth2t * zr
             )
+            if spec.modified:
+                factor = factor - 2.0
+        else:
+            c = kind.coord
+            xc = x[:, c - 1][:, None]
+            yc = y[:, c - 1][:, None]
+            if spec.deriv == "h":
+                factor = xc * (1.0 - coth2t) + xc * yc * yc * ratio[c - 1] * inv_s**2
+            else:  # hStar
+                ac = alpha.components[c - 1]
+                factor = (
+                    xc * xc * (1.0 + coth2t)
+                    - (2.0 * ac + 2.0)
+                    - xc * xc * yc * yc * ratio[c - 1] * inv_s**2
+                )
 
-    # the factor enters only where G_t > 0: an infinite factor times an
+    # the factor enters only where G_t > 0: an infinite or NaN factor times an
     # underflowed 0 stays 0
     with np.errstate(under="ignore"):
         vals = np.multiply(factor, g, out=np.zeros_like(g), where=g > 0)
@@ -487,7 +498,12 @@ def _gram_rows(heat: np.ndarray, time_derivative: bool) -> np.ndarray:
     product over the node chunks of F whose terms are summed in chunk order.
     """
     f = _gram_factor(time_derivative)
-    chunks, chunk, rank = f.shape
+    # heat values cut to the trailing chunks of the grid (_heat_parts with
+    # chunk _GRAM_CHUNK) meet the same chunks of F; the chunks left out would
+    # add exact zeros to every sum
+    chunks = heat.shape[1] // _GRAM_CHUNK
+    f = f[f.shape[0] - chunks :]
+    _, chunk, rank = f.shape
     out = np.empty((heat.shape[0], rank))
     for start in range(0, heat.shape[0], PAIR_BLOCK):
         block = heat[start : start + PAIR_BLOCK]
@@ -538,7 +554,7 @@ def _kind_values(alpha, kinds, x, y, grids):
                     yield k, g, _heat_entry(alpha, kinds[k], parts)
                 del parts
         if poisson:
-            parts = _heat_parts(base, x, y, inner.zeta, inner.eta)
+            parts = _heat_parts(base, x, y, inner.zeta, inner.eta, chunk=_GRAM_CHUNK)
             for k in poisson:
                 rows = _gram_rows(_heat_entry(alpha, kinds[k], parts), kinds[k].spec.deriv == "d")
                 for g in range(len(grids)):

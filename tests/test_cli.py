@@ -1,7 +1,11 @@
 import csv
+import io
+import json
+import math
 import os
 import subprocess
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -455,8 +459,6 @@ class TestReproducibility:
         assert main(["czscan", "--config", path, "--out", os.devnull, "--no-timestamp"]) == 0
 
     def test_jsonl_format(self, tmp_path):
-        import json
-
         # every task, so that no report column holds a type JSON cannot encode
         path = write_config(tmp_path, "alpha = 0.0\nseed = 9\ncount = 2\ncutoff = 4\n"
                             "quad_order = 32\nzeta_order = 6\nzeta_levels = 12\nformat = jsonl\n")
@@ -511,3 +513,63 @@ class TestReproducibility:
         p = write_config(tmp_path, f"alpha = 0.0\nseed = 9\ncount = {count}\nkind = dT\n"
                          "estimate = growth\nzeta_order = 4\nzeta_levels = 6\nthreads = 8\n")
         assert main(["czscan", "--config", p, "--out", str(tmp_path / "r.csv")]) == 0
+
+
+class TestReportWriter:
+    """The column-wise writer against csv.writer on the rows of per-cell _fmt."""
+
+    COLUMNS = ["label", "flag", "n", "value", "point"]
+    # text with a comma, a quote or a newline, an empty string, bools, ints,
+    # floats and points; the later batches leave columns empty, so floats
+    # and points share a column with blank cells, and one repeats a cell
+    BATCHES = [
+        dict(label=["a,b", 'say "hi"', "two\nlines", "", "plain", "hTmod(j=1,i=2)"],
+             flag=[True, False, True, False, True, False],
+             n=[0, -3, 7, 2**40, 1, 5],
+             value=[0.1, -0.0, math.inf, math.nan, 1 / 3, -2.5e-300],
+             point=[(0.5, 2.0), np.array([1e-5, 3.0]), (1.0,), [2, 3], (), (7.0, 8.0)]),
+        dict(label=repeat("dT"), value=[1.5, 2.0], point=[(1.0, 2.0), (3.0, 4.0)]),
+        dict(label=["last"], n=[9]),
+    ]
+
+    def _report(self):
+        report = cli.Report(self.COLUMNS)
+        for batch in self.BATCHES:
+            report.add_columns(**batch)
+        return report
+
+    def _rows(self):
+        """The rows of the batches as the old row writer formatted them."""
+        rows = []
+        for batch in self.BATCHES:
+            cols = [map(cli._fmt, batch[c]) if c in batch else repeat("") for c in self.COLUMNS]
+            rows += zip(*cols)
+        return rows
+
+    def test_csv_matches_csv_writer(self, tmp_path):
+        out = tmp_path / "r.csv"
+        report = self._report()
+        report.write(str(out), "csv", ["task=test", "generated=now"])
+        want = io.StringIO()
+        want.write("# task=test\n# generated=now\n")
+        csv.writer(want, lineterminator="\n").writerows([self.COLUMNS] + self._rows())
+        assert out.read_bytes() == want.getvalue().encode()
+        assert len(report) == 9 and report.rows == self._rows()
+
+    def test_jsonl_matches_row_records(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        self._report().write(str(out), "jsonl", ["task=test"])
+        want = [{"header": "task=test"}] + [dict(zip(self.COLUMNS, r)) for r in self._rows()]
+        assert out.read_text().splitlines() == [json.dumps(r) for r in want]
+
+    def test_carriage_return_is_quoted(self, tmp_path):
+        # csv.writer with lineterminator "\n" leaves a carriage return bare,
+        # where a reader ends the row; quoted, every cell reads back
+        out = tmp_path / "r.csv"
+        report = cli.Report(["a", "b", "c"])
+        report.add_columns(a=["x\ry", "p\r\nq"], b=["1,2", ""], c=[1.0, 2.0])
+        report.write(str(out), "csv", [])
+        assert out.read_bytes() == b'a,b,c\n"x\ry","1,2",1\n"p\r\nq",,2\n'
+        with open(out, newline="") as fh:
+            assert list(csv.reader(fh)) == [["a", "b", "c"], ["x\ry", "1,2", "1"],
+                                            ["p\r\nq", "", "2"]]

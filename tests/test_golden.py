@@ -87,6 +87,36 @@ CASES = {
         "alpha = 0, -0.5\nkind = hPmod\nestimate = all\ncount = 12\n"
         "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
         "e901bf2a7d8ae98f65e65ed36bc3b8cbe1700a3b9d9544ce55e1a21ead901b8d"),
+    # every kind in one report: the kind, point and ball cells shared by the
+    # rows of a pair, and at d = 2 the quoted labels hTmod(j=1,i=2) and hPmod(j=1,i=2)
+    "czscan-d1-all": (
+        "czscan",
+        "alpha = -0.5\nkind = all\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
+        "b575ba0ef7d12c0ff8acf25d6ddcc2b98d8eb13470123b14847b8c6c7d6f09e9"),
+    "czscan-d2-all": (
+        "czscan",
+        "alpha = 0, -0.5\nkind = all\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\n",
+        "689ba60a2d70d42ae101be74328bb292bcde7f5125d1af37261fe3d83372470e"),
+    "czscan-d1-all-jsonl": (
+        "czscan",
+        "alpha = -0.5\nkind = all\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nformat = jsonl\n",
+        "34172ac1d1e16f80d2f83789e7d00106f5a6c73e4436f7258a7946118f84fc51"),
+    "czscan-d2-all-jsonl": (
+        "czscan",
+        "alpha = 0, -0.5\nkind = all\nestimate = all\ncount = 12\n"
+        "zeta_order = 6\nzeta_levels = 16\nthreads = 1\nformat = jsonl\n",
+        "e8ee5763d8bed3ec9eafd96d177b358d7f0e583b2694e60eabfe3a1a84a9f1f5"),
+    # the deepest time grid, refined to order 128: at its smallest times
+    # 1/sinh(2t)^2 overflows where G_t underflowed, which the suite's
+    # error::RuntimeWarning filter would turn into a failure
+    "czscan-d1-deep-grid": (
+        "czscan",
+        "alpha = 0.3\ncount = 3\nzeta_order = 64\nzeta_levels = 500\nrefine = true\n"
+        "threads = 1\n",
+        "4184298c8ff58374b8adc9aea156825e832b9a28a3f3e0577deac2dd8f06c056"),
     "czscan-d2-hTmodStar-jsonl": (
         "czscan",
         "alpha = 0, -0.5\nkind = hTmodStar\nestimate = all\ncount = 12\n"

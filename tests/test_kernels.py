@@ -537,6 +537,40 @@ class TestGramForm:
         assert np.array_equal(kernels_mod._gram_rows(heat[13:], True), rows[13:])
 
 
+    @pytest.mark.parametrize("alpha", [(-0.5,), (0.0, -0.5)], ids=["d1", "d2"])
+    def test_cut_rows_equal_uncut_rows_bit_for_bit(self, alpha):
+        # heat parts cut to the chunks from the first one with a live entry
+        # give every kind's Gram rows the bits of the whole inner grid, on two
+        # blocks of near and far pairs
+        a = as_alpha(alpha)
+        inner = kernels_mod._default_inner_grid()
+        rng = np.random.default_rng(11)
+        x = np.exp(rng.uniform(math.log(0.05), math.log(10.0), (40, a.d)))
+        far = np.exp(rng.uniform(math.log(0.05), math.log(10.0), x.shape))
+        near = x * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, x.shape))
+        y = np.where(np.arange(40)[:, None] % 3 == 0, near, far)
+        kinds = kernels_mod.default_kinds(a.d)
+        assert len(kinds) == (8 if a.d == 1 else 10)
+        skipped = set()
+        for kind in kinds:
+            base = a.shifted(kind.j) if kind.spec.modified else a
+            whole = kernels_mod._heat_parts(base, x, y, inner.zeta, inner.eta)
+            cut = kernels_mod._heat_parts(base, x, y, inner.zeta, inner.eta,
+                                          chunk=kernels_mod._GRAM_CHUNK)
+            full = kernels_mod._heat_entry(a, kind, whole)
+            part = kernels_mod._heat_entry(a, kind, cut)
+            start = inner.n - part.shape[1]
+            skipped.add(start // kernels_mod._GRAM_CHUNK)
+            assert start % kernels_mod._GRAM_CHUNK == 0
+            assert not full[:, :start].any()
+            assert full[:, start:].tobytes() == part.tobytes(), kind.tag
+            for time_derivative in (True, False):
+                want = kernels_mod._gram_rows(full, time_derivative)
+                got = kernels_mod._gram_rows(part, time_derivative)
+                assert got.tobytes() == want.tobytes(), (kind.tag, time_derivative)
+        assert min(skipped) > 0
+
+
 def all_ten_kinds():
     return [
         KernelKind("dT"),
