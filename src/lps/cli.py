@@ -271,7 +271,8 @@ class Report:
             cells.extend(islice(cols.get(c, repeat("")), n))
 
     def _formatted(self) -> dict:
-        """The cells as written, column by column; each column is formatted in place once."""
+        """The cells as written, column by column, formatted in place so that a later
+        call finds them formatted."""
         for c, cells in self.cells.items():
             self.cells[c] = _fmt_column(cells)
         return self.cells
@@ -284,9 +285,8 @@ class Report:
     def write(self, path: str, fmt: str, header_lines):
         # the whole text is built first, so a row that fails to serialise
         # leaves an existing report as it was
-        # (csv.writer writes a row of one empty cell as "", and every report
-        # has three columns or more)
-        if fmt == "csv":
+        if fmt == "csv":  # no row is one empty cell, which csv.writer writes as "":
+            # every report has three columns or more
             lines = [f"# {line}" for line in header_lines]
             lines.append(",".join(map(_csv_cell, self.columns)))
             lines += map(",".join, zip(*map(_csv_column, self._formatted().values())))
