@@ -217,8 +217,6 @@ def _fmt_column(cells: list) -> list:
     types = set(map(type, cells))
     if types == {float}:
         return list(map(format, cells, repeat(".17g")))
-    if types == {float, str}:  # floats among the blank cells of rows that left the column out
-        return [format(v, ".17g") if type(v) is float else v for v in cells]
     if any(issubclass(t, (float, tuple, list, np.ndarray)) for t in types):
         return list(map(_fmt, cells))
     return cells
@@ -263,10 +261,12 @@ class Report:
     def add_columns(self, **cols):
         """One row per entry of the given columns; a column not given is left empty.
 
-        A column given as an unsized iterable, as repeat(cell), is cut to the
-        length of the shortest sized one.
+        Columns are sequences, whose shortest sets the number of rows, or
+        repeat(cell), which fills every row; any other iterable is a TypeError.
         """
-        n = min(len(v) for v in cols.values() if hasattr(v, "__len__"))
+        n = min((len(v) for v in cols.values() if not isinstance(v, repeat)), default=None)
+        if n is None:
+            raise TypeError("add_columns needs a column with a length, not only repeat(cell)")
         for c, cells in self.cells.items():
             cells.extend(islice(cols.get(c, repeat("")), n))
 

@@ -319,11 +319,11 @@ class _HeatParts(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     acomp: np.ndarray  # components of the base, alpha or alpha + e_j
-    inv_s: np.ndarray  # 1 / sinh 2t, shaped as the times
+    inv_s: np.ndarray  # 1 / sinh 2t, (P, T), 1 where G_t is 0
     coth2t: np.ndarray
     sx: np.ndarray  # |x|^2, (P, 1)
     sy: np.ndarray
-    z: np.ndarray  # x_i y_i / sinh 2t, (P, d, T)
+    z: np.ndarray  # x_i y_i / sinh 2t, (P, d, T), 1 where G_t is 0
     g: np.ndarray  # G_t of the base, exactly 0 where it underflows
     e2t: np.ndarray  # e^(-2t), shaped as the times
     ratio: np.ndarray  # ratio[i] = i_(a_i+1)(z_i) / i_(a_i)(z_i), (d, P, T)
@@ -369,6 +369,12 @@ def _heat_parts(base: AlphaParam, x: np.ndarray, y: np.ndarray, zeta, eta,
     if np.isnan(logg).any():
         raise FloatingPointError("heat kernel exponent is NaN")
     g = np.exp(logg, out=np.zeros_like(logg), where=logg > LOG_FLOOR)
+    # where G_t is 0 the factors of _heat_entry are never used, and at the
+    # smallest times of a deep grid 1/sinh(2t)^2 and z^2 overflow there: both
+    # are set to 1 there, so only an entry in use can overflow
+    dead = g == 0
+    inv_s = np.where(dead, 1.0, inv_s)
+    z = np.where(dead[:, None, :], 1.0, z)
     e2t = eta / (1.0 + zeta)
     return _HeatParts(x, y, acomp, inv_s, coth2t, sx, sy, z, g, e2t, ratio)
 
@@ -381,37 +387,33 @@ def _heat_entry(alpha: AlphaParam, kind: KernelKind, parts: _HeatParts) -> np.nd
     """
     x, y, acomp, inv_s, coth2t, sx, sy, z, g, e2t, ratio = parts
     spec = kind.spec
-    # where G_t underflowed, at the smallest times of a deep grid, 1/sinh(2t)^2
-    # overflows and inf times a zero ratio is NaN; those factors are never used
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.deriv == "d":
-            zr = np.zeros_like(g)
-            for i in range(len(acomp)):
-                zi = z[:, i, :]
-                zr += zi * zi * ratio[i]
+    if spec.deriv == "d":
+        zr = np.zeros_like(g)
+        for i in range(len(acomp)):
+            zi = z[:, i, :]
+            zr += zi * zi * ratio[i]
+        factor = (
+            -2.0 * coth2t * (len(acomp) + acomp.sum())
+            + (sx + sy) * inv_s**2
+            - 2.0 * coth2t * zr
+        )
+        if spec.modified:
+            factor = factor - 2.0
+    else:
+        c = kind.coord
+        xc = x[:, c - 1][:, None]
+        yc = y[:, c - 1][:, None]
+        if spec.deriv == "h":
+            factor = xc * (1.0 - coth2t) + xc * yc * yc * ratio[c - 1] * inv_s**2
+        else:  # hStar
+            ac = alpha.components[c - 1]
             factor = (
-                -2.0 * coth2t * (len(acomp) + acomp.sum())
-                + (sx + sy) * inv_s**2
-                - 2.0 * coth2t * zr
+                xc * xc * (1.0 + coth2t)
+                - (2.0 * ac + 2.0)
+                - xc * xc * yc * yc * ratio[c - 1] * inv_s**2
             )
-            if spec.modified:
-                factor = factor - 2.0
-        else:
-            c = kind.coord
-            xc = x[:, c - 1][:, None]
-            yc = y[:, c - 1][:, None]
-            if spec.deriv == "h":
-                factor = xc * (1.0 - coth2t) + xc * yc * yc * ratio[c - 1] * inv_s**2
-            else:  # hStar
-                ac = alpha.components[c - 1]
-                factor = (
-                    xc * xc * (1.0 + coth2t)
-                    - (2.0 * ac + 2.0)
-                    - xc * xc * yc * yc * ratio[c - 1] * inv_s**2
-                )
 
-    # the factor enters only where G_t > 0: an infinite or NaN factor times an
-    # underflowed 0 stays 0
+    # the factor enters only where G_t > 0
     with np.errstate(under="ignore"):
         vals = np.multiply(factor, g, out=np.zeros_like(g), where=g > 0)
     if not spec.modified:

@@ -562,6 +562,16 @@ class TestReportWriter:
         want = [{"header": "task=test"}] + [dict(zip(self.COLUMNS, r)) for r in self._rows()]
         assert out.read_text().splitlines() == [json.dumps(r) for r in want]
 
+    def test_column_without_length_is_rejected(self):
+        # a short generator column would leave the columns of different
+        # lengths, pairing the cells of different rows
+        report = self._report()
+        with pytest.raises(TypeError):
+            report.add_columns(label=["p", "q", "r"], value=(v for v in [1.0, 2.0]))
+        with pytest.raises(TypeError):
+            report.add_columns(label=repeat("dT"), value=repeat(1.0))
+        assert len(report) == 9 and report.rows == self._rows()
+
     def test_carriage_return_is_quoted(self, tmp_path):
         # csv.writer with lineterminator "\n" leaves a carriage return bare,
         # where a reader ends the row; quoted, every cell reads back

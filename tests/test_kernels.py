@@ -192,6 +192,22 @@ class TestHeatKernel:
         assert np.all(vals[parts.g == 0.0] == 0.0)
         assert np.all(np.isinf(vals[parts.g > 0.0]))
 
+    def test_overflow_warns_only_where_g_is_used(self):
+        # at the smallest times of the deepest grid 1/sinh(2t)^2 overflows:
+        # silently where G_t underflowed, with a warning where it did not
+        grid = ZetaGrid(order=128, levels=500)
+        alpha = as_alpha(0.3)
+        far = kernels_mod._heat_parts(alpha, np.array([[1.0]]), np.array([[2.0]]),
+                                      grid.zeta, grid.eta)
+        assert far.g[0, np.argmin(grid.zeta)] == 0.0
+        kernels_mod._heat_entry(alpha, KernelKind("dT"), far)
+        kernels_mod._heat_entry(alpha, KernelKind("hT", i=1), far)
+        near = kernels_mod._heat_parts(alpha, np.array([[1.0]]), np.array([[1.0]]),
+                                       grid.zeta, grid.eta)
+        assert near.g[0, np.argmin(grid.zeta)] > 0.0
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            kernels_mod._heat_entry(alpha, KernelKind("dT"), near)
+
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             heat_kernel_closed(0.0, 0.0, [1.0], [2.0])
