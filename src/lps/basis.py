@@ -13,7 +13,6 @@ second-order operator they generate acts diagonally with eigenvalue
 expansions give bit-meaningful identities.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -71,7 +70,7 @@ def differentiated(j: int) -> BasisFamily:
     return BasisFamily("differentiated", j)
 
 
-# the largest multi-index entry that fits the index arrays of _ell_product
+# the largest multi-index entry that fits the index arrays of ell_batch
 _MAX_ENTRY = int(np.iinfo(np.intp).max)
 
 
@@ -143,8 +142,8 @@ def _ell_table_1d(a: float, kmax: int, xi: np.ndarray) -> np.ndarray:
 
     Runs the three-term recurrence directly in the normalized, Gaussian-damped
     form, so intermediate values stay O(1) even at large quadrature nodes.
-    Entry (m, i) depends only on a, m and xi[i], not on kmax, so _rule_table
-    builds tables once on a 1-d rule's nodes for every tensor grid of it.
+    Entry (m, i) depends only on a, m and xi[i], not on kmax, so an entry
+    (m, n) of _rule_gram is the same at every depth.
     """
     u = xi * xi
     out = np.empty((kmax + 1,) + u.shape)
@@ -166,38 +165,6 @@ def ell_table(alpha, kmax: int, x) -> list:
     return [_ell_table_1d(a, kmax, x[:, i]) for i, a in enumerate(alpha.components)]
 
 
-def _ell_product(alpha: AlphaParam, shifts: tuple, indices, xs: list, table) -> np.ndarray:
-    """ell_batch's rows on the points that the broadcast of xs spans, flattened.
-
-    indices are checked multi-indices (_as_multi_index).  xs[c] holds the
-    values of coordinate c, shaped to broadcast against the others, and
-    table(c, a, depth) gives l_m^a, m = 0..depth, at xs[c].ravel().
-    """
-    shifted = alpha
-    for c in shifts:
-        shifted = shifted.shifted(c)
-    down = np.array(indices, dtype=np.intp).reshape(-1, alpha.d)
-    for c in shifts:
-        down[:, c - 1] -= 1
-    live = np.all(down >= 0, axis=1)
-    shape = np.broadcast_shapes(*(x.shape for x in xs))
-    out = np.zeros((len(down), math.prod(shape)))
-    rows = down[live]
-    if len(rows) == 0:
-        return out
-    val = np.ones((len(rows),) + shape)
-    for c, a in enumerate(shifted.components):
-        sub = table(c, a, int(rows[:, c].max()))[rows[:, c]]
-        val *= sub.reshape((len(rows),) + xs[c].shape)
-    if shifts:
-        prefactor = xs[shifts[0] - 1]
-        for c in shifts[1:]:
-            prefactor = prefactor * xs[c - 1]
-        val *= prefactor
-    out[live] = val.reshape(len(rows), -1)
-    return out
-
-
 def ell_batch(alpha, shifts: tuple, indices, x) -> np.ndarray:
     """Matrix (len(indices), npoints) of prod_c x_c l_(k - sum_c e_c)^(alpha + sum_c e_c)(x).
 
@@ -206,15 +173,27 @@ def ell_batch(alpha, shifts: tuple, indices, x) -> np.ndarray:
     kinds.  A row whose shifted index has a negative entry is zero.  Each
     coordinate gets one table, as deep as its deepest shifted index, shared
     by all rows; a row is the product of its table rows in coordinate order,
-    times the prefactor prod_c x_c.  On the points of _quad_grid, _ell_grid
-    gives the same bits from cached tables.
+    times the prefactor prod_c x_c.
     """
     alpha = as_alpha(alpha)
     pts, _ = as_points(alpha.d, x)
     indices = [_as_multi_index(k, alpha.d) for k in indices]
-    xs = [pts[:, c] for c in range(alpha.d)]
-    return _ell_product(alpha, shifts, indices, xs,
-                        lambda c, a, depth: _ell_table_1d(a, depth, xs[c]))
+    shifted, down = alpha, np.array(indices, dtype=np.intp).reshape(-1, alpha.d)
+    for c in shifts:
+        shifted = shifted.shifted(c)
+        down[:, c - 1] -= 1
+    live = np.all(down >= 0, axis=1)
+    out = np.zeros((len(down), len(pts)))
+    rows = down[live]
+    if len(rows) == 0:
+        return out
+    val = np.ones((len(rows), len(pts)))
+    for c, a in enumerate(shifted.components):
+        val *= _ell_table_1d(a, int(rows[:, c].max()), pts[:, c])[rows[:, c]]
+    if shifts:
+        val *= np.prod(pts[:, np.array(shifts) - 1], axis=1)
+    out[live] = val
+    return out
 
 
 def ell(alpha, k, x):
@@ -252,7 +231,7 @@ def _quad_grid(alpha: AlphaParam, order: int):
     Returns points (n^d, d), the last coordinate varying fastest, and weights,
     so that integral f d mu_alpha ~= sum w * f(points) for f with Gaussian
     decay.  Both arrays are read-only: every caller with equal arguments
-    shares them.  _ell_grid evaluates the basis on these points.
+    shares them.
     """
     rules = _quad_rules(alpha, order)
     pts, w = tensor_rule([r.nodes for r in rules], [r.weights for r in rules])
@@ -283,22 +262,6 @@ def _rule_gram(a: float, rule_a: float, order: int, depth: int, power: int) -> n
     return (table * (rule.weights * rule.nodes.astype(np.longdouble) ** (2 * power))) @ table.T
 
 
-def _ell_grid(alpha, shifts: tuple, indices, order: int) -> np.ndarray:
-    """ell_batch(alpha, shifts, indices, _quad_grid(alpha, order)[0]), bit for bit.
-
-    indices are checked multi-indices, such as the keys of an Expansion.
-    Reads one cached table per coordinate and spreads it over the tensor grid
-    by broadcasting, instead of building tables on all n^d grid points.
-    """
-    alpha = as_alpha(alpha)
-    rules = _quad_rules(alpha, order)
-    xs = [r.nodes.reshape([-1 if i == c else 1 for i in range(alpha.d)])
-          for c, r in enumerate(rules)]
-    return _ell_product(
-        alpha, shifts, indices, xs,
-        lambda c, a, depth: _rule_table(a, alpha.components[c], order, depth))
-
-
 @lru_cache(maxsize=16)
 def _family_indices(family: BasisFamily, d: int, cutoff: int) -> tuple:
     """All admissible multi-indices with |k| <= cutoff, as one shared tuple."""
@@ -319,7 +282,7 @@ def analyze(alpha, family: BasisFamily, f, cutoff: int, order: int = 64) -> Expa
     pts, w = _quad_grid(alpha, order)
     wf = w * np.asarray(f(pts), dtype=float).ravel()
     idx = _family_indices(family, alpha.d, cutoff)
-    vals = _ell_grid(alpha, family.shifts, idx, order)
+    vals = ell_batch(alpha, family.shifts, idx, pts)
     return Expansion(alpha, family, {k: float(np.sum(wf * v)) for k, v in zip(idx, vals)})
 
 

@@ -38,9 +38,9 @@ from .kernels import (
     KernelKind,
     ZetaGrid,
     _heat_closed,
+    _heat_schlafli,
     _heat_spectral,
     default_kinds,
-    heat_kernel_schlafli,
     subordination_u_rule,
 )
 from .measure import as_alpha, pi_alpha_rule
@@ -51,6 +51,9 @@ __all__ = ["RunConfig", "run", "main"]
 # 0.06 ms per ball at d = 2 (20 balls in one call), 60-110 ms at d = 4 and
 # 20-30 s at d = 5
 MAX_BALL_DIMENSION = 4
+# most entries, C(cutoff + d, d) x quad_order^d, of the basis task's table of one
+# family on the quadrature grid: 43M at the defaults in d = 3, 8.3e9 in d = 4
+MAX_BASIS_ENTRIES = 2**26
 # the kernel triple draws its points from the box clipped to this range
 KERNEL_BOX = (0.2, 4.0)
 # largest type index of kernel, verify and lemmas: the normalisation of Pi_(alpha + s), s <= 2
@@ -140,6 +143,11 @@ class RunConfig:
             raise ConfigError(f"box_lo/box_hi: task {self.task!r} draws its points from "
                               f"{list(KERNEL_BOX)} within the box, and "
                               f"({self.box_lo}, {self.box_hi}) leaves no interval of it")
+        if self.task == "basis" and (entries := math.comb(self.cutoff + a.d, a.d)
+                                     * self.quad_order**a.d) > MAX_BASIS_ENTRIES:
+            raise ConfigError(f"quad_order/cutoff: task 'basis' tabulates {entries} entries at "
+                              f"quad_order {self.quad_order} and cutoff {self.cutoff}, "
+                              f"above {MAX_BASIS_ENTRIES}")
         try:  # a Gauss rule that a double cannot hold is a bad order, not a failed check
             if self.task in ("basis", "gfun", "verify"):
                 basis_mod._quad_rules(a, self.quad_order)
@@ -311,11 +319,11 @@ TOLERANCE = {"gram": 1e-9, "kernel_triple": 1e-7, "gfun": 1e-6, "subordination":
 
 def _gram_rows(cfg: RunConfig, alpha, report: Report):
     """Upper-triangle Gram entries of the plain and differentiated systems against I."""
-    _, w = basis_mod._quad_grid(alpha, cfg.quad_order)
+    pts, w = basis_mod._quad_grid(alpha, cfg.quad_order)
     devs = []
     for fam in [PLAIN] + [differentiated(j) for j in range(1, alpha.d + 1)]:
         idx = basis_mod._family_indices(fam, alpha.d, cfg.cutoff)
-        vals = basis_mod._ell_grid(alpha, fam.shifts, idx, cfg.quad_order)
+        vals = basis_mod.ell_batch(alpha, fam.shifts, idx, pts)
         a, b = np.triu_indices(len(idx))
         gram = ((vals * w) @ vals.T)[a, b]
         devs.append(np.abs(gram - (a == b)))
@@ -331,8 +339,8 @@ def _kernel_rows(cfg: RunConfig, alpha, report: Report):
     lo, hi = max(cfg.box_lo, KERNEL_BOX[0]), min(cfg.box_hi, KERNEL_BOX[1])
     samples = [(float(rng.uniform(0.1, 2.0)), rng.uniform(lo, hi, alpha.d),
                 rng.uniform(lo, hi, alpha.d)) for _ in range(cfg.count)]
-    s = np.array([heat_kernel_schlafli(alpha, t, x, y, order=cfg.quad_order)
-                  for t, x, y in samples])
+    rule = pi_alpha_rule(alpha, cfg.quad_order)
+    s = np.array([_heat_schlafli(alpha, t, x, y, rule) for t, x, y in samples])
     t, x, y = (np.array(v) for v in zip(*samples))
     # one call per route for every sample, each at its own time; the spectral
     # route builds one table per coordinate
@@ -360,37 +368,33 @@ def _gfun_rows(cfg: RunConfig, alpha, report: Report):
     drawn = {fam: [random_expansion(alpha, fam, nmodes=8, max_level=cfg.cutoff, seed=seed)
                    for seed in seeds]
              for fam in dict.fromkeys(k.input_family() for k in vertical)}
-    columns = []
+    checks, devs = [], []
     for kind in vertical:
         es = drawn[kind.input_family()]
-        norms = _l2_norms(kind, es, cfg.quad_order).tolist()
-        columns.append([(f"isometry_{kind.spec.gtag}", n,
-                         float(abs(norm - 0.5 * e.l2_norm()) / (0.5 * e.l2_norm())))
-                        for n, (e, norm) in enumerate(zip(es, norms))])
+        half = 0.5 * np.array([e.l2_norm() for e in es])
+        checks.append(f"isometry_{kind.spec.gtag}")
+        devs.append(np.abs(_l2_norms(kind, es, cfg.quad_order) - half) / half)
     # horizontal: combined square sum against the spectral closed form
     es = [random_expansion(alpha, PLAIN, nmodes=8, max_level=cfg.cutoff, seed=seed + 1)
           for seed in seeds]
     hts = [KernelKind("hT", i=i) for i in range(1, alpha.d + 1)]
-    norms = [_l2_norms(kind, es, cfg.quad_order).tolist() for kind in hts]
-    horizontal = []
-    for n, e in enumerate(es):
-        quad = sum(ns[n] ** 2 for ns in norms)
-        exact = sum(gfun_l2_exact(kind, e) ** 2 for kind in hts)
-        horizontal.append(("horizontal_heat_sum", n,
-                           float(abs(quad - exact) / max(exact, 1e-300))))
-    columns.append(horizontal)
-    # rows sample by sample, in the order of the columns
-    check, sample, dev = zip(*(row for rows in zip(*columns) for row in rows))
-    report.add_columns(check=check, sample=sample, deviation=dev)
-    return np.array(dev) / TOLERANCE["gfun"]
+    quad = sum(_l2_norms(kind, es, cfg.quad_order) ** 2 for kind in hts)
+    exact = np.array([sum(gfun_l2_exact(kind, e) ** 2 for kind in hts) for e in es])
+    checks.append("horizontal_heat_sum")
+    devs.append(np.abs(quad - exact) / np.maximum(exact, 1e-300))
+    # rows sample by sample, in the order of the checks
+    dev = np.stack(devs, axis=1).ravel()
+    report.add_columns(check=checks * cfg.count, deviation=dev.tolist(),
+                       sample=np.repeat(np.arange(cfg.count), len(checks)).tolist())
+    return dev / TOLERANCE["gfun"]
 
 
 def _spot_rows(cfg: RunConfig, alpha, report: Report):
     """One row each: worst per-mode subordination error, Riesz identity, d = 1 profile."""
     u, uw = subordination_u_rule()
-    devs = {"subordination": float(np.max([
-        abs(float(np.sum(uw * np.exp(-(t * t) * lam / (4.0 * u)))) - math.exp(-t * math.sqrt(lam)))
-        for lam in range(1, 51) for t in (0.1, 1.0, 5.0)]))}
+    lam, t = np.repeat(np.arange(1, 51), 3), np.tile([0.1, 1.0, 5.0], 50)
+    quad = np.sum(uw * np.exp((-(t * t) * lam)[:, None] / (4.0 * u)), axis=1)
+    devs = {"subordination": float(np.max(np.abs(quad - np.exp(-t * np.sqrt(lam)))))}
     rng = np.random.default_rng(cfg.seed)
     e = random_expansion(alpha, PLAIN, nmodes=10, max_level=cfg.cutoff,
                          seed=int(rng.integers(0, 2**31)))

@@ -47,7 +47,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .basis import PLAIN, BasisFamily, differentiated, eigenvalue, ell_table
-from .measure import AlphaParam, as_alpha, as_points, pi_alpha_integrate
+from .measure import AlphaParam, as_alpha, as_points, pi_alpha_rule
 from .specfun import composite_legendre_rule, log_bessel_mantissa_ratio
 
 __all__ = [
@@ -647,18 +647,20 @@ def heat_kernel_schlafli(alpha, t: float, x, y, order: int = 64) -> float:
     alpha, x, y = _one_sample(alpha, t, x, y)
     if not alpha.cz_eligible:
         raise ValueError("the integral representation requires alpha in [-1/2, inf)^d")
-    x, y = x[0], y[0]
+    return _heat_schlafli(alpha, t, x[0], y[0], pi_alpha_rule(alpha, order))
+
+
+def _heat_schlafli(alpha: AlphaParam, t: float, x: np.ndarray, y: np.ndarray, rule) -> float:
+    """heat_kernel_schlafli at one sample: x and y (d,), checked, and rule the
+    points and weights of pi_alpha_rule, which the samples of one op share."""
+    pts, w = rule
     zeta = math.tanh(t)
     sq = float(np.dot(x, x) + np.dot(y, y))
-    xy = x * y
-
-    def integrand(s):
-        cross = 2.0 * (s @ xy)
-        with np.errstate(under="ignore"):
-            return np.exp(-(sq + cross) / (4.0 * zeta) - 0.25 * zeta * (sq - cross))
-
+    cross = 2.0 * (pts @ (x * y))
+    with np.errstate(under="ignore"):
+        vals = np.exp(-(sq + cross) / (4.0 * zeta) - 0.25 * zeta * (sq - cross))
     pref = ((1.0 - zeta * zeta) / (2.0 * zeta)) ** (alpha.d + alpha.total)
-    return pref * pi_alpha_integrate(alpha, integrand, order)
+    return pref * float(np.sum(w * vals))
 
 
 @lru_cache(maxsize=1)

@@ -154,33 +154,45 @@ class TestQuadGrid:
 
 
 class TestEllGrid:
+    """ell_batch on the points of _quad_grid against the per-coordinate tables that
+    the square functions' Gram norms read (_rule_table on each 1-d rule's nodes)."""
+
     @pytest.mark.parametrize("order", [5, 32, 64])
     @pytest.mark.parametrize("alpha, shifts", ELL_BATCH_CASES)
     def test_matches_ell_batch_on_the_grid_bit_for_bit(self, alpha, shifts, order):
         a = as_alpha(alpha)
         idx = basis._family_indices(PLAIN, a.d, 7 - a.d)
-        want = ell_batch(a, shifts, idx, basis._quad_grid(a, order)[0])
-        got = basis._ell_grid(a, shifts, idx, order)
+        pts = basis._quad_grid(a, order)[0]
+        got = ell_batch(a, shifts, idx, pts)
         assert got.shape == (len(idx), order**a.d)
-        assert np.array_equal(got, want)
-        # the rows of a null index are exact zeros
-        null = np.array([any(k[c - 1] < shifts.count(c) for c in shifts) for k in idx],
-                        dtype=bool)
-        assert null.any() == bool(shifts)
-        assert np.all(got[null] == 0.0)
-
-    def test_empty_indices(self):
-        a = as_alpha((0.3, -0.5))
-        assert basis._ell_grid(a, (1,), [], 7).shape == (0, 49)
-        assert basis._ell_grid(a, (), [], 7).shape == (0, 49)
+        shifted = a
+        for c in shifts:
+            shifted = shifted.shifted(c)
+        # the node of coordinate c at each grid point; the last coordinate varies fastest
+        node = [np.arange(order**a.d) // order ** (a.d - 1 - c) % order for c in range(a.d)]
+        for k, row in zip(idx, got):
+            down = [m - shifts.count(c + 1) for c, m in enumerate(k)]
+            if min(down) < 0:  # the rows of a null index are exact zeros
+                assert np.all(row == 0.0)
+                continue
+            want = np.ones(order**a.d)
+            for c, (b, m) in enumerate(zip(shifted.components, down)):
+                want = want * basis._rule_table(b, a.components[c], order, m)[m][node[c]]
+            if shifts:
+                pre = pts[:, shifts[0] - 1]
+                for c in shifts[1:]:
+                    pre = pre * pts[:, c - 1]
+                want = want * pre
+            assert np.array_equal(row, want)
 
     def test_tables_cached_and_read_only(self):
-        a = as_alpha((0.3, -0.5))
         basis._rule_table.cache_clear()
-        basis._ell_grid(a, (2,), [(1, 3), (2, 1)], 7)
+        basis._rule_gram(0.3, 0.3, 7, 2, 0)
+        basis._rule_gram(0.5, -0.5, 7, 2, 1)
         assert basis._rule_table.cache_info().misses == 2
-        # a second call at the same depths reads the same two tables
-        basis._ell_grid(a, (2,), [(2, 3), (0, 1)], 7)
+        # other powers at the same depths read the same two tables
+        basis._rule_gram(0.3, 0.3, 7, 2, 1)
+        basis._rule_gram(0.5, -0.5, 7, 2, 0)
         assert basis._rule_table.cache_info().misses == 2
         table = basis._rule_table(0.3, 0.3, 7, 2)
         assert table.shape == (3, 7)

@@ -13,6 +13,7 @@ import pytest
 
 from lps import cli, specfun
 from lps.cli import ConfigError, RunConfig, build_config, main, parse_config
+from lps.kernels import heat_kernel_schlafli
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -77,6 +78,11 @@ class TestValidation:
         cfg = RunConfig(alpha=(0.0,), task="gfun")
         with pytest.raises(ConfigError, match="seed"):
             cfg.validate()
+
+    def test_basis_size_bound_keeps_d3_defaults(self):
+        # 165 x 64^3 = 43M entries at the d = 3 defaults, 495 x 16^4 = 32M at order 16 in d = 4
+        RunConfig(alpha=(0.0, 0.0, 0.0), task="basis").validate()
+        RunConfig(alpha=(0.0, 0.0, 0.0, 0.0), task="basis", quad_order=16).validate()
 
     def test_threads_clamped_to_cores(self, monkeypatch):
         # thread_count only computes the number; no thread is started here
@@ -143,6 +149,10 @@ INVALID_CONFIGS = {
     "verify_alpha_200": ("verify", "alpha = 200\n", "alpha: task 'verify' supports components"),
     "lemmas_alpha_160": ("lemmas", "alpha = 160\n", "alpha: task 'lemmas' supports components"),
     "lemmas_alpha_170": ("lemmas", "alpha = 170\n", "alpha: task 'lemmas' supports components"),
+    # the basis task tabulates C(cutoff + d, d) x quad_order^d entries: 8.3e9 at
+    # the defaults in d = 4, 7.5e7 at cutoff 10 in d = 3
+    "basis_d4_defaults": ("basis", "alpha = 0 0 0 0\n", "quad_order/cutoff"),
+    "basis_d3_cutoff_10": ("basis", "alpha = 0 0 0\ncutoff = 10\n", "cutoff 10"),
 }
 
 
@@ -279,6 +289,24 @@ class TestExitCodes:
         assert not out.exists()
 
 
+class TestKernelRows:
+    @pytest.mark.bitexact
+    @pytest.mark.parametrize("alpha", [(0.3,), (0.0, -0.5), (0.3, -0.5, 1.2)],
+                             ids=["d1", "d2", "d3"])
+    def test_one_rule_and_schlafli_cells_bit_for_bit(self, monkeypatch, alpha):
+        cfg = RunConfig(alpha=alpha, task="kernel", seed=4, count=5, quad_order=24)
+        a = cfg.validate()
+        built, rule = [], cli.pi_alpha_rule
+        monkeypatch.setattr(cli, "pi_alpha_rule", lambda *args: built.append(args) or rule(*args))
+        report = cli.Report(cli.TASKS["kernel"][1])
+        cli._kernel_rows(cfg, a, report)
+        # the op's samples share one Pi_alpha rule, and each keeps the bits of its own call
+        assert built == [(a, 24)]
+        cells = report.cells
+        for t, x, y, s in zip(cells["t"], cells["x"], cells["y"], cells["schlafli"]):
+            assert heat_kernel_schlafli(a, t, x, y, order=24) == s
+
+
 def _poison_call(monkeypatch, owner, name, nth, poison):
     """Replace the result of the nth call of owner.name by poison(result)."""
     original = getattr(owner, name)
@@ -310,7 +338,7 @@ def _identity_score(row):
 # name, which call, poison) and the score of a report row
 NAN_CASES = {
     "basis": ("basis", "alpha = 0.3\ncutoff = 3\nquad_order = 32\n",
-              (cli.basis_mod, "_ell_grid", 1, _nan_rows), _identity_score),
+              (cli.basis_mod, "ell_batch", 1, _nan_rows), _identity_score),
     "kernel": ("kernel", "alpha = 0.0\nseed = 9\ncount = 3\nquad_order = 32\n",
                (cli, "_heat_spectral", 1, _nan_rows), _identity_score),
     "gfun": ("gfun", "alpha = 0.0\nseed = 9\ncount = 2\ncutoff = 4\nquad_order = 32\n",
@@ -353,11 +381,12 @@ class TestVerdict:
                                 f"(row {first + 1}): {echoed}\n")
 
     # inputs that have ended in tracebacks, and every config of the exit-2 cases
-    # in one dimension, each run for every task
+    # below d = 4, each run for every task: at d = 4 and order 64 the kernel
+    # triple's Pi_alpha rule alone holds 16.7M points
     EDGE_CONFIGS = ["alpha = 0\nquad_order = 200\n", "alpha = 0\nquad_order = 400\n",
                     "alpha = 100\n", "alpha = 160\n", "alpha = 170\n", "alpha = 200\n",
                     "alpha = 1000\n"] + [text for _, text, _ in INVALID_CONFIGS.values()
-                                           if "0 0 0 0 0" not in text]
+                                           if "0 0 0 0" not in text]
 
     def test_no_traceback_sweep(self, tmp_path, capsys):
         base = ("seed = 1\ncount = 3\ncutoff = 3\nzeta_order = 4\nzeta_levels = 6\n"
@@ -515,6 +544,7 @@ class TestReproducibility:
         assert main(["czscan", "--config", p, "--out", str(tmp_path / "r.csv")]) == 0
 
 
+@pytest.mark.bitexact
 class TestReportWriter:
     """The column-wise writer against csv.writer on the rows of per-cell _fmt."""
 

@@ -151,6 +151,7 @@ def _near_faces(d, count, seed):
     return x, y
 
 
+@pytest.mark.bitexact
 class TestPerturbedBlocks:
     """sample_perturbed takes the draws of the per-draw loop, bit for bit."""
 
@@ -365,6 +366,7 @@ class TestScans:
         xp, yp = sample_perturbed(x, y, 22), sample_perturbed(y, x, 23)
         return x, y, xp, yp, {"smooth_x": (xp, y), "smooth_y": (x, yp)}
 
+    @pytest.mark.bitexact
     @pytest.mark.parametrize("alpha", DEEP_REFERENCE_ALPHAS, ids=lambda a: ",".join(map(str, a)))
     def test_heat_top_end_no_farther_from_deep_reference(self, alpha):
         # the panels in log t against the earlier dyadic eta end, at orders 8
@@ -380,6 +382,7 @@ class TestScans:
                         for g in (ZetaGrid(order, 30), self._dyadic_grid(order, 30, 30)))
             assert new <= old, (order, new, old)
 
+    @pytest.mark.bitexact
     @pytest.mark.parametrize("alpha", DEEP_REFERENCE_ALPHAS, ids=lambda a: ",".join(map(str, a)))
     def test_poisson_norms_no_farther_from_deep_reference(self, alpha, monkeypatch):
         # czscan's Poisson norms from the Gram factor of the inner grid (12, 40)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lps import basis, cli, gfunctions
-from lps.basis import Expansion, PLAIN, differentiated, eigenvalue, ell
+from lps.basis import Expansion, PLAIN, differentiated, eigenvalue, ell, ell_batch
 from lps.czcheck import random_expansion
 from lps.gfunctions import (
     _closed_values,
@@ -228,12 +228,13 @@ class TestContraction:
             got = _closed_values(kind, nus, amp).astype(np.longdouble) ** 2
             assert np.max(np.abs(got - want) / scale) <= 4 * EPS
 
+    @pytest.mark.bitexact
     def test_norm_within_one_eps_of_long_double(self):
         # the L^2 norm sums many values, so its rounding averages out; the
         # reference contracts the amplitudes on the tensor grid point by point
         for d, order in ((1, 64), (2, 64), (3, 24)):
             alpha = as_alpha((0.0, -0.5, 0.3)[:d])
-            _, w = basis._quad_grid(alpha, order)
+            pts, w = basis._quad_grid(alpha, order)
             for kind in ALL_KINDS:
                 if kind.spec.min_d > d:
                     continue
@@ -242,8 +243,7 @@ class TestContraction:
                     e = random_expansion(alpha, kind.input_family(), nmodes=8, max_level=8,
                                          seed=seed)
                     nus, mults, indices = _modes(kind, e)
-                    amp = mults[:, None] * basis._ell_grid(alpha, kind.output_shifts, indices,
-                                                           order)
+                    amp = mults[:, None] * ell_batch(alpha, kind.output_shifts, indices, pts)
                     sq, _ = _long_double_contraction(kind, nus, amp)
                     want = np.sqrt(np.sum(w * np.maximum(sq, 0)))
                     got = gfun_l2_norm(kind, e, order=order)
@@ -285,6 +285,7 @@ class TestL2Norms:
         es.append(random_expansion(alpha, fam, nmodes=3, max_level=2, seed=11))
         return es
 
+    @pytest.mark.bitexact
     @pytest.mark.parametrize("kind, d", [(k, d) for k in ALL_KINDS for d in (1, 2, 3)
                                          if d >= k.spec.min_d],
                              ids=[f"{i}-d{d}" for i, k in zip(CASE_NUMBER_IDS, ALL_KINDS)
@@ -370,7 +371,6 @@ class TestL2Norms:
             raise AssertionError("the gfun task formed the tensor grid")
 
         monkeypatch.setattr(basis, "_quad_grid", refuse)
-        monkeypatch.setattr(basis, "_ell_grid", refuse)
         assert _run_gfun(tmp_path, alpha, order) == 0
 
 

@@ -11,6 +11,8 @@ import pytest
 
 from lps.cli import main
 
+pytestmark = pytest.mark.bitexact
+
 CASES = {
     "gfun": ("gfun", "alpha = 0.3, -0.5\ncount = 4\ncutoff = 5\nquad_order = 32\n",
              "21e120322f8f0e206818d3da47aca6165f496faf1885507b806ba5a65e752040"),

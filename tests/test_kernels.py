@@ -542,6 +542,7 @@ class TestGramForm:
             assert 100 <= rank <= 250
             assert kernels_mod._gram_factor(time_derivative) is f
 
+    @pytest.mark.bitexact
     def test_rows_independent_of_batch(self):
         # a row's Gram row keeps its bits whatever block and position it is taken in
         inner = kernels_mod._default_inner_grid()
@@ -553,6 +554,7 @@ class TestGramForm:
         assert np.array_equal(kernels_mod._gram_rows(heat[13:], True), rows[13:])
 
 
+    @pytest.mark.bitexact
     @pytest.mark.parametrize("alpha", [(-0.5,), (0.0, -0.5)], ids=["d1", "d2"])
     def test_cut_rows_equal_uncut_rows_bit_for_bit(self, alpha):
         # heat parts cut to the chunks from the first one with a live entry
@@ -742,6 +744,7 @@ class TestKernelEntry:
             t.append(tu)
         return tuple(np.concatenate(v) for v in (zeta, eta, wz, t))
 
+    @pytest.mark.bitexact
     def test_grid_nodes_increasing_and_rule_export(self):
         for order, levels in [(5, 6), (2, 2), (8, 30), (12, 40), (24, 50)]:
             g = ZetaGrid(order, levels)
@@ -834,6 +837,7 @@ class TestBnorm:
         g = ZetaGrid()
         assert g.norms(np.exp(-c * g.t), 1) == pytest.approx(1.0 / math.sqrt(2.0 * c), rel=1e-9)
 
+    @pytest.mark.bitexact
     @pytest.mark.parametrize("power", [1, 2])
     def test_default_grid_exponential_moments(self, power):
         # int_0^inf t^(p-1) e^(-2 nu t) dt = Gamma(p)/(2 nu)^p from the slowest
@@ -883,6 +887,7 @@ class TestGridStability:
             assert abs(n1 - n2) <= 1e-6 * n2
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 480])
 def test_row_dots_match_per_row_dots(n):
     # one BLAS dot per row, as np.dot and np.linalg.norm take it

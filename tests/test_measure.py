@@ -388,6 +388,7 @@ def _ball_cases(d):
     return centers, radii
 
 
+@pytest.mark.bitexact
 class TestBatchedBalls:
     """One call for all balls gives each ball the bits of the per-ball loop."""
 

@@ -438,6 +438,7 @@ def _series_every_term(nu, z):
     raise FloatingPointError("did not converge")
 
 
+@pytest.mark.bitexact
 class TestSeriesStop:
     """The stop test reads the largest argument; the sums keep their bits."""
 
