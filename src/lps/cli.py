@@ -43,7 +43,7 @@ from .kernels import (
     default_kinds,
     subordination_u_rule,
 )
-from .measure import as_alpha, pi_alpha_rule
+from .measure import as_alpha, pi_alpha_rules
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -51,9 +51,9 @@ __all__ = ["RunConfig", "run", "main"]
 # 0.06 ms per ball at d = 2 (20 balls in one call), 60-110 ms at d = 4 and
 # 20-30 s at d = 5
 MAX_BALL_DIMENSION = 4
-# most entries, C(cutoff + d, d) x quad_order^d, of the basis task's table of one
-# family on the quadrature grid: 43M at the defaults in d = 3, 8.3e9 in d = 4
-MAX_BASIS_ENTRIES = 2**26
+# most rows of the basis task, the upper triangles n0 (n0 + 1)/2 + d n1 (n1 + 1)/2 of the
+# Gram matrices of n0 plain and n1 j-differentiated functions: 341,220 at the d = 4 defaults
+MAX_BASIS_ROWS = 2**19
 # the kernel triple draws its points from the box clipped to this range
 KERNEL_BOX = (0.2, 4.0)
 # largest type index of kernel, verify and lemmas: the normalisation of Pi_(alpha + s), s <= 2
@@ -143,16 +143,16 @@ class RunConfig:
             raise ConfigError(f"box_lo/box_hi: task {self.task!r} draws its points from "
                               f"{list(KERNEL_BOX)} within the box, and "
                               f"({self.box_lo}, {self.box_hi}) leaves no interval of it")
-        if self.task == "basis" and (entries := math.comb(self.cutoff + a.d, a.d)
-                                     * self.quad_order**a.d) > MAX_BASIS_ENTRIES:
-            raise ConfigError(f"quad_order/cutoff: task 'basis' tabulates {entries} entries at "
-                              f"quad_order {self.quad_order} and cutoff {self.cutoff}, "
-                              f"above {MAX_BASIS_ENTRIES}")
+        n0, n1 = (math.comb(self.cutoff + a.d - k, a.d) for k in (0, 1))
+        rows = (n0 * (n0 + 1) + a.d * n1 * (n1 + 1)) // 2
+        if self.task == "basis" and rows > MAX_BASIS_ROWS:
+            raise ConfigError(f"cutoff: task 'basis' reports {rows} Gram entries at cutoff "
+                              f"{self.cutoff} in d = {a.d}, above {MAX_BASIS_ROWS}")
         try:  # a Gauss rule that a double cannot hold is a bad order, not a failed check
             if self.task in ("basis", "gfun", "verify"):
                 basis_mod._quad_rules(a, self.quad_order)
             if self.task in ("kernel", "verify"):
-                pi_alpha_rule(a, self.quad_order)
+                pi_alpha_rules(a, self.quad_order)
         except ValueError as exc:
             raise ConfigError(f"quad_order: the Gauss rule of order {self.quad_order} for alpha "
                               f"{a.components} is out of double range ({exc})") from exc
@@ -318,14 +318,19 @@ TOLERANCE = {"gram": 1e-9, "kernel_triple": 1e-7, "gfun": 1e-6, "subordination":
 
 
 def _gram_rows(cfg: RunConfig, alpha, report: Report):
-    """Upper-triangle Gram entries of the plain and differentiated systems against I."""
-    pts, w = basis_mod._quad_grid(alpha, cfg.quad_order)
+    """Upper-triangle Gram entries of the plain and differentiated systems against I: the
+    _quad_grid quadrature by its factors, prod_c G_c[k_c - s_c, l_c - s_c] with s the
+    family's shifts and G_c coordinate c's basis._rule_gram, in np.longdouble."""
     devs = []
     for fam in [PLAIN] + [differentiated(j) for j in range(1, alpha.d + 1)]:
         idx = basis_mod._family_indices(fam, alpha.d, cfg.cutoff)
-        vals = basis_mod.ell_batch(alpha, fam.shifts, idx, pts)
+        shifts = [fam.shifts.count(c) for c in range(1, alpha.d + 1)]
+        down = np.array(idx, dtype=np.intp).reshape(-1, alpha.d) - shifts
         a, b = np.triu_indices(len(idx))
-        gram = ((vals * w) @ vals.T)[a, b]
+        grams = [basis_mod._rule_gram(ac + s, ac, cfg.quad_order, cfg.cutoff, s)
+                 for ac, s in zip(alpha.components, shifts)]
+        gram = np.prod([g[down[a, c], down[b, c]] for c, g in enumerate(grams)], axis=0)
+        gram = gram.astype(float)
         devs.append(np.abs(gram - (a == b)))
         report.add_columns(family=repeat("plain" if fam.is_plain else f"diff{fam.j}"),
                            k=[idx[i] for i in a], l=[idx[i] for i in b],
@@ -337,13 +342,11 @@ def _kernel_rows(cfg: RunConfig, alpha, report: Report):
     """Closed, Schlafli and spectral heat kernels at random (t, x, y)."""
     rng = np.random.default_rng(cfg.seed)
     lo, hi = max(cfg.box_lo, KERNEL_BOX[0]), min(cfg.box_hi, KERNEL_BOX[1])
-    samples = [(float(rng.uniform(0.1, 2.0)), rng.uniform(lo, hi, alpha.d),
-                rng.uniform(lo, hi, alpha.d)) for _ in range(cfg.count)]
-    rule = pi_alpha_rule(alpha, cfg.quad_order)
-    s = np.array([_heat_schlafli(alpha, t, x, y, rule) for t, x, y in samples])
-    t, x, y = (np.array(v) for v in zip(*samples))
+    t, x, y = map(np.array, zip(*[(rng.uniform(0.1, 2.0), rng.uniform(lo, hi, alpha.d),
+                                   rng.uniform(lo, hi, alpha.d)) for _ in range(cfg.count)]))
     # one call per route for every sample, each at its own time; the spectral
-    # route builds one table per coordinate
+    # route builds one table and the Schlafli route one rule per coordinate
+    s = _heat_schlafli(alpha, t, x, y, pi_alpha_rules(alpha, cfg.quad_order))
     c = _heat_closed(alpha, t[:, None], x, y, None)[:, 0]
     sp = _heat_spectral(alpha, t, x, y, cutoff=60)
     # a closed form that underflows to 0 gives an inf or NaN deviation, which fails

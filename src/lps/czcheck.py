@@ -25,7 +25,8 @@ from scipy.special import gamma, gammaincc
 from . import basis
 from .basis import Expansion, PLAIN, delta_apply, differentiated, eigenvalue, ell, riesz_transform
 from .kernels import PAIR_BLOCK, ZetaGrid, _kind_values, _row_dots
-from .measure import _ball_measures, as_alpha, as_points, pi_alpha_rule
+from .measure import _ball_measures, as_alpha, as_points, pi_alpha_rules
+from .specfun import tensor_rule
 
 __all__ = [
     "ESTIMATES",
@@ -279,7 +280,7 @@ def _fit_lem4(alpha, delta, kappa, order: int, x, y, balls) -> float:
     """Largest (x+y)^(2 delta) int q_+^expo dPi_(alpha+delta+kappa) times mu_alpha of the ball."""
     shifted = as_alpha([a + (dl + kp) for a, dl, kp in zip(alpha.components, delta, kappa)])
     expo = -(alpha.d + alpha.total + float(np.sum(delta)))
-    pts, w = pi_alpha_rule(shifted, order)
+    pts, w = tensor_rule(*zip(*pi_alpha_rules(shifted, order)))
     xy = np.prod((x + y) ** (2.0 * np.asarray(delta)), axis=1)
     step = max(1, _FIT_BLOCK_ENTRIES // pts.size)
     sums = np.concatenate([

@@ -47,7 +47,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .basis import PLAIN, BasisFamily, differentiated, eigenvalue, ell_table
-from .measure import AlphaParam, as_alpha, as_points, pi_alpha_rule
+from .measure import AlphaParam, as_alpha, as_points, pi_alpha_rules
 from .specfun import composite_legendre_rule, log_bessel_mantissa_ratio
 
 __all__ = [
@@ -640,27 +640,26 @@ def _heat_spectral(alpha: AlphaParam, t: np.ndarray, x: np.ndarray, y: np.ndarra
 
 
 def heat_kernel_schlafli(alpha, t: float, x, y, order: int = 64) -> float:
-    """Heat kernel via the Schlafli-type integral against Pi_alpha.
-
-    Valid for alpha in [-1/2, inf)^d, the range of the representation.
-    """
+    """Heat kernel via the Schlafli-type integral against Pi_alpha, for alpha in [-1/2, inf)^d."""
     alpha, x, y = _one_sample(alpha, t, x, y)
-    if not alpha.cz_eligible:
-        raise ValueError("the integral representation requires alpha in [-1/2, inf)^d")
-    return _heat_schlafli(alpha, t, x[0], y[0], pi_alpha_rule(alpha, order))
+    return float(_heat_schlafli(alpha, np.array([t]), x, y, pi_alpha_rules(alpha, order))[0])
 
 
-def _heat_schlafli(alpha: AlphaParam, t: float, x: np.ndarray, y: np.ndarray, rule) -> float:
-    """heat_kernel_schlafli at one sample: x and y (d,), checked, and rule the
-    points and weights of pi_alpha_rule, which the samples of one op share."""
-    pts, w = rule
-    zeta = math.tanh(t)
-    sq = float(np.dot(x, x) + np.dot(y, y))
-    cross = 2.0 * (pts @ (x * y))
-    with np.errstate(under="ignore"):
-        vals = np.exp(-(sq + cross) / (4.0 * zeta) - 0.25 * zeta * (sq - cross))
-    pref = ((1.0 - zeta * zeta) / (2.0 * zeta)) ** (alpha.d + alpha.total)
-    return pref * float(np.sum(w * vals))
+def _heat_schlafli(alpha: AlphaParam, t: np.ndarray, x, y, rules) -> np.ndarray:
+    """heat_kernel_schlafli at samples (t[s], x[s], y[s]): t (n,), x and y (n, d), checked.
+
+    The exponent -(1/zeta + zeta)(|x|^2 + |y|^2)/4 - sum_c p_c x_c y_c (1/zeta - zeta)/2
+    sums over coordinates, so the sum on Pi_alpha's tensor rule is a product of sums on
+    the rules of pi_alpha_rules, each row in logs shifted by its maximum, sample by sample.
+    """
+    zeta = np.tanh(t)
+    expo = -0.25 * (1.0 / zeta + zeta) * np.sum(x * x + y * y, axis=1)
+    with np.errstate(under="ignore", divide="ignore"):  # a sum that underflows gives 0
+        for (p, w), xy in zip(rules, (x * y).T):
+            e = np.multiply.outer(0.5 * (zeta - 1.0 / zeta) * xy, p)
+            top = e.max(axis=1)
+            expo += top + np.log(np.sum(w * np.exp(e - top[:, None]), axis=1))
+        return ((1.0 - zeta * zeta) / (2.0 * zeta)) ** (alpha.d + alpha.total) * np.exp(expo)
 
 
 @lru_cache(maxsize=1)

@@ -21,7 +21,7 @@ __all__ = [
     "as_points",
     "mu_box",
     "mu_ball",
-    "pi_alpha_rule",
+    "pi_alpha_rules",
     "pi_alpha_integrate",
 ]
 
@@ -29,6 +29,7 @@ __all__ = [
 _SLICE_BATCH = 1 << 12
 # nodes of the outermost slicing level of a ball
 _BALL_ORDER = 96
+_LOG_MAX_SCALE = -math.log(np.finfo(float).tiny)  # 1/s is a normal double for log s below
 
 
 @dataclass(frozen=True)
@@ -252,36 +253,36 @@ def mu_ball(alpha, center, r: float) -> float:
     return float(_ball_measures(alpha, center, [r])[0])
 
 
-def pi_alpha_rule(alpha, order: int):
-    """Points (npoints, d) and weights of the tensor rule for Pi_alpha on [-1,1]^d.
+def pi_alpha_rules(alpha, order: int) -> list:
+    """One (nodes, weights) rule per coordinate for the factors of Pi_alpha on [-1, 1].
 
-    Coordinates with a_i > -1/2 carry a normalized Gauss-Jacobi rule of order
-    nodes; coordinates with a_i = -1/2 carry the two point masses at +-1.
-    Detection of the boundary case is by exact comparison: the measure
-    changes type discontinuously there, so a tolerance band would misclassify.
+    A coordinate with a_i = -1/2, detected by exact comparison since the
+    measure changes type there, carries the two point masses at +-1; any
+    other a normalized Gauss-Jacobi rule of order nodes, whose normalisation
+    1/(sqrt(pi) 2^a Gamma(a + 1/2)) must be a normal double (a up to about 150.2).
     """
     alpha = as_alpha(alpha)
     if min(alpha.components) < -0.5:
         raise ValueError("Pi_alpha requires every component >= -1/2")
-    nodes, weights = [], []
+    rules = []
     for a in alpha.components:
         if a == -0.5:
-            nodes.append(np.array([-1.0, 1.0]))
-            weights.append(np.full(2, 1.0 / math.sqrt(2.0 * math.pi)))
+            rules.append((np.array([-1.0, 1.0]), np.full(2, 1.0 / math.sqrt(2.0 * math.pi))))
+        elif math.lgamma(a + 0.5) + a * math.log(2.0) + 0.5 * math.log(math.pi) >= _LOG_MAX_SCALE:
+            raise ValueError(f"the normalisation of Pi_alpha leaves the normal doubles at a = {a}")
         else:
             rule = gauss_jacobi_rule(order, a)
             norm = 1.0 / (math.sqrt(math.pi) * 2.0**a * math.gamma(a + 0.5))
-            nodes.append(rule.nodes)
-            weights.append(rule.weights * norm)
-    return tensor_rule(nodes, weights)
+            rules.append((rule.nodes, rule.weights * norm))
+    return rules
 
 
 def pi_alpha_integrate(alpha, f, order: int = 48) -> float:
-    """Integral of f over [-1,1]^d against Pi_alpha, on pi_alpha_rule(alpha, order).
+    """Integral of f over [-1,1]^d against Pi_alpha, on the tensor rule of pi_alpha_rules.
 
     f is called with an (npoints, d) array and must return npoints values.
     """
-    pts, w = pi_alpha_rule(alpha, order)
+    pts, w = tensor_rule(*zip(*pi_alpha_rules(alpha, order)))
     vals = np.asarray(f(pts), dtype=float).ravel()
     if vals.shape != (pts.shape[0],):
         raise ValueError("integrand must return one value per point")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lps import cli, specfun
+from lps import basis, cli, measure, specfun
 from lps.cli import ConfigError, RunConfig, build_config, main, parse_config
 from lps.kernels import heat_kernel_schlafli
 
@@ -149,10 +149,10 @@ INVALID_CONFIGS = {
     "verify_alpha_200": ("verify", "alpha = 200\n", "alpha: task 'verify' supports components"),
     "lemmas_alpha_160": ("lemmas", "alpha = 160\n", "alpha: task 'lemmas' supports components"),
     "lemmas_alpha_170": ("lemmas", "alpha = 170\n", "alpha: task 'lemmas' supports components"),
-    # the basis task tabulates C(cutoff + d, d) x quad_order^d entries: 8.3e9 at
-    # the defaults in d = 4, 7.5e7 at cutoff 10 in d = 3
-    "basis_d4_defaults": ("basis", "alpha = 0 0 0 0\n", "quad_order/cutoff"),
-    "basis_d3_cutoff_10": ("basis", "alpha = 0 0 0\ncutoff = 10\n", "cutoff 10"),
+    # the basis task reports the upper triangle of each family's Gram matrix:
+    # about 610M rows here, of 20,301 plain functions at a low order
+    "basis_cutoff_200": ("basis", "alpha = 0, 0\nquad_order = 2\ncutoff = 200\n",
+                         "cutoff: task 'basis' reports"),
 }
 
 
@@ -291,13 +291,14 @@ class TestExitCodes:
 
 class TestKernelRows:
     @pytest.mark.bitexact
-    @pytest.mark.parametrize("alpha", [(0.3,), (0.0, -0.5), (0.3, -0.5, 1.2)],
-                             ids=["d1", "d2", "d3"])
+    @pytest.mark.parametrize("alpha", [(0.3,), (0.0, -0.5), (0.3, -0.5, 1.2),
+                                       (0.3, -0.5, 1.2, 0.0)], ids=["d1", "d2", "d3", "d4"])
     def test_one_rule_and_schlafli_cells_bit_for_bit(self, monkeypatch, alpha):
         cfg = RunConfig(alpha=alpha, task="kernel", seed=4, count=5, quad_order=24)
         a = cfg.validate()
-        built, rule = [], cli.pi_alpha_rule
-        monkeypatch.setattr(cli, "pi_alpha_rule", lambda *args: built.append(args) or rule(*args))
+        built, rules = [], cli.pi_alpha_rules
+        monkeypatch.setattr(cli, "pi_alpha_rules",
+                            lambda *args: built.append(args) or rules(*args))
         report = cli.Report(cli.TASKS["kernel"][1])
         cli._kernel_rows(cfg, a, report)
         # the op's samples share one Pi_alpha rule, and each keeps the bits of its own call
@@ -305,6 +306,52 @@ class TestKernelRows:
         cells = report.cells
         for t, x, y, s in zip(cells["t"], cells["x"], cells["y"], cells["schlafli"]):
             assert heat_kernel_schlafli(a, t, x, y, order=24) == s
+
+
+class TestGramRows:
+    @pytest.mark.parametrize("alpha", [(0.3,), (0.0, -0.5), (0.3, -0.5, 1.2)],
+                             ids=["d1", "d2", "d3"])
+    def test_factored_gram_is_the_grid_quadrature(self, alpha):
+        cfg = RunConfig(alpha=alpha, task="basis", cutoff=5, quad_order=24)
+        a = cfg.validate()
+        report = cli.Report(cli.TASKS["basis"][1])
+        cli._gram_rows(cfg, a, report)
+        # the tensor route: each family's functions on the points of _quad_grid,
+        # summed in np.longdouble as the factors are (a float64 sum over the
+        # 13,824 points of d = 3 rounds by up to 1.1e-15 on its own)
+        pts, w = basis._quad_grid(a, cfg.quad_order)
+        want = []
+        for fam in [basis.PLAIN] + [basis.differentiated(j) for j in range(1, a.d + 1)]:
+            idx = basis._family_indices(fam, a.d, cfg.cutoff)
+            vals = basis.ell_batch(a, fam.shifts, idx, pts).astype(np.longdouble)
+            want.append(((vals * w) @ vals.T)[np.triu_indices(len(idx))])
+        want = np.concatenate(want)
+        assert len(report) == len(want)
+        assert np.max(np.abs(np.array(report.cells["gram"]) - want)) <= 1e-15
+
+    def test_d4_defaults_pass(self):
+        cfg = RunConfig(alpha=(0.0,) * 4, task="basis")
+        a = cfg.validate()
+        report = cli.Report(cli.TASKS["basis"][1])
+        score = cli._gram_rows(cfg, a, report)
+        # C(12, 4) = 495 plain and C(11, 4) = 330 functions in each differentiated family
+        assert len(report) == len(score) == 495 * 496 // 2 + 4 * 330 * 331 // 2 == 341220
+        assert np.all(score <= 1.0)
+
+
+class TestNoTensorRule:
+    @pytest.mark.parametrize("task", ["kernel", "verify", "basis"])
+    def test_d3_op_builds_no_tensor_rule(self, tmp_path, monkeypatch, task):
+        # the kernel triple and the Gram check sum their product measures by factors
+        def refuse(*args):
+            raise AssertionError(f"the {task} task built a tensor rule")
+
+        for owner in (specfun, basis, measure, cli.czcheck):
+            monkeypatch.setattr(owner, "tensor_rule", refuse)
+        monkeypatch.setattr(basis, "_quad_grid", refuse)
+        path = write_config(tmp_path, "alpha = 0.3, -0.5, 1.2\nseed = 2\ncount = 4\n"
+                            "cutoff = 4\nbox_hi = 2\n")
+        assert main([task, "--config", path, "--out", str(tmp_path / "r.csv")]) == 0
 
 
 def _poison_call(monkeypatch, owner, name, nth, poison):
@@ -338,7 +385,7 @@ def _identity_score(row):
 # name, which call, poison) and the score of a report row
 NAN_CASES = {
     "basis": ("basis", "alpha = 0.3\ncutoff = 3\nquad_order = 32\n",
-              (cli.basis_mod, "ell_batch", 1, _nan_rows), _identity_score),
+              (cli.basis_mod, "_rule_gram", 1, _nan_rows), _identity_score),
     "kernel": ("kernel", "alpha = 0.0\nseed = 9\ncount = 3\nquad_order = 32\n",
                (cli, "_heat_spectral", 1, _nan_rows), _identity_score),
     "gfun": ("gfun", "alpha = 0.0\nseed = 9\ncount = 2\ncutoff = 4\nquad_order = 32\n",
@@ -380,13 +427,11 @@ class TestVerdict:
         assert captured.err == (f"FAILED: {len(nan_rows)} of {len(rows)} rows, the first "
                                 f"(row {first + 1}): {echoed}\n")
 
-    # inputs that have ended in tracebacks, and every config of the exit-2 cases
-    # below d = 4, each run for every task: at d = 4 and order 64 the kernel
-    # triple's Pi_alpha rule alone holds 16.7M points
+    # inputs that have ended in tracebacks, and every config of the exit-2 cases,
+    # each run for every task
     EDGE_CONFIGS = ["alpha = 0\nquad_order = 200\n", "alpha = 0\nquad_order = 400\n",
                     "alpha = 100\n", "alpha = 160\n", "alpha = 170\n", "alpha = 200\n",
-                    "alpha = 1000\n"] + [text for _, text, _ in INVALID_CONFIGS.values()
-                                           if "0 0 0 0" not in text]
+                    "alpha = 1000\n"] + [text for _, text, _ in INVALID_CONFIGS.values()]
 
     def test_no_traceback_sweep(self, tmp_path, capsys):
         base = ("seed = 1\ncount = 3\ncutoff = 3\nzeta_order = 4\nzeta_levels = 6\n"

@@ -525,9 +525,9 @@ class TestLemmaSuite:
             calls["rule"] += 1
             return rules(*args)
 
-        balls, rules = czcheck._ball_measures, czcheck.pi_alpha_rule
+        balls, rules = czcheck._ball_measures, czcheck.pi_alpha_rules
         monkeypatch.setattr(czcheck, "_ball_measures", counted_balls)
-        monkeypatch.setattr(czcheck, "pi_alpha_rule", counted_rules)
+        monkeypatch.setattr(czcheck, "pi_alpha_rules", counted_rules)
         lemma_suite((0.0, -0.5), samples=100, seed=23)
         assert calls == {"ball": 40, "ball_calls": 1, "rule": 18}
 

@@ -17,16 +17,16 @@ CASES = {
     "gfun": ("gfun", "alpha = 0.3, -0.5\ncount = 4\ncutoff = 5\nquad_order = 32\n",
              "21e120322f8f0e206818d3da47aca6165f496faf1885507b806ba5a65e752040"),
     "verify": ("verify", "alpha = 0, -0.5\ncount = 4\ncutoff = 5\nquad_order = 32\nbox_hi = 2\n",
-               "b6311db280428911c0714536171722c268f12236a38e9e8edd823d774337a6a5"),
+               "a044b7011c5faa124e3778a89eed1f319cb3be69c6decec27e444068ca5c13b0"),
     # the heat-kernel triple alone: closed, Schlafli and spectral cells
     "kernel": ("kernel", "alpha = 0, -0.5\ncount = 6\nbox_hi = 2\nquad_order = 32\n",
-               "63c5c2d00c05d775bfc79a0ebdeadf02821c6625dade6b2974675c25dd615a6b"),
+               "f6098c7a9495676e6f6587c603c9503884562139fc0bfd2d8f70856859c8a327"),
     "kernel-d1": ("kernel", "alpha = 0.3\ncount = 6\nbox_hi = 2\nquad_order = 32\n",
-                  "f76910ebec696b831a6864f70bf946437ffa4200f72ead7b76dde1f0b5a9b893"),
+                  "b21e22fd755546bf4c1b3cdc453731910fc73aa836500992c5b4b90e749353a4"),
     # the shape of the benchmark's identities op: 300 square-function norms
     "verify-bench": ("verify",
                      "alpha = 0, -0.5\ncount = 50\ncutoff = 8\nquad_order = 64\nbox_hi = 2\n",
-                     "bf55ad723f81e885e1a420d257e9eb527a1ea7f48aa04024f7091692b0489f37"),
+                     "26c7b04427822311d6181815f745dcfe94211001c011c807bbcf6bf81eaf37f3"),
     "gfun-d1": ("gfun", "alpha = -0.5\ncount = 20\ncutoff = 8\n",
                 "4862edaa46ae80c4f8f90973d79df051f13d84d053c17a8ba367ef15cca1c20d"),
     "gfun-d3": ("gfun", "alpha = 0.3, -0.5, 1.2\ncount = 6\ncutoff = 6\nquad_order = 24\n",
@@ -34,7 +34,7 @@ CASES = {
     "lemmas": ("lemmas", "alpha = 0, -0.5\ncount = 2000\n",
                "4dcac93b3e11dea4f474856df65b260e6084cb63eb8f6ba80c54df3d438ed0a5"),
     "basis": ("basis", "alpha = 0.3, -0.5\ncutoff = 4\nquad_order = 24\n",
-              "39cc05dfd9832f5ca2d7bc560f0c99de912b6bcd3b1e57e18133b19c7a8dde30"),
+              "74d126c3e77880385f37a7ddfefd7e9b8ef53497e3ff65ab3850827009472519"),
     "czscan-d2-hTmodStar": (
         "czscan",
         "alpha = 0, -0.5\nkind = hTmodStar\nestimate = all\ncount = 12\n"

@@ -19,7 +19,7 @@ from lps.kernels import (
     poisson_kernel,
     subordination_u_rule,
 )
-from lps.measure import as_alpha, as_points
+from lps.measure import as_alpha, as_points, pi_alpha_integrate
 from lps.specfun import gauss_laguerre_rule
 
 SMALL_GRID = ZetaGrid(order=6, levels=8)
@@ -353,6 +353,31 @@ class TestSchlafli:
     def test_rejects_out_of_range_alpha(self):
         with pytest.raises(ValueError):
             heat_kernel_schlafli((-0.7,), 0.5, [1.0], [2.0])
+
+    @pytest.mark.parametrize("alpha, order", [((0.3,), 64), ((-0.5, 0.7), 64),
+                                              ((0.3, -0.5, 1.2), 32),
+                                              ((-0.5, 1.5, 0.3, 0.0), 16)],
+                             ids=["d1", "d2", "d3", "d4"])
+    def test_factored_sum_is_the_tensor_sum(self, alpha, order):
+        # the sum by coordinates against the integrand summed on Pi_alpha's tensor
+        # rule.  The last sample's e^(x y / zeta) overflows unless its sum is
+        # shifted; its exponents reach 1300 per coordinate, and their rounding
+        # alone moves either sum by about 1300 d eps
+        a = as_alpha(alpha)
+        rng = np.random.default_rng(12)
+        samples = [(rng.uniform(0.1, 2.0), *rng.uniform(0.2, 4.0, (2, a.d))) for _ in range(20)]
+        samples.append((0.01, np.full(a.d, 5.0), np.full(a.d, 5.2)))
+        for n, (t, x, y) in enumerate(samples):
+            zeta, sq = math.tanh(t), x @ x + y @ y
+
+            def integrand(s):
+                cross = 2.0 * (s @ (x * y))
+                return np.exp(-(sq + cross) / (4.0 * zeta) - 0.25 * zeta * (sq - cross))
+
+            pref = ((1.0 - zeta * zeta) / (2.0 * zeta)) ** (a.d + a.total)
+            want = pref * pi_alpha_integrate(a, integrand, order)
+            rel = 5e-14 if n < 20 else 4e-13 * a.d
+            assert heat_kernel_schlafli(a, t, x, y, order) == pytest.approx(want, rel=rel, abs=0)
 
 
 class TestModifiedKernel:

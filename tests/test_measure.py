@@ -1,17 +1,20 @@
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lps.kernels import heat_kernel_schlafli
 from lps.measure import (
     AlphaParam,
     as_alpha,
     mu_ball,
     mu_box,
     pi_alpha_integrate,
+    pi_alpha_rules,
 )
 
 
@@ -309,6 +312,27 @@ class TestPiAlpha:
     def test_rejects_below_range(self):
         with pytest.raises(ValueError):
             pi_alpha_integrate(-0.7, lambda s: np.ones(s.shape[0]), 8)
+
+    def test_rules_are_the_factors_of_the_tensor_rule(self):
+        alpha = (0.3, -0.5, 1.1)
+        rules = pi_alpha_rules(alpha, 8)
+        assert [len(p) for p, _ in rules] == [8, 2, 8]
+        total = pi_alpha_integrate(alpha, lambda s: np.ones(s.shape[0]), 8)
+        assert total == pytest.approx(math.prod(w.sum() for _, w in rules), rel=1e-14)
+
+    def test_normalisation_outside_the_normal_doubles_is_rejected(self):
+        # 1/(sqrt(pi) 2^a Gamma(a + 1/2)) is subnormal from about a = 150.2, 0
+        # from 150.5 and an OverflowError of math.gamma from 172
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(pi_alpha_rules((150.0, -0.5), 16)[0][1] > 0)
+            assert pi_alpha_integrate(150.0, lambda s: np.ones(s.shape[0]), 16) > 0
+            for a in (151.0, 172.0):
+                for call in (lambda: pi_alpha_rules((0.3, a), 16),
+                             lambda: pi_alpha_integrate(a, lambda s: np.ones(s.shape[0]), 16),
+                             lambda: heat_kernel_schlafli(a, 0.5, [1.0], [2.0])):
+                    with pytest.raises(ValueError, match="normalisation"):
+                        call()
 
 
 @settings(max_examples=40, deadline=None)
