@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .measure import AlphaParam, as_alpha, as_points
 from .specfun import QuadratureRule, gauss_laguerre_rule, tensor_rule
@@ -145,6 +144,8 @@ def _ell_table_1d(a: float, kmax: int, xi: np.ndarray) -> np.ndarray:
     Entry (m, i) depends only on a, m and xi[i], not on kmax, so an entry
     (m, n) of _rule_gram is the same at every depth.
     """
+    from scipy.special import gammaln
+
     u = xi * xi
     out = np.empty((kmax + 1,) + u.shape)
     out[0] = np.exp(0.5 * (np.log(2.0) - gammaln(a + 1.0)) - 0.5 * u)

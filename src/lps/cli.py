@@ -332,8 +332,10 @@ def _gram_rows(cfg: RunConfig, alpha, report: Report):
         gram = np.prod([g[down[a, c], down[b, c]] for c, g in enumerate(grams)], axis=0)
         gram = gram.astype(float)
         devs.append(np.abs(gram - (a == b)))
+        # each multi-index is formatted once and shared by its rows
+        names = np.array([_fmt(k) for k in idx], dtype=object)
         report.add_columns(family=repeat("plain" if fam.is_plain else f"diff{fam.j}"),
-                           k=[idx[i] for i in a], l=[idx[i] for i in b],
+                           k=names[a].tolist(), l=names[b].tolist(),
                            gram=gram.tolist(), deviation=devs[-1].tolist())
     return np.concatenate(devs) / TOLERANCE["gram"]
 

@@ -44,7 +44,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .basis import PLAIN, BasisFamily, differentiated, eigenvalue, ell_table
 from .measure import AlphaParam, as_alpha, as_points, pi_alpha_rules
@@ -304,11 +303,13 @@ def _live_entries(acomp: np.ndarray, logg: np.ndarray):
     For a >= -1/2, e^-z i_a(z) decreases from i_a(0) = 1/(2^a Gamma(a+1)),
     so where the Gaussian part logg plus those logs lies below
     LOG_FLOOR - 1 the entry underflows whatever the Bessel factors are.
-    Below -1/2 there is no such bound.
+    Below -1/2 there is no such bound.  The log unit of margin lets
+    math.lgamma serve: an entry whose mask a last-bit change of the bound
+    flips has G_t = 0 either way.
     """
     if acomp.min() < -0.5:
         return Ellipsis
-    top = sum(-a * math.log(2.0) - gammaln(a + 1.0) for a in acomp)
+    top = sum(-a * math.log(2.0) - math.lgamma(a + 1.0) for a in acomp)
     return logg + top > LOG_FLOOR - 1.0
 
 

@@ -9,6 +9,10 @@ tensor-product rule of the package is built here too.
 The scaled Bessel form is used because the heat kernel only ever needs the
 combination (x y)^(-nu) I_nu(x y / sinh 2t), which is entire in the argument;
 the raw I_nu would introduce a spurious 0 * inf ambiguity at the origin.
+
+scipy.special is imported where a function first needs it, not with the
+package: the closed forms at orders -1/2 and 1/2 and the Legendre rules need
+none of it.
 """
 
 import math
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.special import gammaln, ive, roots_genlaguerre, roots_jacobi
 
 __all__ = [
     "QuadratureRule",
@@ -73,6 +76,8 @@ class QuadratureRule:
 
 def _log_series_start(nu: float) -> float:
     """log i_nu(0) = -log(2^nu Gamma(nu+1)), of the first term of the ascending series."""
+    from scipy.special import gammaln
+
     return -nu * math.log(2.0) - gammaln(nu + 1.0)
 
 
@@ -195,6 +200,8 @@ def _general_order_pair(nu: float, z: np.ndarray):
     large = (z >= BESSEL_SERIES_CUTOFF) & (z < BESSEL_HANKEL_CUTOFF)
     deep = np.zeros(z.shape, dtype=bool)
     if np.any(large):
+        from scipy.special import ive
+
         zl = z[large]
         scaled, scaled1 = ive(nu, zl), ive(nu + 1.0, zl)
         # ive leaves the normal range from nu of about 290 at z = 20: there the
@@ -231,6 +238,8 @@ def gauss_laguerre_rule(n: int, a: float = 0.0) -> QuadratureRule:
         raise ValueError(f"order must be >= 1, got {n}")
     if a <= -1:
         raise ValueError(f"exponent must exceed -1, got {a}")
+    from scipy.special import roots_genlaguerre
+
     # from n of about 200 the weights underflow or come back NaN, which QuadratureRule rejects
     with np.errstate(over="ignore", invalid="ignore"):
         nodes, weights = roots_genlaguerre(n, a)
@@ -248,6 +257,8 @@ def gauss_jacobi_rule(n: int, a: float) -> QuadratureRule:
         raise ValueError(f"order must be >= 1, got {n}")
     if a <= -0.5:
         raise ValueError(f"exponent must exceed -1/2, got {a}")
+    from scipy.special import roots_jacobi
+
     nodes, weights = roots_jacobi(n, a - 0.5, a - 0.5)
     return QuadratureRule(nodes, weights)
 

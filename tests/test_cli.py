@@ -233,11 +233,11 @@ class TestExitCodes:
         assert all(np.isfinite(ratios))
 
     def test_half_integer_scan_stays_in_closed_form(self, tmp_path, monkeypatch):
-        # at alpha = -1/2 every base has order -1/2 or 1/2: no series, no ive
+        # at alpha = -1/2 every base has order -1/2 or 1/2: no series (and no
+        # ive: TestLazyScipy sees that scipy.special is never loaded)
         def refuse(*args, **kwargs):
             raise AssertionError("a Bessel regime off the closed forms was reached")
 
-        monkeypatch.setattr(specfun, "ive", refuse)
         monkeypatch.setattr(specfun, "_bessel_series_pair", refuse)
         path = write_config(tmp_path, "alpha = -0.5\nseed = 3\ncount = 8\nkind = all\n"
                             "zeta_order = 6\nzeta_levels = 12\nthreads = 1\n")
@@ -442,6 +442,53 @@ class TestVerdict:
             for task in cli.TASKS:
                 assert main([task, "--config", path, "--out", out]) in (0, 1, 2), (task, text)
         capsys.readouterr()
+
+    def test_lemma_without_kept_draws_fails_its_row(self, tmp_path, capsys):
+        # the only draw of the halfway-shift lemma leaves the orthant: nothing is
+        # checked, and the row fails with a NaN margin instead of a traceback
+        path = write_config(tmp_path, "alpha = 0, -0.5\ncount = 1\n")
+        out = tmp_path / "r.csv"
+        assert main(["lemmas", "--config", path, "--seed", "12", "--out", str(out),
+                     "--no-timestamp"]) == 1
+        rows = {r["lemma"]: r for r in csv.DictReader(out.read_text().splitlines()[1:])}
+        row = rows["q_stable_under_halfway_shift"]
+        assert (row["passed"], row["margin"], row["detail"]) == ("False", "nan",
+                                                                 "kept=0 of 1 draws")
+        assert all(r["passed"] == "True" for r in rows.values() if r is not row)
+        assert capsys.readouterr().err.startswith("FAILED: 1 of 6 rows, the first (row 3): ")
+
+
+class TestLazyScipy:
+    """scipy.special is imported where it is first needed.  Each check runs in a
+    fresh interpreter, since the suite itself has loaded it."""
+
+    SCRIPT = """
+import sys
+import lps.cli
+print("scipy.special" in sys.modules)
+for path, code in zip(sys.argv[1::2], sys.argv[2::2]):
+    status = lps.cli.main(["czscan", "--config", path, "--seed", "3", "--out", path + ".csv"])
+    assert status == int(code), path
+    print("scipy.special" in sys.modules)
+"""
+
+    def test_half_integer_scan_never_loads_scipy_special(self, tmp_path):
+        # a config error, a scan whose bases have components -1/2 and 1/2 only
+        # (closed-form Bessel factors, Legendre rules), then a scan at 0.3
+        base = "count = 4\nkind = all\nestimate = all\nzeta_order = 4\nzeta_levels = 6\n"
+        configs = [("alpha = -0.5, -0.5\nzeta_levels = 1100\n", 2),
+                   ("alpha = -0.5, -0.5\n" + base, 0), ("alpha = 0.3\n" + base, 0)]
+        argv = []
+        for n, (text, code) in enumerate(configs):
+            argv += [write_config(tmp_path, text, f"c{n}.cfg"), str(code)]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded = [line for line in proc.stdout.splitlines() if line in ("True", "False")]
+        assert loaded == ["False", "False", "False", "True"]
 
 
 class TestReproducibility:

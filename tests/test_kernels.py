@@ -924,3 +924,86 @@ def test_row_dots_match_per_row_dots(n):
     assert np.array_equal(_row_dots(a, a), [np.dot(r, r) for r in a])
     assert np.array_equal(np.sqrt(_row_dots(a, a)), [np.linalg.norm(r) for r in a])
     assert np.array_equal(_row_dots(a, b), [np.dot(r, b) for r in a])
+
+
+def _scipy_live_entries(acomp, logg):
+    """_live_entries with its bound from scipy's gammaln, which differs from
+    math.lgamma in the last bit at most arguments."""
+    from scipy.special import gammaln
+
+    if acomp.min() < -0.5:
+        return Ellipsis
+    top = sum(-a * math.log(2.0) - gammaln(a + 1.0) for a in acomp)
+    return logg + top > kernels_mod.LOG_FLOOR - 1.0
+
+
+def _logg(acomp, x, y, grid):
+    """The Gaussian part log G_t of _heat_parts, (P, T)."""
+    zeta, eta = grid.zeta, grid.eta
+    inv_s = 0.5 * (1.0 + zeta) * eta / zeta
+    core = (-0.5 * zeta * (np.sum(x * x, axis=1) + np.sum(y * y, axis=1))[:, None]
+            - 0.5 * np.sum((x - y) ** 2, axis=1)[:, None] * inv_s)
+    log_s = np.log(2.0 * zeta) - np.log1p(zeta) - np.log(eta)
+    return core - (len(acomp) + acomp.sum()) * log_s
+
+
+def _pairs_on_bound(acomp, grid):
+    """1-d pairs (1e-3, y) whose entry at the first node past zeta = 0.3 lies within
+    1e-12 of the _live_entries bound: y by bisection, then its neighbours.  There
+    x y / sinh 2t is below 0.1, so the Bessel factors stay near their bound too."""
+    node = int(np.argmax(grid.zeta > 0.3))
+    top = sum(-a * math.log(2.0) - math.lgamma(a + 1.0) for a in acomp)
+    gap = lambda y: _logg(acomp, np.full_like(y, 1e-3), y, grid)[:, node] + top - (
+        kernels_mod.LOG_FLOOR - 1.0)
+    lo, hi = 1.0, 1e6  # the Gaussian part falls as y moves away from x
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap(np.array([[mid]]))[0] > 0 else (lo, mid)
+    y = lo * (1.0 + np.arange(-100, 100) * 2.0**-52)[:, None]
+    y = y[np.abs(gap(y)) < 1e-12]
+    assert len(y) >= 5
+    return np.full_like(y, 1e-3), y
+
+
+@pytest.mark.bitexact
+class TestLiveBound:
+    """The bound of _live_entries from math.lgamma gives every kind's values the
+    bytes of the bound from scipy's gammaln: it only decides which entries
+    skip the Bessel factors, with one log unit of margin."""
+
+    def values(self, alpha, x, y, grids):
+        return [(k, g, v.tobytes()) for k, g, v in kernels_mod._kind_values(
+            alpha, kernels_mod.default_kinds(len(alpha)), x, y, grids)]
+
+    def test_deep_grid_pairs(self, monkeypatch):
+        # the pairs and grids of the czscan-d1-deep-grid golden report
+        from lps.czcheck import sample_pairs, sample_perturbed
+
+        x, y = sample_pairs(1, 3, 7)
+        xp, yp = sample_perturbed(x, y, 8), sample_perturbed(y, x, 9)
+        x, y = np.vstack([x, xp, x]), np.vstack([y, y, yp])
+        grids = (ZetaGrid(64, 500), ZetaGrid(64, 500).refined())
+        ours = self.values((0.3,), x, y, grids)
+        monkeypatch.setattr(kernels_mod, "_live_entries", _scipy_live_entries)
+        assert self.values((0.3,), x, y, grids) == ours
+
+    @pytest.mark.parametrize("a", [0.3, 150.3])
+    def test_pairs_on_the_bound(self, monkeypatch, a):
+        # pairs on the bound of each base (alpha and alpha + e_1) on each time
+        # grid: the heat kinds' grid and the Poisson kinds' inner grid
+        grid, inner = ZetaGrid(6, 16), kernels_mod._default_inner_grid()
+        x, y = map(np.vstack, zip(*[_pairs_on_bound(np.array([b]), g)
+                                    for b in (a, a + 1.0) for g in (grid, inner)]))
+        live, flips = kernels_mod._live_entries, []
+
+        def spy(acomp, logg):
+            mask = live(acomp, logg)
+            flips.append(int(np.sum(mask != _scipy_live_entries(acomp, logg))))
+            return mask
+
+        monkeypatch.setattr(kernels_mod, "_live_entries", spy)
+        ours = self.values((a,), x, y, (grid,))
+        monkeypatch.setattr(kernels_mod, "_live_entries", _scipy_live_entries)
+        assert self.values((a,), x, y, (grid,)) == ours
+        # at 151.3 the two bounds differ by one ulp of LOG_FLOOR, and entries flip
+        assert a < 100 or sum(flips) > 0
