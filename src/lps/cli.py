@@ -31,7 +31,7 @@ from . import basis as basis_mod
 from . import czcheck
 from .basis import PLAIN, differentiated
 from .czcheck import lemma_suite, random_expansion, riesz_identity_check
-from .gfunctions import _l2_norms, gfun_l2_exact
+from .gfunctions import _l2_norms
 from .kernels import (
     KIND_TABLE,
     PAIR_BLOCK,
@@ -362,29 +362,33 @@ def _kernel_rows(cfg: RunConfig, alpha, report: Report):
 def _gfun_rows(cfg: RunConfig, alpha, report: Report):
     """Vertical isometries and the horizontal heat sum on random expansions.
 
-    Every expansion is drawn first; then each kind norms all of its
-    expansions in one batch, on one Laguerre table wherever it fits.
+    The modes of every sample are drawn first, as arrays; then each kind
+    norms all of them in one batch.
     """
     rng = np.random.default_rng(cfg.seed)
     seeds = [int(rng.integers(0, 2**31)) for _ in range(cfg.count)]
     # the vertical square functions are the isometries; kinds of one input
-    # family norm the same expansions
+    # family norm the same draws
     vertical = [k for k in default_kinds(alpha.d) if k.spec.deriv == "d"]
-    drawn = {fam: [random_expansion(alpha, fam, nmodes=8, max_level=cfg.cutoff, seed=seed)
-                   for seed in seeds]
+    drawn = {fam: czcheck._draw_modes(alpha, fam, nmodes=8, max_level=cfg.cutoff, seeds=seeds)
              for fam in dict.fromkeys(k.input_family() for k in vertical)}
     checks, devs = [], []
     for kind in vertical:
-        es = drawn[kind.input_family()]
-        half = 0.5 * np.array([e.l2_norm() for e in es])
+        fam = kind.input_family()
+        idx, coeffs = drawn[fam]
+        # ||f|| / 2, its squares added in mode order as Expansion.l2_norm does
+        half = 0.5 * np.sqrt(np.cumsum(coeffs * coeffs, axis=1)[:, -1])
         checks.append(f"isometry_{kind.spec.gtag}")
-        devs.append(np.abs(_l2_norms(kind, es, cfg.quad_order) - half) / half)
-    # horizontal: combined square sum against the spectral closed form
-    es = [random_expansion(alpha, PLAIN, nmodes=8, max_level=cfg.cutoff, seed=seed + 1)
-          for seed in seeds]
-    hts = [KernelKind("hT", i=i) for i in range(1, alpha.d + 1)]
-    quad = sum(_l2_norms(kind, es, cfg.quad_order) ** 2 for kind in hts)
-    exact = np.array([sum(gfun_l2_exact(kind, e) ** 2 for kind in hts) for e in es])
+        devs.append(np.abs(_l2_norms(kind, alpha, fam, idx, coeffs, cfg.quad_order) - half)
+                    / half)
+    # horizontal: sum_i ||g_HT^i f||^2 against sum_k 2|k| / lambda_|k| c_k^2,
+    # a closed form of the eigenvalues that reads no kind
+    idx, coeffs = czcheck._draw_modes(alpha, PLAIN, nmodes=8, max_level=cfg.cutoff,
+                                      seeds=[s + 1 for s in seeds])
+    quad = sum(_l2_norms(KernelKind("hT", i=i), alpha, PLAIN, idx, coeffs, cfg.quad_order) ** 2
+               for i in range(1, alpha.d + 1))
+    level = idx.sum(axis=2)
+    exact = np.sum(2.0 * level / basis_mod.eigenvalue(alpha, level) * coeffs**2, axis=1)
     checks.append("horizontal_heat_sum")
     devs.append(np.abs(quad - exact) / np.maximum(exact, 1e-300))
     # rows sample by sample, in the order of the checks

@@ -352,17 +352,27 @@ def lemma_suite(alpha, samples: int = 100000, seed: int = 99) -> list:
     return out
 
 
+def _draw_modes(alpha, family, nmodes: int, max_level: int, seeds):
+    """The modes random_expansion draws for each seed: idx (E, M, d) and coeffs (E, M)."""
+    alpha = as_alpha(alpha)
+    idx = basis._family_indices(family, alpha.d, max_level)
+    take = min(nmodes, len(idx))
+    chosen = np.empty((len(seeds), take), dtype=np.intp)
+    coeffs = np.empty((len(seeds), take))
+    for n, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        chosen[n] = rng.choice(len(idx), size=take, replace=False)
+        # the same stream as take scalar draws
+        coeffs[n] = rng.normal(size=take)
+    return np.array(idx, dtype=np.intp).reshape(-1, alpha.d)[chosen], coeffs
+
+
 def random_expansion(alpha, family=PLAIN, nmodes: int = 10, max_level: int = 8,
                      seed: int = 0) -> Expansion:
     """A reproducible random finite expansion with unit-scale coefficients."""
-    alpha = as_alpha(alpha)
-    rng = np.random.default_rng(seed)
-    idx = basis._family_indices(family, alpha.d, max_level)
-    take = min(nmodes, len(idx))
-    chosen = rng.choice(len(idx), size=take, replace=False)
-    # the same stream as take scalar draws
-    values = rng.normal(size=take).tolist()
-    return Expansion(alpha, family, dict(zip((idx[c] for c in chosen), values)))
+    idx, coeffs = _draw_modes(alpha, family, nmodes, max_level, [seed])
+    return Expansion(as_alpha(alpha), family,
+                     dict(zip(map(tuple, idx[0].tolist()), coeffs[0].tolist())))
 
 
 def riesz_identity_check(alpha, j: int, e: Expansion, t_grid, x_grid) -> float:

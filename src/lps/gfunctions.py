@@ -25,6 +25,8 @@ value on the tensor grid of basis._quad_rules, without forming the grid:
 output functions and grid weights are products over coordinates, so the sum
 factors into one Gram matrix per coordinate (basis._rule_gram, from the
 cached per-rule tables) and a double sum over mode pairs, in np.longdouble.
+The private paths take the modes of a batch as one pair of arrays, idx
+(E, M, d) and coeffs (E, M); each public function is a batch of one.
 """
 
 import numpy as np
@@ -41,40 +43,42 @@ __all__ = [
 ]
 
 
-def _check_input(kind: KernelKind, e: Expansion):
-    kind.check_dimension(e.alpha.d)
+def _check_input(kind: KernelKind, alpha, family):
+    kind.check_dimension(alpha.d)
     want = kind.input_family()
-    if e.family != want:
+    if family != want:
         raise ValueError(
             f"{kind.spec.gtag} expects the {want.kind} family"
             + (f" (j={want.j})" if not want.is_plain else "")
         )
 
 
-def _modes(kind: KernelKind, e: Expansion):
-    """Per-mode decay rates, multipliers and indices.
+def _mode_arrays(e: Expansion):
+    """The modes of e as a batch of one: idx (1, M, d) and coeffs (1, M), in key order."""
+    idx = np.array(list(e.coeffs), dtype=np.intp).reshape(1, -1, e.alpha.d)
+    return idx, np.array(list(e.coeffs.values())).reshape(1, -1)
+
+
+def _modes(kind: KernelKind, alpha, idx: np.ndarray, coeffs: np.ndarray):
+    """Decay rates and multipliers of the modes idx (..., M, d) with coeffs (..., M).
 
     The output of mode k is the member k of the system ell_batch evaluates
-    with the shifts kind.output_shifts.
+    with the shifts kind.output_shifts.  delta_i and delta_j^* lower k_c by
+    one with factor -2 sqrt(k_c), so a mode with k_c = 0 has no output and
+    multiplier 0, whatever its coefficient.
     """
-    indices = list(e.coeffs)
-    c = kind.coord - 1
-    if kind.spec.deriv != "d":
-        # delta_i and delta_j^* lower k_c by one, with factor -2 sqrt(k_c), so k_c = 0 drops
-        indices = [k for k in indices if k[c] != 0]
-    coeffs = np.array([e.coeffs[k] for k in indices], dtype=float)
-    lam = eigenvalue(e.alpha, np.array([sum(k) for k in indices], dtype=np.intp))
+    lam = eigenvalue(alpha, idx.sum(axis=-1))
     nus = np.sqrt(lam) if kind.is_poisson else lam
     if kind.spec.deriv == "d":
-        return nus, -nus * coeffs, indices
-    kc = np.array([k[c] for k in indices], dtype=np.intp)
-    return nus, -2.0 * np.sqrt(kc) * coeffs, indices
+        return nus, -nus * coeffs
+    kc = idx[..., kind.coord - 1]
+    return nus, np.where(kc > 0, -2.0 * np.sqrt(kc) * coeffs, 0.0)
 
 
 def _amplitudes(kind: KernelKind, e: Expansion, pts: np.ndarray):
     """Amplitude matrix (nmodes, npts) and decay rates (nmodes,)."""
-    nus, mults, indices = _modes(kind, e)
-    return nus, mults[:, None] * ell_batch(e.alpha, kind.output_shifts, indices, pts)
+    nus, mults = _modes(kind, e.alpha, *_mode_arrays(e))
+    return nus[0], mults[0][:, None] * ell_batch(e.alpha, kind.output_shifts, list(e.coeffs), pts)
 
 
 def _closed_values(kind: KernelKind, nus: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -86,66 +90,48 @@ def _closed_values(kind: KernelKind, nus: np.ndarray, amp: np.ndarray) -> np.nda
 
 def gfun_exact(kind: KernelKind, e: Expansion, x):
     """Pointwise value of the square function, by the closed double sum."""
-    _check_input(kind, e)
+    _check_input(kind, e.alpha, e.family)
     pts, single = as_points(e.alpha.d, x)
-    if not e.coeffs:
-        return 0.0 if single else np.zeros(pts.shape[0])
-    nus, amp = _amplitudes(kind, e, pts)
-    out = _closed_values(kind, nus, amp)
+    out = _closed_values(kind, *_amplitudes(kind, e, pts))
     return float(out[0]) if single else out
 
 
 def gfun_quadrature(kind: KernelKind, e: Expansion, x, grid: ZetaGrid | None = None):
     """Same value through the ζ-grid time quadrature; cross-check route."""
-    _check_input(kind, e)
+    _check_input(kind, e.alpha, e.family)
     grid = grid or ZetaGrid()
     pts, single = as_points(e.alpha.d, x)
-    if not e.coeffs:
-        return 0.0 if single else np.zeros(pts.shape[0])
     nus, amp = _amplitudes(kind, e, pts)
     decay = np.exp(-np.outer(nus, grid.t))
     out = grid.norms(amp.T @ decay, kind.time_power)  # one norm per point
     return float(out[0]) if single else out
 
 
-def _l2_norms(kind: KernelKind, expansions, order: int = 64) -> np.ndarray:
-    """gfun_l2_norm of each expansion, which all share one alpha and family.
+def _l2_norms(kind: KernelKind, alpha, family, idx: np.ndarray, coeffs: np.ndarray,
+              order: int = 64) -> np.ndarray:
+    """gfun_l2_norm of each row of a batch of modes: idx (E, M, d), coeffs (E, M).
 
     Each coordinate gets one basis._rule_gram, as deep as the batch's
-    deepest index; its entries do not depend on that depth.  Expansions with
-    equally many modes share the array passes of the double sum, and each is
-    summed over its own entries in index order, so every norm equals a call
-    on that expansion alone bit for bit.
+    deepest output index; its entries do not depend on that depth.  Every
+    row is summed over its M^2 entries in index order, and a mode without
+    output adds exact zeros, so each norm equals a call on that row alone
+    bit for bit, and a call on its expansion with those modes dropped.
     """
-    for e in expansions:
-        _check_input(kind, e)
-    if not expansions:
-        return np.zeros(0)
-    alpha, family = expansions[0].alpha, expansions[0].family
-    if any(e.alpha != alpha or e.family != family for e in expansions):
-        raise ValueError("the expansions of one batch must share alpha and family")
-    modes = [_modes(kind, e) for e in expansions]
+    _check_input(kind, alpha, family)
+    nus, amp = (np.asarray(v, dtype=np.longdouble) for v in _modes(kind, alpha, idx, coeffs))
     shifts = [kind.output_shifts.count(c) for c in range(1, alpha.d + 1)]
-    # the output index of mode k is k - shifts, which _modes keeps nonnegative
-    downs = [np.array(indices, dtype=np.intp).reshape(-1, alpha.d) - shifts
-             for _, _, indices in modes]
-    depth = np.max([down.max(axis=0, initial=0) for down in downs], axis=0)
+    # the output index of mode k is k - shifts; a mode without output reads row 0
+    down = np.maximum(idx - shifts, 0)
     grams = [_rule_gram(a + s, a, order, int(n), s)
-             for a, s, n in zip(alpha.components, shifts, depth)]
-    out = np.empty(len(expansions))
-    for count in set(map(len, downs)):
-        members = [n for n, down in enumerate(downs) if len(down) == count]
-        nus, amp = (np.array([modes[n][part] for n in members], dtype=np.longdouble)
-                    for part in (0, 1))
-        form = (amp[:, :, None] * amp[:, None, :]
-                / (nus[:, :, None] + nus[:, None, :]) ** kind.time_power)
-        rows = np.array([downs[n] for n in members])
-        for c, gram in enumerate(grams):
-            form *= gram[rows[:, :, None, c], rows[:, None, :, c]]
-        # numpy's long double matmul sums each row in index order, from +0
-        total = form.reshape(len(members), -1) @ np.ones(count**2, dtype=np.longdouble)
-        out[members] = np.sqrt(np.maximum(total, 0))
-    return out
+             for a, s, n in zip(alpha.components, shifts, down.max(axis=(0, 1), initial=0))]
+    form = (amp[:, :, None] * amp[:, None, :]
+            / (nus[:, :, None] + nus[:, None, :]) ** kind.time_power)
+    for c, gram in enumerate(grams):
+        form *= gram[down[:, :, None, c], down[:, None, :, c]]
+    # numpy's long double matmul sums each row in index order, from +0
+    count, modes = coeffs.shape
+    total = form.reshape(count, modes**2) @ np.ones(modes**2, dtype=np.longdouble)
+    return np.sqrt(np.maximum(total, 0)).astype(float)
 
 
 def gfun_l2_norm(kind: KernelKind, e: Expansion, order: int = 64) -> float:
@@ -156,15 +142,14 @@ def gfun_l2_norm(kind: KernelKind, e: Expansion, order: int = 64) -> float:
     nu_m')^p, with G_c the entry of coordinate c's basis._rule_gram for the
     output indices of modes m and m'.  Orthonormality is never assumed.
     """
-    return float(_l2_norms(kind, [e], order)[0])
+    return float(_l2_norms(kind, e.alpha, e.family, *_mode_arrays(e), order)[0])
 
 
 def gfun_l2_exact(kind: KernelKind, e: Expansion) -> float:
     """The same norm from orthonormality of the output system (spectral form)."""
-    _check_input(kind, e)
-    if not e.coeffs:
-        return 0.0
-    nus, mults, _ = _modes(kind, e)
+    _check_input(kind, e.alpha, e.family)
+    nus, mults = _modes(kind, e.alpha, *_mode_arrays(e))
     # int_0^inf e^(-2 nu t) t^(p-1) dt
     weights = 1.0 / (2.0 * nus) ** kind.time_power
-    return float(np.sqrt(np.sum(mults**2 * weights)))
+    # a mode with multiplier 0 adds no term: np.sum pairs its terms by position
+    return float(np.sqrt(np.sum((mults**2 * weights)[mults != 0])))

@@ -10,6 +10,7 @@ from lps import kernels as kernels_mod
 from lps.basis import Expansion, PLAIN, differentiated, ell
 from lps.czcheck import (
     ESTIMATES,
+    _draw_modes,
     _log_weight_integral,
     _time_integral,
     counterexample_profile,
@@ -107,6 +108,18 @@ class TestSamplers:
             assert list(got.coeffs.items()) == list(want.coeffs.items())
             assert all(type(v) is float for v in got.coeffs.values())
             assert got.alpha == want.alpha and got.family == want.family
+
+    @pytest.mark.bitexact
+    @pytest.mark.parametrize("family", [PLAIN, differentiated(2)], ids=["plain", "diff2"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_expansion_is_row_0_of_its_draw(self, family, d):
+        # random_expansion and the array draws of the gfun rows read one stream
+        alpha = (0.3, -0.5, 1.2)[:d]
+        for nmodes, max_level, seed in ((8, 5, 3), (6, 8, 17), (40, 2, 5)):
+            e = random_expansion(alpha, family, nmodes, max_level, seed)
+            idx, coeffs = _draw_modes(alpha, family, nmodes, max_level, [seed])
+            assert list(e.coeffs) == [tuple(k) for k in idx[0].tolist()]
+            assert list(e.coeffs.values()) == coeffs[0].tolist()
 
     def test_perturbation_draws_are_bounded(self):
         # no point within the radius of x = -1 has a positive coordinate

@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lps import basis, cli, gfunctions
+from lps import basis, cli, czcheck, gfunctions
 from lps.basis import Expansion, PLAIN, differentiated, eigenvalue, ell, ell_batch
-from lps.czcheck import random_expansion
+from lps.czcheck import _draw_modes, random_expansion
 from lps.gfunctions import (
     _closed_values,
     _l2_norms,
+    _mode_arrays,
     _modes,
     gfun_exact,
     gfun_l2_exact,
@@ -242,8 +243,9 @@ class TestContraction:
                 for seed in range(10):
                     e = random_expansion(alpha, kind.input_family(), nmodes=8, max_level=8,
                                          seed=seed)
-                    nus, mults, indices = _modes(kind, e)
-                    amp = mults[:, None] * ell_batch(alpha, kind.output_shifts, indices, pts)
+                    nus, mults = (v[0] for v in _modes(kind, alpha, *_mode_arrays(e)))
+                    amp = mults[:, None] * ell_batch(alpha, kind.output_shifts, list(e.coeffs),
+                                                     pts)
                     sq, _ = _long_double_contraction(kind, nus, amp)
                     want = np.sqrt(np.sum(w * np.maximum(sq, 0)))
                     got = gfun_l2_norm(kind, e, order=order)
@@ -271,19 +273,18 @@ def _run_gfun(tmp_path, alpha: str, order: int, task="gfun"):
 class TestL2Norms:
     @staticmethod
     def _batch(kind, alpha, d):
-        """Random expansions that share indices, an empty one, a duplicate, one
-        whose modes all drop from a horizontal kind if its family has such
-        indices, and a shallow one, whose lone call reads shallower Gram matrices."""
+        """Drawn rows, a duplicate of row 0, a row of level <= 1 modes, whose lone
+        call reads shallower Gram matrices, and, where the family has indices
+        with k_c = 0, a row of such modes only (repeated to fill the row)."""
         fam = kind.input_family()
-        es = [random_expansion(alpha, fam, nmodes=6, max_level=4, seed=s) for s in range(7)]
-        es.append(Expansion(alpha, fam, {}))
-        es.append(Expansion(alpha, fam, dict(es[0].coeffs)))
+        idx, coeffs = _draw_modes(alpha, fam, 6, 4, range(7))
+        rows = [idx[0], np.resize(basis._family_indices(fam, d, 1), idx[0].shape)]
         if kind.coord:
             idle = [k for k in basis._family_indices(fam, d, 4) if k[kind.coord - 1] == 0]
             if idle:
-                es.append(Expansion(alpha, fam, {k: 1.0 + n for n, k in enumerate(idle[:3])}))
-        es.append(random_expansion(alpha, fam, nmodes=3, max_level=2, seed=11))
-        return es
+                rows.append(np.resize(idle, idx[0].shape))
+        fill = np.tile(np.arange(1.0, coeffs.shape[1] + 1), (len(rows) - 1, 1))
+        return fam, np.concatenate([idx, rows]), np.concatenate([coeffs, coeffs[:1], fill])
 
     @pytest.mark.bitexact
     @pytest.mark.parametrize("kind, d", [(k, d) for k in ALL_KINDS for d in (1, 2, 3)
@@ -295,56 +296,75 @@ class TestL2Norms:
         # at these alphas, the order of the additions in the eigenvalue shows in
         # its last bit for some levels <= 4 at every d
         alpha = as_alpha((0.31, -0.37, 0.53)[:d])
-        es = self._batch(kind, alpha, d)
-        got = _l2_norms(kind, es)
-        assert got.tolist() == [gfun_l2_norm(kind, e) for e in es]
-        assert _l2_norms(kind, es[::-1]).tolist() == got[::-1].tolist()
-        assert got[7] == 0.0 and got[8] == got[0]
-        if kind.coord and len(es) == 11:
+        fam, idx, coeffs = self._batch(kind, alpha, d)
+        got = _l2_norms(kind, alpha, fam, idx, coeffs)
+        assert got.tolist() == [_l2_norms(kind, alpha, fam, idx[n:n + 1], coeffs[n:n + 1])[0]
+                                for n in range(len(idx))]
+        assert _l2_norms(kind, alpha, fam, idx[::-1], coeffs[::-1]).tolist() == got[::-1].tolist()
+        assert got[7] == got[0]
+        if len(idx) == 10:
             assert got[9] == 0.0
-        # the horizontal kinds drop modes with k_c = 0, so batches hold ragged mode counts
-        counts = {len(_modes(kind, e)[2]) for e in es[:7]}
-        if kind.spec.deriv == "h" and d > 1:
-            assert len(counts) > 1
+        # a drawn row is its expansion's norm, and a mode without output adds
+        # nothing: the expansion without those modes has the same norm
+        for n in range(7):
+            e = random_expansion(alpha, fam, nmodes=6, max_level=4, seed=n)
+            live = {k: c for k, c in e.coeffs.items() if not kind.coord or k[kind.coord - 1]}
+            assert gfun_l2_norm(kind, e) == got[n]
+            assert gfun_l2_norm(kind, Expansion(alpha, fam, live)) == got[n]
 
+    @pytest.mark.bitexact
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=CASE_NUMBER_IDS)
     def test_nan_coefficient_poisons_its_own_norm(self, kind):
         alpha = as_alpha((0.3, -0.5))
-        es = self._batch(kind, alpha, 2)
-        want = _l2_norms(kind, es, 24)
-        live = _modes(kind, es[2])[2][0]
-        es[2] = Expansion(alpha, es[2].family, es[2].coeffs | {live: math.nan})
-        got = _l2_norms(kind, es, 24)
+        fam, idx, coeffs = self._batch(kind, alpha, 2)
+        want = _l2_norms(kind, alpha, fam, idx, coeffs, 24)
+        live = np.flatnonzero(_modes(kind, alpha, idx[2], coeffs[2])[1])[0]
+        coeffs[2, live] = math.nan
+        got = _l2_norms(kind, alpha, fam, idx, coeffs, 24)
         assert np.isnan(got[2])
         assert np.array_equal(np.delete(got, 2), np.delete(want, 2))
 
-    def test_mixed_batch_raises(self):
-        kind = KernelKind("dT")
-        e = random_expansion((0.3, -0.5), PLAIN, seed=1)
-        other_alpha = random_expansion((0.3, 0.5), PLAIN, seed=1)
-        with pytest.raises(ValueError, match="share alpha and family"):
-            _l2_norms(kind, [e, other_alpha], 16)
-        # a differentiated family is checked against the kind first
-        kind = KernelKind("hT", i=1)
+    @pytest.mark.bitexact
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k.spec.deriv == "h"],
+                             ids=[i for i, k in zip(CASE_NUMBER_IDS, ALL_KINDS)
+                                  if k.spec.deriv == "h"])
+    def test_nan_on_a_mode_without_output_keeps_its_row(self, kind):
+        alpha = as_alpha((0.3, -0.5))
+        fam, idx, coeffs = self._batch(kind, alpha, 2)
+        want = _l2_norms(kind, alpha, fam, idx, coeffs, 24)
+        rows, modes = np.nonzero(idx[..., kind.coord - 1] == 0)
+        coeffs[rows, modes] = math.nan
+        assert np.array_equal(_l2_norms(kind, alpha, fam, idx, coeffs, 24), want)
+        assert np.all(np.isfinite(want))
+
+    def test_family_checked_against_kind(self):
+        alpha = as_alpha((0.3, -0.5))
+        idx, coeffs = _draw_modes(alpha, differentiated(1), 6, 4, [1])
         with pytest.raises(ValueError, match="plain family"):
-            _l2_norms(kind, [e, random_expansion((0.3, -0.5), differentiated(1), seed=1)], 16)
-        kind = KernelKind("hTmodStar", j=1)
-        e1 = random_expansion((0.3, -0.5), differentiated(1), seed=1)
+            _l2_norms(KernelKind("hT", i=1), alpha, differentiated(1), idx, coeffs, 16)
         with pytest.raises(ValueError, match="differentiated family"):
-            _l2_norms(kind, [e1, e], 16)
-        assert _l2_norms(kind, [], 16).shape == (0,)
+            _l2_norms(KernelKind("hTmodStar", j=1), alpha, PLAIN, idx, coeffs, 16)
+        with pytest.raises(ValueError, match="exceeds the dimension"):
+            _l2_norms(KernelKind("hT", i=3), alpha, PLAIN, idx, coeffs, 16)
+        none = _l2_norms(KernelKind("hTmodStar", j=1), alpha, differentiated(1),
+                         idx[:0], coeffs[:0], 16)
+        assert none.shape == (0,)
+        # an expansion without modes is a row of none
+        empty = Expansion(alpha, differentiated(1), {})
+        assert gfun_l2_norm(KernelKind("hTmodStar", j=1), empty, 16) == 0.0
+        assert gfun_l2_exact(KernelKind("hTmodStar", j=1), empty) == 0.0
 
     def test_one_norm_is_a_batch_of_one(self, monkeypatch):
         calls = []
 
-        def recorded(kind, expansions, order=64):
-            calls.append(len(expansions))
+        def recorded(kind, alpha, family, idx, coeffs, order=64):
+            calls.append((idx.shape, coeffs.shape))
             return np.array([0.25])
 
         monkeypatch.setattr(gfunctions, "_l2_norms", recorded)
-        e = random_expansion((0.3,), PLAIN, seed=2)
+        e = random_expansion((0.3,), PLAIN, nmodes=7, seed=2)
         assert gfun_l2_norm(KernelKind("dT"), e, order=16) == 0.25
-        assert calls == [1]
+        assert calls == [((1, 7, 1), (1, 7))]
 
     def test_batch_holds_no_more_than_one_norm(self):
         # d = 3 at the default order: an amplitude table of one expansion on the
@@ -352,15 +372,28 @@ class TestL2Norms:
         # stays below 1 MB, tables included; scipy's construction of the 1-d Gauss
         # rules (about 2 MB at order 64, once per component and order) is not counted
         alpha = as_alpha((0.3, -0.5, 1.2))
-        es = [random_expansion(alpha, PLAIN, nmodes=8, max_level=8, seed=s) for s in range(4)]
+        idx, coeffs = _draw_modes(alpha, PLAIN, 8, 8, range(4))
         basis._quad_rules(alpha, 64)
         tracemalloc.start()
         try:
-            _l2_norms(KernelKind("dT"), es)
+            _l2_norms(KernelKind("dT"), alpha, PLAIN, idx, coeffs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_gfun_op_builds_no_expansion(self, tmp_path, monkeypatch):
+        # the gfun rows norm arrays of drawn modes and take their horizontal
+        # exact side from the closed form
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gfun task built an Expansion")
+
+        for module in (czcheck, cli):
+            monkeypatch.setattr(module, "random_expansion", refuse)
+        monkeypatch.setattr(basis.Expansion, "__post_init__", refuse)
+        monkeypatch.setattr(gfunctions, "gfun_l2_exact", refuse)
+        for alpha in ("0.3", "0, -0.5", "0.3, -0.5, 1.2"):
+            assert _run_gfun(tmp_path, alpha, 16) == 0
 
     @pytest.mark.parametrize("alpha, order", [("0.3", 16), ("0, -0.5", 16),
                                               ("0.3, -0.5, 1.2, 0", 64)],

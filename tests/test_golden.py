@@ -15,9 +15,9 @@ pytestmark = pytest.mark.bitexact
 
 CASES = {
     "gfun": ("gfun", "alpha = 0.3, -0.5\ncount = 4\ncutoff = 5\nquad_order = 32\n",
-             "21e120322f8f0e206818d3da47aca6165f496faf1885507b806ba5a65e752040"),
+             "7714a6e9f69e2deadacfbdcb82fc5e78a777b15d8516eaa35d2269a54ef10cf5"),
     "verify": ("verify", "alpha = 0, -0.5\ncount = 4\ncutoff = 5\nquad_order = 32\nbox_hi = 2\n",
-               "a044b7011c5faa124e3778a89eed1f319cb3be69c6decec27e444068ca5c13b0"),
+               "92a36b18a77a95aff393eacd98e6e08ac9c18ee58c4df09e9385ff335ab51692"),
     # the heat-kernel triple alone: closed, Schlafli and spectral cells
     "kernel": ("kernel", "alpha = 0, -0.5\ncount = 6\nbox_hi = 2\nquad_order = 32\n",
                "f6098c7a9495676e6f6587c603c9503884562139fc0bfd2d8f70856859c8a327"),
@@ -26,11 +26,11 @@ CASES = {
     # the shape of the benchmark's identities op: 300 square-function norms
     "verify-bench": ("verify",
                      "alpha = 0, -0.5\ncount = 50\ncutoff = 8\nquad_order = 64\nbox_hi = 2\n",
-                     "26c7b04427822311d6181815f745dcfe94211001c011c807bbcf6bf81eaf37f3"),
+                     "a5e94552d5c89ee0cfaf8ad71ed4a4a1e23c1ed74eeefa9bde999e3162631e30"),
     "gfun-d1": ("gfun", "alpha = -0.5\ncount = 20\ncutoff = 8\n",
-                "4862edaa46ae80c4f8f90973d79df051f13d84d053c17a8ba367ef15cca1c20d"),
+                "0e60f76c0b0d0240ef58432d5432ae62f85727aeb264528ede6ae5f833e5fdb7"),
     "gfun-d3": ("gfun", "alpha = 0.3, -0.5, 1.2\ncount = 6\ncutoff = 6\nquad_order = 24\n",
-                "f2436500e21c70e86113b42ccadfd2e370a9c4ef123ddb1bb8e1c80c561c392c"),
+                "b0ec65f771023893606fa42cd3e2bc6734e36af6171df078f2e8f95d079fd966"),
     "lemmas": ("lemmas", "alpha = 0, -0.5\ncount = 2000\n",
                "4dcac93b3e11dea4f474856df65b260e6084cb63eb8f6ba80c54df3d438ed0a5"),
     "basis": ("basis", "alpha = 0.3, -0.5\ncutoff = 4\nquad_order = 24\n",
